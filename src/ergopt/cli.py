@@ -22,7 +22,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="path for the JSON report")
     parser.add_argument("--cache-dir", default=os.environ.get("EOPT_CACHE_DIR"),
                         help="report cache directory (env: EOPT_CACHE_DIR)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleWordError, ShapeMismatchError, DimensionTooLargeError, ValidationError
+from .errors import InadmissibleWordError, ShapeMismatchError, ValidationError
 from .shift import ShiftSpace, Word, admissible_words, word_to_str
 
 Scalar = Fraction | float
@@ -186,15 +186,19 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence[int]) -> tuple[float, np.n
         raise InadmissibleWordError("word shorter than the cocycle memory")
     if not A.space.is_admissible(w):
         raise InadmissibleWordError(word_to_str(w))
-    logscale = 0.0
-    P = A.matrix(w[0:m])
+    P, logscale = _renormalise(A.matrix(w[0:m]), 0.0)
     for j in range(1, len(w) - m + 1):
-        P = A.matrix(w[j : j + m]) @ P
-        nrm = float(np.max(np.abs(P)))
-        if nrm > 1e100 or (0.0 < nrm < 1e-100):
-            P = P / nrm
-            logscale += math.log(nrm)
+        P, logscale = _renormalise(A.matrix(w[j : j + m]) @ P, logscale)
     return logscale, P
+
+
+def _renormalise(P: np.ndarray, logscale: float) -> tuple[np.ndarray, float]:
+    """Running product (P, logscale) with P's largest entry moved back into
+    [1e-100, 1e100] when it has left; P itself is never modified."""
+    nrm = float(np.max(np.abs(P)))
+    if nrm > 1e100 or (0.0 < nrm < 1e-100):
+        return P / nrm, logscale + math.log(nrm)
+    return P, logscale
 
 
 def op_norm(M: np.ndarray) -> float:
@@ -206,28 +210,8 @@ def op_norm(M: np.ndarray) -> float:
 
 
 def spectral_radius(M: np.ndarray) -> float:
-    """Max eigenvalue modulus via characteristic-polynomial roots, d <= 8."""
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    if d > 8:
-        raise DimensionTooLargeError(f"spectral_radius supports d <= 8, got {d}")
-    if d == 1:
-        return abs(float(M[0, 0]))
-    coeffs = _char_poly(M)
-    roots = np.roots(coeffs)
-    return float(np.max(np.abs(roots)))
-
-
-def _char_poly(M: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by the Faddeev-LeVerrier recursion."""
-    d = M.shape[0]
-    coeffs = np.zeros(d + 1)
-    coeffs[0] = 1.0
-    N = np.zeros_like(M)
-    for k in range(1, d + 1):
-        N = M @ N + coeffs[k - 1] * np.eye(d)
-        coeffs[k] = -np.trace(M @ N) / k
-    return coeffs
+    """Largest eigenvalue modulus."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
 
 
 def cocycle_distance(A: MatrixCocycle, B: MatrixCocycle) -> float:

@@ -31,10 +31,6 @@ class ShapeMismatchError(ErgoptError):
     code = "ShapeMismatch"
 
 
-class DimensionTooLargeError(ErgoptError):
-    code = "DimensionTooLarge"
-
-
 class BudgetExceededError(ErgoptError):
     code = "BudgetExceeded"
 

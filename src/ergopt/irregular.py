@@ -8,13 +8,14 @@ Divergence is evidenced at finite depth, never proven.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, op_norm
+from .cocycle import MatrixCocycle, _renormalise, op_norm
 from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, connect
@@ -102,31 +103,13 @@ def build_irregular_point(
     )
 
 
-def _symbol_stream(x, N: int, memory: int) -> Iterator[int]:
+def _symbol_stream(x) -> Iterator[int]:
     if isinstance(x, BlockSchedule):
-        gen = x.symbols()
         # pad with the final cycle if the schedule runs out
         final = x.cycles[(len(x.lengths) - 1) % 2]
-
-        def padded():
-            count = 0
-            for s in gen:
-                yield s
-                count += 1
-            i = 0
-            while True:
-                yield final.word[i % final.period]
-                i += 1
-
-        return padded()
-    preamble, cycle = x
-
-    def eventually_periodic():
-        yield from preamble
-        while True:
-            yield from cycle.word
-
-    return eventually_periodic()
+        return itertools.chain(x.symbols(), itertools.cycle(final.word))
+    preamble, c = x
+    return itertools.chain(preamble, itertools.cycle(c.word))
 
 
 def finite_time_exponents(
@@ -144,9 +127,8 @@ def finite_time_exponents(
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
     m = A.memory
-    stream = _symbol_stream(x, N, m)
+    it = _symbol_stream(x)
     window: list[int] = []
-    it = iter(stream)
     for _ in range(m):
         window.append(next(it))
     out = np.empty(N)
@@ -156,11 +138,7 @@ def finite_time_exponents(
     for n in range(2, N + 1):
         window.pop(0)
         window.append(next(it))
-        P = A.matrix(tuple(window)) @ P
-        nrm = float(np.max(np.abs(P)))
-        if nrm > 1e50 or (0.0 < nrm < 1e-50):
-            P = P / nrm
-            logscale += math.log(nrm)
+        P, logscale = _renormalise(A.matrix(tuple(window)) @ P, logscale)
         out[n - 1] = (logscale + math.log(op_norm(P))) / n
     return out
 

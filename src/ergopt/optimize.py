@@ -10,7 +10,6 @@ arithmetic whenever the inputs are rational.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -18,7 +17,15 @@ from numbers import Rational
 import numpy as np
 
 from . import _graph
-from .cocycle import MatrixCocycle, ScalarPotential, Scalar, op_norm, spectral_radius
+from .cocycle import (
+    MatrixCocycle,
+    ScalarPotential,
+    Scalar,
+    _renormalise,
+    cocycle_log_product,
+    op_norm,
+    spectral_radius,
+)
 from .errors import BudgetExceededError, ValidationError
 from .shift import Cycle, ShiftSpace, Word, admissible_words, enumerate_cycles
 
@@ -178,16 +185,35 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle) -> Scalar:
         pot = A.additive_potential()
         total = sum(pot.value(w) for w in c.windows(pot.memory))
         return Fraction(total) / p if isinstance(total, Rational) else total / p
-    logscale = 0.0
-    P = None
-    for w in c.windows(A.memory):
-        F = A.matrix(w)
-        P = F if P is None else F @ P
-        nrm = float(np.max(np.abs(P)))
-        if nrm > 1e100 or (0.0 < nrm < 1e-100):
-            P /= nrm
-            logscale += math.log(nrm)
+    logscale, P = cocycle_log_product(A, c.window(0, p + A.memory - 1))
     return (logscale + math.log(spectral_radius(P))) / p
+
+
+def _cycle_exponents(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> list[tuple[Cycle, float]]:
+    """Every primitive cycle of period <= p_max with its exponent, in
+    (period, word) order."""
+    return [(c, float(cycle_exponent(A, c))) for c in enumerate_cycles(space, p_max)]
+
+
+def _lower_series(exponents: list[tuple[Cycle, float]]) -> tuple[list[tuple[int, float]], Cycle]:
+    """Best exponent up to each period present, and the cycle attaining
+    the overall best.
+
+    Ties broken by (shorter period, lexicographically least canonical word).
+    """
+    series: list[tuple[int, float]] = []
+    best = -math.inf
+    witness: Cycle | None = None
+    for c, val in exponents:
+        if val > best:
+            best, witness = val, c
+        if series and series[-1][0] == c.period:
+            series[-1] = (c.period, best)
+        else:
+            series.append((c.period, best))
+    if witness is None:
+        raise ValidationError("no admissible cycle up to p_max")
+    return series, witness
 
 
 def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple[float, Cycle]:
@@ -197,15 +223,8 @@ def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
-    best: float | None = None
-    witness: Cycle | None = None
-    for c in enumerate_cycles(space, p_max):
-        val = float(cycle_exponent(A, c))
-        if best is None or val > best:
-            best, witness = val, c
-    if witness is None:
-        raise ValidationError("shift space has no cycle of admissible period")
-    return best, witness
+    series, witness = _lower_series(_cycle_exponents(space, A, p_max))
+    return series[-1][1], witness
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +262,9 @@ def _dfs_max(A: MatrixCocycle, items, n: int, prune_floor: float, max_step: floa
             continue
         for b in space.successors(state[-1]):
             w = state + (b,) if m >= 2 else (b,)
-            Q = A.matrix(w) @ P
-            nrm = float(np.max(np.abs(Q)))
-            ls = logscale
-            if nrm > 1e100 or (0.0 < nrm < 1e-100):
-                Q = Q / nrm
-                ls += math.log(nrm)
+            Q, ls = _renormalise(A.matrix(w) @ P, logscale)
             stack.append((w[-max(m - 1, 1):], steps + 1, ls, Q))
-    return best, count
+    return best
 
 
 def upper_bound(
@@ -259,7 +273,6 @@ def upper_bound(
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
     lower_hint: float | None = None,
-    threads: int = 1,
 ) -> float:
     """U_n: exact max over admissible depth-n products of (1/n) log norm."""
     if n < 1:
@@ -271,18 +284,7 @@ def upper_bound(
         (w[-max(m - 1, 1):], 1, 0.0, A.matrix(w))
         for w in admissible_words(space, m)
     ]
-    if threads <= 1 or len(items) < 2:
-        best, count = _dfs_max(A, items, n, prune_floor, max_step, budget)
-    else:
-        chunks = [items[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-            results = list(ex.map(lambda c: _dfs_max(A, c, n, prune_floor, max_step, budget), chunks))
-        best = max(r[0] for r in results)
-        count = sum(r[1] for r in results)
-        if count > budget:
-            raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
-    return best / n
+    return _dfs_max(A, items, n, prune_floor, max_step, budget) / n
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,6 @@ def beta_bracket(
     p_max: int = DEFAULT_P_MAX,
     gap_tol: float = 1e-9,
     budget: int = DEFAULT_WORD_BUDGET,
-    threads: int = 1,
 ) -> BetaBracket:
     """Two-sided bracket [L, U] of the maximum ergodic average.
 
@@ -348,34 +349,31 @@ def beta_bracket(
     branch pruning against the certified lower bound.  Stops early once the
     gap is at most gap_tol.  d = 1 collapses to the exact additive solution.
     """
+    _check_bracket_args(n_max, p_max, gap_tol)
+    if A.is_additive:
+        return _additive_bracket(space, A)
+    return _matrix_bracket(space, A, _cycle_exponents(space, A, p_max),
+                           n_max, p_max, gap_tol, budget)
+
+
+def _check_bracket_args(n_max: int, p_max: int, gap_tol: float) -> None:
     if n_max < 1 or p_max < 1:
         raise ValidationError("n_max and p_max must be >= 1")
     if gap_tol <= 0:
         raise ValidationError("gap_tol must be positive")
-    if A.is_additive:
-        return _additive_bracket(space, A)
 
-    lower_series: list[tuple[int, float]] = []
-    best_l = -math.inf
-    witness: Cycle | None = None
-    by_period: dict[int, list[Cycle]] = {}
-    for c in enumerate_cycles(space, p_max):
-        by_period.setdefault(c.period, []).append(c)
-    for p in range(1, p_max + 1):
-        for c in by_period.get(p, ()):
-            val = float(cycle_exponent(A, c))
-            if val > best_l:
-                best_l, witness = val, c
-        if p in by_period:
-            lower_series.append((p, best_l))
-    if witness is None:
-        raise ValidationError("no admissible cycle up to p_max")
 
+def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[Cycle, float]],
+                    n_max: int, p_max: int, gap_tol: float, budget: int) -> BetaBracket:
+    """The bracket of `beta_bracket` for d >= 2, from the cycle exponents
+    up to p_max."""
+    lower_series, witness = _lower_series(exponents)
+    best_l = lower_series[-1][1]
     upper_series: list[tuple[int, float]] = []
     best_u = math.inf
     n_used = 1
     for n in range(1, n_max + 1):
-        u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l, threads=threads)
+        u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l)
         upper_series.append((n, u_n))
         if u_n < best_u:
             best_u, n_used = u_n, n
@@ -411,7 +409,6 @@ def matrix_candidates(
     slack: float = 1e-6,
     gap_tol: float = 1e-9,
     budget: int = DEFAULT_WORD_BUDGET,
-    threads: int = 1,
 ) -> OptReport:
     """Candidate optimal cycles: exponent >= lower - slack.
 
@@ -420,11 +417,12 @@ def matrix_candidates(
     """
     if slack < 0:
         raise ValidationError("slack must be >= 0")
-    bracket = beta_bracket(space, A, n_max=n_max, p_max=p_max, gap_tol=gap_tol,
-                           budget=budget, threads=threads)
-    cands = tuple(
-        c for c in enumerate_cycles(space, p_max)
-        if float(cycle_exponent(A, c)) >= bracket.lower - slack
-    )
+    _check_bracket_args(n_max, p_max, gap_tol)
+    exponents = _cycle_exponents(space, A, p_max)
+    if A.is_additive:
+        bracket = _additive_bracket(space, A)
+    else:
+        bracket = _matrix_bracket(space, A, exponents, n_max, p_max, gap_tol, budget)
+    cands = tuple(c for c, val in exponents if val >= bracket.lower - slack)
     unique = len(cands) == 1 and bracket.gap <= slack
     return OptReport(bracket=bracket, candidates=cands, unique_at_resolution=unique, slack=slack)

@@ -159,7 +159,7 @@ def _get_cocycle(space: ShiftSpace, cfg: dict) -> MatrixCocycle:
     raise ValidationError("config needs 'cocycle' or 'potential'")
 
 
-def _exp_beta(space, cfg, params, threads):
+def _exp_beta(space, cfg, params):
     A = _get_cocycle(space, cfg)
     report = matrix_candidates(
         space,
@@ -169,7 +169,6 @@ def _exp_beta(space, cfg, params, threads):
         slack=float(params.get("slack", 1e-6)),
         gap_tol=float(params.get("gap_tol", 1e-3)),
         budget=int(params.get("word_budget", 10_000_000)),
-        threads=threads,
     )
     br = report.bracket
     results = {
@@ -188,7 +187,7 @@ def _exp_beta(space, cfg, params, threads):
     return results, rows
 
 
-def _exp_birkhoff(space, cfg, params, threads):
+def _exp_birkhoff(space, cfg, params):
     f = parse_potential(space, _require(cfg, "potential"))
     beta = karp_beta(space, f)
     G = critical_graph(space, f)
@@ -204,7 +203,7 @@ def _exp_birkhoff(space, cfg, params, threads):
     return results, None
 
 
-def _exp_perturb(space, cfg, params, threads):
+def _exp_perturb(space, cfg, params):
     f = parse_potential(space, _require(cfg, "potential"))
     gamma = parse_potential(space, _require(params, "gamma"))
     if "eps" in params:
@@ -227,7 +226,7 @@ def _exp_perturb(space, cfg, params, threads):
     return results, rows
 
 
-def _exp_probe(space, cfg, params, threads):
+def _exp_probe(space, cfg, params):
     A = _get_cocycle(space, cfg)
     seed = _require(params, "seed")
     freq = uniqueness_probe(
@@ -243,7 +242,7 @@ def _exp_probe(space, cfg, params, threads):
     return {"unique_frequency": num(freq), "seed": int(seed)}, None
 
 
-def _exp_lambda(space, cfg, params, threads):
+def _exp_lambda(space, cfg, params):
     A = _get_cocycle(space, cfg)
     seed = _require(params, "seed")
     measures = [
@@ -263,7 +262,7 @@ def _exp_lambda(space, cfg, params, threads):
     return results, None
 
 
-def _exp_irregular(space, cfg, params, threads):
+def _exp_irregular(space, cfg, params):
     A = _get_cocycle(space, cfg)
     c1 = _parse_cycle(space, _require(params, "c1"))
     c2 = _parse_cycle(space, _require(params, "c2"))
@@ -296,7 +295,7 @@ def _exp_irregular(space, cfg, params, threads):
     return results, rows
 
 
-def _exp_flatten(space, cfg, params, threads):
+def _exp_flatten(space, cfg, params):
     values = [_parse_scalar(v) for v in _require(params, "values")]
     sys = identity_system(values)
     n = int(_require(params, "n"))
@@ -311,7 +310,7 @@ def _exp_flatten(space, cfg, params, threads):
     return results, None
 
 
-def _exp_measure(space, cfg, params, threads):
+def _exp_measure(space, cfg, params):
     A = _get_cocycle(space, cfg)
     measures = [parse_measure(space, m) for m in _require(params, "measures")]
     n_max = int(params.get("n_max", 12))
@@ -375,7 +374,11 @@ def serialize_body(body: dict) -> str:
 
 
 def run_config(cfg: dict, cache_dir: str | Path | None = None, threads: int = 1):
-    """Execute one experiment config, returning (body, series_rows, cached)."""
+    """Execute one experiment config, returning (body, series_rows, cached).
+
+    `threads` is accepted for callers that pass it and selects nothing:
+    every experiment runs on one thread.
+    """
     experiment = _require(cfg, "experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}")
@@ -386,7 +389,7 @@ def run_config(cfg: dict, cache_dir: str | Path | None = None, threads: int = 1)
         if hit is not None:
             return hit, None, True
     space = parse_system(_require(cfg, "system"))
-    results, rows = _DISPATCH[experiment](space, cfg, params, threads)
+    results, rows = _DISPATCH[experiment](space, cfg, params)
     body = {
         "config_digest": digest,
         "tool_version": __version__,

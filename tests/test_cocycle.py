@@ -7,7 +7,6 @@ import pytest
 import ergopt as eo
 from ergopt.cocycle import cocycle_log_product, cocycles_equal
 from ergopt.errors import (
-    DimensionTooLargeError,
     InadmissibleWordError,
     ShapeMismatchError,
     ValidationError,
@@ -144,9 +143,19 @@ class TestNorms:
         fib2 = np.array([[1.0, 1.0], [1.0, 2.0]])
         assert eo.spectral_radius(fib2) == pytest.approx(PHI ** 2, rel=1e-12)
 
-    def test_spectral_radius_dimension_cap(self):
-        with pytest.raises(DimensionTooLargeError):
-            eo.spectral_radius(np.eye(9))
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_spectral_radius_high_dimension(self, d):
+        """Q diag(lam) Q^T has spectrum lam; no dimension cap applies."""
+        rng = np.random.default_rng(d)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = np.linspace(-4.0, 3.0, d)
+        M = Q @ np.diag(lam) @ Q.T
+        assert eo.spectral_radius(M) == pytest.approx(4.0, rel=1e-12)
+
+    def test_spectral_radius_jordan_block(self):
+        """A defective matrix: one eigenvalue 1 of algebraic multiplicity 4."""
+        J = np.eye(4) + np.eye(4, k=1)
+        assert eo.spectral_radius(J) == pytest.approx(1.0, abs=1e-12)
 
     def test_spectral_radius_below_op_norm(self):
         rng = np.random.default_rng(5)
