@@ -134,11 +134,6 @@ class MatrixCocycle:
         s = self.log_weight(key)
         return inv if s == 0.0 else math.exp(-s) * inv
 
-    def step_log_norm(self, w: Sequence[int]) -> float:
-        """log of the spectral norm of the effective step matrix."""
-        key = tuple(w[: self.memory])
-        return self.log_weight(key) + math.log(op_norm(self.table[key]))
-
     def lift(self, memory: int) -> "MatrixCocycle":
         if memory < self.memory:
             raise ValidationError("cannot lower cocycle memory")
@@ -186,19 +181,35 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence[int]) -> tuple[float, np.n
         raise InadmissibleWordError("word shorter than the cocycle memory")
     if not A.space.is_admissible(w):
         raise InadmissibleWordError(word_to_str(w))
-    P, logscale = _renormalise(A.matrix(w[0:m]), 0.0)
+    # a copy, so the caller owns P even for a one-step word
+    P, logscale = _renormalise(A.matrix(w[0:m]).copy(), 0.0)
     for j in range(1, len(w) - m + 1):
         P, logscale = _renormalise(A.matrix(w[j : j + m]) @ P, logscale)
     return logscale, P
 
 
+# window for the largest entry of a running product
+_WINDOW_LO, _WINDOW_HI = 1e-100, 1e100
+
+
 def _renormalise(P: np.ndarray, logscale: float) -> tuple[np.ndarray, float]:
     """Running product (P, logscale) with P's largest entry moved back into
-    [1e-100, 1e100] when it has left; P itself is never modified."""
+    the window when it has left; P itself is never modified."""
     nrm = float(np.max(np.abs(P)))
-    if nrm > 1e100 or (0.0 < nrm < 1e-100):
+    if nrm > _WINDOW_HI or (0.0 < nrm < _WINDOW_LO):
         return P / nrm, logscale + math.log(nrm)
     return P, logscale
+
+
+def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
+    """`_renormalise` applied row by row, in place, to a stack of running
+    products P of shape (N, d, d) with log scales of shape (N,)."""
+    nrm = np.abs(P).reshape(len(P), -1).max(axis=1)
+    if nrm.max() <= _WINDOW_HI and nrm.min() >= _WINDOW_LO:
+        return
+    out = (nrm > _WINDOW_HI) | ((0.0 < nrm) & (nrm < _WINDOW_LO))
+    P[out] /= nrm[out, None, None]
+    logscale[out] += np.log(nrm[out])
 
 
 def op_norm(M: np.ndarray) -> float:

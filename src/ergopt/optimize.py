@@ -21,9 +21,8 @@ from .cocycle import (
     MatrixCocycle,
     ScalarPotential,
     Scalar,
-    _renormalise,
+    _renormalise_rows,
     cocycle_log_product,
-    op_norm,
     spectral_radius,
 )
 from .errors import BudgetExceededError, ValidationError
@@ -32,6 +31,7 @@ from .shift import Cycle, ShiftSpace, Word, admissible_words, enumerate_cycles
 DEFAULT_N_MAX = 24
 DEFAULT_P_MAX = 12
 DEFAULT_WORD_BUDGET = 10_000_000
+_BLOCK_ROWS = 4096  # most running products the U_n search holds in one block
 NORM_TAG = "spectral-2"
 
 Node = Word
@@ -231,42 +231,6 @@ def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple
 # word-depth upper bounds
 
 
-def _max_step_log_norm(A: MatrixCocycle) -> float:
-    return max(A.step_log_norm(w) for w in admissible_words(A.space, A.memory))
-
-
-def _dfs_max(A: MatrixCocycle, items, n: int, prune_floor: float, max_step: float, budget: int):
-    """Exact depth-n maximum of log norm over word extensions of `items`.
-
-    Pruning only discards branches whose submultiplicative upper bound lies
-    below `prune_floor`, a certified lower bound on the depth-n maximum, so
-    the returned maximum is exact and schedule-independent.
-    """
-    space, m = A.space, A.memory
-    best = -math.inf
-    count = 0
-    stack = list(items)
-    while stack:
-        state, steps, logscale, P = stack.pop()
-        count += 1
-        if count > budget:
-            raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
-        if steps == n:
-            val = logscale + math.log(op_norm(P))
-            if val > best:
-                best = val
-            continue
-        # cheap norm overbound (Frobenius) keeps pruning sound
-        bound = logscale + 0.5 * math.log(float(np.sum(P * P))) + (n - steps) * max_step
-        if bound < prune_floor:
-            continue
-        for b in space.successors(state[-1]):
-            w = state + (b,) if m >= 2 else (b,)
-            Q, ls = _renormalise(A.matrix(w) @ P, logscale)
-            stack.append((w[-max(m - 1, 1):], steps + 1, ls, Q))
-    return best
-
-
 def upper_bound(
     space: ShiftSpace,
     A: MatrixCocycle,
@@ -274,17 +238,77 @@ def upper_bound(
     budget: int = DEFAULT_WORD_BUDGET,
     lower_hint: float | None = None,
 ) -> float:
-    """U_n: exact max over admissible depth-n products of (1/n) log norm."""
+    """U_n: exact max over admissible depth-n products of (1/n) log norm.
+
+    Depth-first branch-and-bound over blocks of at most _BLOCK_ROWS
+    running products.  Pruning only discards words whose submultiplicative
+    upper bound lies below n * lower_hint (less a rounding margin), a
+    certified lower bound on the depth-n maximum, so the returned maximum
+    is exact and schedule-independent.  `budget` caps the number of words
+    (tree nodes) visited over all depths.
+    """
     if n < 1:
         raise ValidationError("depth must be >= 1")
     m = A.memory
-    max_step = _max_step_log_norm(A)
-    prune_floor = -math.inf if lower_hint is None else n * lower_hint - 1e-9 * max(1, n)
-    items = [
-        (w[-max(m - 1, 1):], 1, 0.0, A.matrix(w))
-        for w in admissible_words(space, m)
-    ]
-    return _dfs_max(A, items, n, prune_floor, max_step, budget) / n
+    nodes, edge_words = build_word_graph(space, m)
+    index = {u: i for i, u in enumerate(nodes)}
+    step = {w: A.matrix(w) for w in admissible_words(space, m)}
+    # (target, source, step matrix) per edge, sorted by target so that
+    # children come out sorted by state; with memory 1 the step is the
+    # target letter's
+    edges = sorted(
+        ((index[v], index[u], step[w if m >= 2 else v])
+         for (u, v), w in edge_words.items()),
+        key=lambda e: e[:2],
+    )
+    first = sorted((index[w[-max(m - 1, 1):]], w) for w in step)
+    P = np.stack([step[w] for _, w in first])
+    prune_floor = None
+    if lower_hint is not None:
+        prune_floor = n * lower_hint - 1e-9 * max(1, n)
+        # largest one-step log norm, for the pruning bound
+        max_step = float(np.log(np.linalg.svd(P, compute_uv=False)[:, 0]).max())
+    logscale = np.zeros(len(first))
+    _renormalise_rows(P, logscale)
+    # blocks (depth, states, log scales, products), each sorted by state
+    stack = [(1, np.array([i for i, _ in first]), logscale, P)]
+    state_range = np.arange(len(nodes) + 1)
+    best = -math.inf
+    count = 0
+    while stack:
+        k, states, logscale, P = stack.pop()
+        count += len(states)
+        if count > budget:
+            raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
+        if k == n:
+            sigma = np.linalg.svd(P, compute_uv=False)[:, 0]
+            best = max(best, float(np.max(logscale + np.log(sigma))))
+            continue
+        if prune_floor is not None:
+            # cheap norm overbound (Frobenius) keeps pruning sound
+            frob = 0.5 * np.log(np.einsum("nij,nij->n", P, P))
+            keep = logscale + frob >= prune_floor - (n - k) * max_step
+            if not keep.all():
+                states, logscale, P = states[keep], logscale[keep], P[keep]
+        starts = np.searchsorted(states, state_range).tolist()
+        targets, sizes, child_ls, child_P = [], [], [], []
+        for v, u, M in edges:
+            lo, hi = starts[u], starts[u + 1]
+            if lo < hi:
+                targets.append(v)
+                sizes.append(hi - lo)
+                child_ls.append(logscale[lo:hi])
+                child_P.append(M @ P[lo:hi])
+        if not targets:
+            continue
+        states = np.repeat(targets, sizes)
+        logscale = np.concatenate(child_ls)
+        P = np.concatenate(child_P)
+        _renormalise_rows(P, logscale)
+        for lo in range(0, len(states), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi]))
+    return best / n
 
 
 # ---------------------------------------------------------------------------

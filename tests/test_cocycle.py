@@ -82,6 +82,15 @@ class TestCocycleBasics:
         assert P.shape == (1, 1)
         assert P[0, 0] == pytest.approx(math.exp(2), rel=1e-14)
 
+    def test_one_step_product_is_owned_by_the_caller(self, full2):
+        """Rescaling a one-step product in place must not reach the table."""
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.diag([2.0, 1.0]),
+                                          (1,): np.eye(2)})
+        _, P = cocycle_log_product(A, (0,))
+        assert P is not A.table[(0,)]
+        P *= 3.0
+        assert np.array_equal(A.table[(0,)], np.diag([2.0, 1.0]))
+
     def test_product_rejects_inadmissible(self, golden, fib_pair):
         with pytest.raises(InadmissibleWordError):
             eo.cocycle_product(fib_pair, ())

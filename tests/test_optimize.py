@@ -142,6 +142,8 @@ class TestCycleExponent:
         val = eo.cycle_exponent(A, eo.make_cycle(full2, (0,)))
         assert val == pytest.approx(math.log(1e101), rel=1e-12)
         assert np.array_equal(A.table[(0,)], np.diag([1e101, 1.0]))
+        assert eo.upper_bound(full2, A, 3) == pytest.approx(math.log(1e101), rel=1e-12)
+        assert np.array_equal(A.table[(0,)], np.diag([1e101, 1.0]))
 
 
 class TestBounds:
@@ -173,6 +175,20 @@ class TestBounds:
     def test_upper_bound_budget(self, full2, fib_pair):
         with pytest.raises(eo.errors.BudgetExceededError):
             eo.upper_bound(full2, fib_pair, 12, budget=100)
+
+    def test_upper_bound_budget_counts_every_word(self, full2):
+        """Without pruning the depth-12 search visits the 2 + 4 + ... + 2^12
+        = 8190 words of the full 2-shift; the budget counts each once."""
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.eye(2), (1,): swap})
+        assert eo.upper_bound(full2, A, 12, budget=8190) == 0.0
+        with pytest.raises(eo.errors.BudgetExceededError):
+            eo.upper_bound(full2, A, 12, budget=8189)
+
+    def test_upper_bound_across_split_blocks(self, full2, fib_pair):
+        """2^13 = 8192 depth-13 products do not fit in one block."""
+        assert eo.upper_bound(full2, fib_pair, 13) == \
+            pytest.approx(brute_upper(full2, fib_pair, 13), abs=1e-12)
 
     def test_subadditive_and_sandwich(self, full2, fib_pair):
         U = {n: eo.upper_bound(full2, fib_pair, n) for n in range(1, 11)}
