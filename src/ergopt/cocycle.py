@@ -21,6 +21,8 @@ from .errors import InadmissibleWordError, ShapeMismatchError, ValidationError
 from .shift import ShiftSpace, Word, admissible_words, word_to_str
 
 Scalar = Fraction | float
+# least |det| / (product of the row norms) of an accepted matrix; the ratio
+# is 1 for orthogonal rows and 0 for singular matrices (Hadamard)
 _DET_TOL = 1e-12
 
 
@@ -82,6 +84,18 @@ class ScalarPotential:
         return max(abs(v) for v in self.table.values())
 
 
+def _well_conditioned(mat: np.ndarray) -> bool:
+    """|det| above _DET_TOL times the product of the row norms.  The matrix
+    is divided by its largest entry first: the ratio does not depend on
+    scale, and neither side can overflow."""
+    big = float(np.abs(mat).max())
+    if big == 0.0:
+        return False
+    mat = mat / big
+    row_norms = np.sqrt((mat * mat).sum(axis=1))
+    return abs(float(np.linalg.det(mat))) > _DET_TOL * math.prod(row_norms.tolist())
+
+
 def constant_potential(space: ShiftSpace, value: Scalar, memory: int = 1) -> ScalarPotential:
     return ScalarPotential(space, memory, {w: value for w in admissible_words(space, memory)})
 
@@ -109,7 +123,7 @@ class MatrixCocycle:
                 raise ShapeMismatchError(f"matrix at {word_to_str(w)} has shape {mat.shape}")
             if not np.all(np.isfinite(mat)):
                 raise ValidationError(f"non-finite entries at {word_to_str(w)}")
-            if abs(np.linalg.det(mat)) <= _DET_TOL:
+            if not _well_conditioned(mat):
                 raise ValidationError(f"matrix at {word_to_str(w)} is numerically singular")
         if self.weight is not None and self.weight.memory != self.memory:
             raise ShapeMismatchError("weight memory must match cocycle memory")
@@ -212,6 +226,31 @@ def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
     logscale[out] += np.log(nrm[out])
 
 
+def _step_rows(A: MatrixCocycle, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The effective step matrices of A stacked as (T, d, d), one per
+    admissible memory-word in lexicographic order, and the row of that
+    stack for each memory-word along the last axis of the integer array
+    `windows`: shape (...) for windows of shape (..., m)."""
+    k, m = A.space.k, A.memory
+    if windows.min() < 0 or windows.max() >= k:
+        raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
+    words = admissible_words(A.space, m)
+    steps = np.stack([A.matrix(w) for w in words])
+    row_of = {w: i for i, w in enumerate(words)}
+    flat = windows.reshape(-1, m)
+    # rank of each window among the distinct windows seen, built up one
+    # letter at a time so that rank * k + letter never overflows
+    rank = np.zeros(len(flat), dtype=np.intp)
+    for i in range(m):
+        _, first, rank = np.unique(rank * k + flat[:, i], return_index=True,
+                                   return_inverse=True)
+    try:
+        rows = np.array([row_of[tuple(w)] for w in flat[first].tolist()], dtype=np.intp)
+    except KeyError as exc:
+        raise InadmissibleWordError(word_to_str(exc.args[0])) from None
+    return steps, rows[rank].reshape(windows.shape[:-1])
+
+
 def op_norm(M: np.ndarray) -> float:
     """Largest singular value (spectral norm)."""
     M = np.asarray(M, dtype=float)
@@ -220,9 +259,12 @@ def op_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
+def spectral_radius(M: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue modulus: a float for one matrix, an array of one
+    value per matrix for a stack of shape (N, d, d)."""
+    M = np.asarray(M, dtype=float)
+    rho = np.abs(np.linalg.eigvals(M)).max(axis=-1)
+    return float(rho) if M.ndim == 2 else rho
 
 
 def cocycle_distance(A: MatrixCocycle, B: MatrixCocycle) -> float:

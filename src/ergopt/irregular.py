@@ -15,12 +15,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, _renormalise, op_norm
+from .cocycle import MatrixCocycle, _renormalise_rows, _step_rows
 from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, connect
 
 MAX_SERIES_LENGTH = 10**6
+_SCAN_ROWS = 1 << 14  # most prefix products one chunk of the series holds
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ def build_irregular_point(
     """
     if J < 2:
         raise ValidationError("need at least two blocks")
-    e1 = float(cycle_exponent(A, c1))
-    e2 = float(cycle_exponent(A, c2))
+    e1, e2 = map(float, cycle_exponent(A, (c1, c2)))
     if e1 == e2:
         raise EqualExponentsError("the two cycles have equal exponents")
     conn12 = connect(space, c1.word[-1], c2.word[0])
@@ -120,26 +120,39 @@ def finite_time_exponents(
 ) -> np.ndarray:
     """The series (1/n) log norm of the n-step product along x, n = 1..N.
 
-    x is either (preamble, Cycle) or a BlockSchedule.  One matrix multiply
-    per step, renormalizing and accumulating the log scale so the values
-    stay exact to within rounding at any N.
+    x is either (preamble, Cycle) or a BlockSchedule.  The prefix products
+    P_n = M_n ... M_1 come from a log-depth scan over chunks of at most
+    _SCAN_ROWS steps, each chunk continuing from the last product of the one
+    before; rows are renormalised after every round, accumulating their log
+    scales, so the values stay exact to within rounding at any N.
     """
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
-    m = A.memory
-    it = _symbol_stream(x)
-    window: list[int] = []
-    for _ in range(m):
-        window.append(next(it))
+    count = N + A.memory - 1
+    symbols = np.fromiter(itertools.islice(_symbol_stream(x), count), dtype=np.intp, count=count)
+    windows = np.lib.stride_tricks.sliding_window_view(symbols, A.memory)
     out = np.empty(N)
-    logscale = 0.0
-    P = A.matrix(tuple(window))
-    out[0] = logscale + math.log(op_norm(P))
-    for n in range(2, N + 1):
-        window.pop(0)
-        window.append(next(it))
-        P, logscale = _renormalise(A.matrix(tuple(window)) @ P, logscale)
-        out[n - 1] = (logscale + math.log(op_norm(P))) / n
+    carry = None
+    for lo in range(0, N, _SCAN_ROWS):
+        steps, rows = _step_rows(A, windows[lo:lo + _SCAN_ROWS])
+        P = steps[rows]
+        logscale = np.zeros(len(P))
+        _renormalise_rows(P, logscale)
+        if carry is not None:
+            P[0] = P[0] @ carry[1]
+            logscale[0] += carry[0]
+        # Hillis-Steele: after the round with shift s, row i holds the
+        # product of the last min(2s, i + 1) steps up to step lo + i
+        s = 1
+        while s < len(P):
+            P[s:] = P[s:] @ P[:-s]
+            logscale[s:] = logscale[s:] + logscale[:-s]
+            _renormalise_rows(P, logscale)
+            s *= 2
+        sigma = np.linalg.svd(P, compute_uv=False)[:, 0]
+        n = np.arange(lo + 1, lo + len(P) + 1)
+        out[lo:lo + len(P)] = (logscale + np.log(sigma)) / n
+        carry = (logscale[-1], P[-1])
     return out
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .cocycle import (
     ScalarPotential,
     Scalar,
     _renormalise_rows,
-    cocycle_log_product,
+    _step_rows,
     spectral_radius,
 )
 from .errors import BudgetExceededError, ValidationError
@@ -174,25 +175,63 @@ def relative_beta(space: ShiftSpace, f: ScalarPotential, gamma: ScalarPotential)
 # periodic-orbit lower bounds
 
 
-def cycle_exponent(A: MatrixCocycle, c: Cycle) -> Scalar:
-    """Exact exponent of the periodic measure of c.
+def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | list[Scalar]:
+    """Exact exponent of the periodic measure of c, or the exponents of a
+    sequence of cycles, in order.
 
     (1/p) log spectral radius of the product around the cycle; the mean of
-    the additive potential (rational when possible) for d = 1.
+    the additive potential (rational when possible) for d = 1.  Cycles of
+    equal period share one stacked product and one spectral-radius call.
     """
-    p = c.period
+    if isinstance(c, Cycle):
+        return _exponents(A, [c])[0]
+    return _exponents(A, list(c))
+
+
+def _exponents(A: MatrixCocycle, cycles: list[Cycle]) -> list[Scalar]:
+    """`cycle_exponent` of each cycle, in order."""
+    if not cycles:
+        return []
     if A.is_additive:
         pot = A.additive_potential()
-        total = sum(pot.value(w) for w in c.windows(pot.memory))
-        return Fraction(total) / p if isinstance(total, Rational) else total / p
-    logscale, P = cocycle_log_product(A, c.window(0, p + A.memory - 1))
-    return (logscale + math.log(spectral_radius(P))) / p
+        out: list[Scalar] = []
+        for c in cycles:
+            total = sum(pot.value(w) for w in c.windows(pot.memory))
+            out.append(Fraction(total) / c.period if isinstance(total, Rational)
+                       else total / c.period)
+        return out
+    m = A.memory
+    by_period: dict[int, list[int]] = {}
+    for i, c in enumerate(cycles):
+        by_period.setdefault(c.period, []).append(i)
+    # the memory-word at each step of each cycle, (C, p, m) per period
+    windows = [np.array([cycles[i].word for i in which])
+               [:, (np.arange(p)[:, None] + np.arange(m)) % p]
+               for p, which in by_period.items()]
+    steps, rows = _step_rows(A, np.concatenate([w.reshape(-1, m) for w in windows]))
+    values = [0.0] * len(cycles)
+    start = 0
+    for p, which in by_period.items():
+        R = rows[start:start + len(which) * p].reshape(len(which), p)
+        start += len(which) * p
+        # the running products around each cycle, first step rightmost
+        P = steps[R[:, 0]]
+        logscale = np.zeros(len(which))
+        _renormalise_rows(P, logscale)
+        for j in range(1, p):
+            P = steps[R[:, j]] @ P
+            _renormalise_rows(P, logscale)
+        rho = spectral_radius(P)
+        for i, ls, r in zip(which, logscale.tolist(), rho.tolist()):
+            values[i] = (ls + math.log(r)) / p
+    return values
 
 
 def _cycle_exponents(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> list[tuple[Cycle, float]]:
     """Every primitive cycle of period <= p_max with its exponent, in
     (period, word) order."""
-    return [(c, float(cycle_exponent(A, c))) for c in enumerate_cycles(space, p_max)]
+    cycles = enumerate_cycles(space, p_max)
+    return [(c, float(val)) for c, val in zip(cycles, cycle_exponent(A, cycles))]
 
 
 def _lower_series(exponents: list[tuple[Cycle, float]]) -> tuple[list[tuple[int, float]], Cycle]:

@@ -99,18 +99,23 @@ def _rational_noise(rng: np.random.Generator, words, scale: Fraction) -> dict:
     }
 
 
+def _sensitivity(space: ShiftSpace, A: MatrixCocycle) -> float:
+    """max over memory-words of ||A_w|| + ||A_w^-1||."""
+    return max(op_norm(A.matrix(w)) + op_norm(A.inverse_matrix(w))
+               for w in admissible_words(space, A.memory))
+
+
 def _scaled_perturbation(
     space: ShiftSpace,
     A: MatrixCocycle,
     rng: np.random.Generator,
     delta: float,
     rational: bool,
+    sens: float,
 ) -> tuple[ScalarPotential, MatrixCocycle]:
-    """Draw a scalar perturbation eta with cocycle distance at most delta."""
+    """Draw a scalar perturbation eta with cocycle distance at most delta;
+    `sens` is `_sensitivity(space, A)`."""
     words = admissible_words(space, A.memory)
-    sens = max(
-        op_norm(A.matrix(w)) + op_norm(A.inverse_matrix(w)) for w in words
-    )
     if rational:
         scale = Fraction(delta).limit_denominator(10**9) / Fraction(max(1, math.ceil(2 * sens)))
         table = _rational_noise(rng, words, scale)
@@ -144,9 +149,10 @@ def uniqueness_probe(
         raise InvalidArgumentError("delta must be positive")
     rng = np.random.default_rng(seed)
     exact = A.is_additive and A.additive_potential().is_rational
+    sens = _sensitivity(space, A)
     hits = 0
     for _ in range(n_samples):
-        eta, B = _scaled_perturbation(space, A, rng, delta, rational=exact)
+        eta, B = _scaled_perturbation(space, A, rng, delta, exact, sens)
         if exact:
             f_tot = A.additive_potential() + eta
             _, unique = maximizing_cycles(space, f_tot, p_max)
@@ -181,7 +187,8 @@ def stability_radius(
         raise ValidationError("the family must consist of periodic measures")
     space = measures[0].space
     exact = A.is_additive and A.additive_potential().is_rational
-    values = [cycle_exponent(A, mu.cycle) for mu in measures]
+    cycles = [mu.cycle for mu in measures]
+    values = cycle_exponent(A, cycles)
     order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
     best = order[0]
     if len(values) > 1:
@@ -190,14 +197,13 @@ def stability_radius(
         gap = float(values[best] - values[order[1]])
     else:
         gap = math.inf
-    words = admissible_words(space, A.memory)
-    sens = max(op_norm(A.matrix(w)) + op_norm(A.inverse_matrix(w)) for w in words)
+    sens = _sensitivity(space, A)
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
     ok = 0
     for _ in range(trials):
-        eta, B = _scaled_perturbation(space, A, rng, delta, rational=exact)
-        new_values = [cycle_exponent(B, mu.cycle) for mu in measures]
+        eta, B = _scaled_perturbation(space, A, rng, delta, exact, sens)
+        new_values = cycle_exponent(B, cycles)
         new_best = max(range(len(new_values)), key=lambda i: (new_values[i], -i))
         ok += new_best == best
     return StabilityResult(delta=delta, gap=gap, argmax_index=best,

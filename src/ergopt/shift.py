@@ -162,22 +162,35 @@ def make_cycle(space: ShiftSpace, w: Sequence[int]) -> Cycle:
 
 def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     """All primitive cycles of period <= p_max, canonical, ordered by
-    (period, word)."""
+    (period, word).
+
+    The canonical primitive cycles are exactly the Lyndon words.  They are
+    read off a depth-first walk of the prenecklaces of length <= p_max
+    (Fredricksen-Kessler-Maiorana), which visits words of equal length in
+    lexicographic order; a prefix containing a forbidden 2-word is never
+    extended (Ruskey-Sawada).
+    """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    out: list[Cycle] = []
-    for p in range(1, p_max + 1):
-        seen: set[Word] = set()
-        for w in admissible_words(space, p):
-            if not space.allowed[w[-1]][w[0]]:
-                continue
-            if not is_primitive(w):
-                continue
-            c = canonical_rotation(w)
-            if c not in seen:
-                seen.add(c)
-                out.append(Cycle(c))
-    return out
+    allowed = space.allowed
+    by_period: list[list[Cycle]] = [[] for _ in range(p_max + 1)]
+    # (prenecklace w, length p of its longest Lyndon prefix); w is a Lyndon
+    # word exactly when p == len(w)
+    stack: list[tuple[Word, int]] = [((a,), 1) for a in reversed(range(space.k))]
+    while stack:
+        w, p = stack.pop()
+        t = len(w)
+        if p == t and allowed[w[-1]][w[0]]:
+            by_period[t].append(Cycle(w))
+        if t == p_max:
+            continue
+        # a prenecklace extends by w[t - p] (same p) or any larger letter
+        # (a Lyndon word of length t + 1); push in reverse to pop in order
+        row = allowed[w[-1]]
+        low = w[t - p]
+        stack.extend((w + (b,), p if b == low else t + 1)
+                     for b in range(space.k - 1, low - 1, -1) if row[b])
+    return [c for cycles in by_period for c in cycles]
 
 
 def connect(space: ShiftSpace, a: int, b: int) -> Word:

@@ -69,6 +69,22 @@ class TestCocycleBasics:
         with pytest.raises(ShapeMismatchError):
             eo.MatrixCocycle(full2, 2, 1, bad_shape)
 
+    @pytest.mark.parametrize("scale", [1e-30, 1e-7, 1.0, 1e30])
+    def test_invertibility_check_ignores_scale(self, full2, scale):
+        """Well-conditioned matrices pass at any scale; rank-deficient and
+        nearly rank-deficient ones fail at any scale."""
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): scale * np.eye(2), (1,): scale * rot})
+        assert np.array_equal(A.matrix((0,)), scale * np.eye(2))
+        singular = [
+            np.array([[1.0, 2.0], [2.0, 4.0]]),
+            np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+            np.array([[3.0, 1.0], [0.0, 0.0]]),
+        ]
+        for M in singular:
+            with pytest.raises(ValidationError):
+                eo.MatrixCocycle(full2, 2, 1, {(0,): scale * M, (1,): np.eye(2)})
+
     def test_product_order_first_factor_rightmost(self, fib_pair):
         # over "01" the product is M1 @ M0
         P = eo.cocycle_product(fib_pair, (0, 1))
@@ -165,6 +181,14 @@ class TestNorms:
         """A defective matrix: one eigenvalue 1 of algebraic multiplicity 4."""
         J = np.eye(4) + np.eye(4, k=1)
         assert eo.spectral_radius(J) == pytest.approx(1.0, abs=1e-12)
+
+    def test_spectral_radius_on_a_stack_is_row_by_row(self):
+        rng = np.random.default_rng(23)
+        stack = rng.standard_normal((30, 3, 3))
+        rho = eo.spectral_radius(stack)
+        assert isinstance(rho, np.ndarray) and rho.shape == (30,)
+        assert rho.tolist() == [eo.spectral_radius(M) for M in stack]
+        assert isinstance(eo.spectral_radius(stack[0]), float)
 
     def test_spectral_radius_below_op_norm(self):
         rng = np.random.default_rng(5)

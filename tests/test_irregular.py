@@ -85,6 +85,51 @@ class TestFiniteTimeExponents:
             want = math.log(eo.op_norm(P)) / n
             assert series[n - 1] == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("case", ["chunk_boundary", "preamble", "memory2", "diag_1e60"])
+    def test_matches_sequential_loop(self, full2, fib_pair, case):
+        """Oracle: one matrix product per step, rescaled by its largest
+        entry whenever that passes 1e50, and one 2-norm per step."""
+        sft3 = eo.new_shift(3, [[True, True, False], [False, True, True],
+                                [True, True, True]])
+        rng = np.random.default_rng(31)
+        if case == "chunk_boundary":  # two chunks of the scan and a bit
+            space, A = full2, fib_pair
+            x = eo.build_irregular_point(full2, A, eo.make_cycle(full2, (0, 1)),
+                                         eo.make_cycle(full2, (0, 0, 1)), r=3.0, J=9)
+            N = 2 * 2**14 + 37
+        elif case == "preamble":
+            space, A = full2, fib_pair
+            x, N = ((1, 1, 0, 1), eo.make_cycle(full2, (0, 1, 1))), 3000
+        elif case == "memory2":
+            words = eo.admissible_words(sft3, 2)
+            space = sft3
+            A = eo.MatrixCocycle(sft3, 2, 2, {w: rng.standard_normal((2, 2)) for w in words})
+            x, N = ((2, 2, 1, 2), eo.make_cycle(sft3, (0, 1, 2))), 2000
+        else:  # every product leaves the renormalisation window within 2 steps
+            space = full2
+            A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.diag([1e60, 1.0]),
+                                              (1,): np.diag([1.0, 1e60])})
+            x, N = ((), eo.make_cycle(full2, (0, 0, 1))), 500
+        series = eo.finite_time_exponents(space, A, x, N)
+        assert series.shape == (N,)
+
+        if isinstance(x, tuple):
+            sym = list(islice(eo.iter_point(*x), N + A.memory - 1))
+        else:
+            sym = list(islice(x.symbols(), N + A.memory - 1))
+        m = A.memory
+        P = np.eye(A.d)
+        logscale = 0.0
+        want = np.empty(N)
+        for n in range(1, N + 1):
+            P = A.table[tuple(sym[n - 1:n - 1 + m])] @ P
+            big = np.abs(P).max()
+            if big > 1e50:
+                P = P / big
+                logscale += math.log(big)
+            want[n - 1] = (logscale + math.log(np.linalg.norm(P, 2))) / n
+        np.testing.assert_allclose(series, want, rtol=1e-12, atol=1e-13)
+
     def test_length_validation(self, full2, fib_pair):
         x = ((), eo.make_cycle(full2, (0,)))
         with pytest.raises(ValidationError):

@@ -134,6 +134,40 @@ class TestCycleExponent:
         fixed = eo.make_cycle(full2, (0,))
         assert eo.cycle_exponent(fib_pair, fixed) == pytest.approx(0.0, abs=1e-12)
 
+    def test_list_form_matches_direct_products(self):
+        """Oracle: per cycle, a plain numpy product of the effective memory-2
+        matrices around it and the largest `eigvals` modulus."""
+        sft3 = eo.new_shift(3, [[True, True, False], [False, True, True],
+                                [True, True, True]])
+        rng = np.random.default_rng(29)
+        words = eo.admissible_words(sft3, 2)
+        weight = eo.ScalarPotential(sft3, 2, {w: float(rng.uniform(-1, 1)) for w in words})
+        A = eo.MatrixCocycle(sft3, 2, 2, {w: rng.standard_normal((2, 2)) for w in words},
+                             weight)
+        cycles = eo.enumerate_cycles(sft3, 7)
+        cycles = cycles[::-1][::3] + cycles[:5]  # periods interleaved
+        got = eo.cycle_exponent(A, cycles)
+        assert len(got) == len(cycles)
+        for c, val in zip(cycles, got):
+            p = c.period
+            P = np.eye(2)
+            for j in range(p):
+                w = (c.word[j], c.word[(j + 1) % p])
+                P = math.exp(weight.table[w]) * A.table[w] @ P
+            want = math.log(np.max(np.abs(np.linalg.eigvals(P)))) / p
+            assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert eo.cycle_exponent(A, c) == val
+        assert eo.cycle_exponent(A, []) == []
+
+    def test_list_form_stays_rational(self, golden):
+        f = eo.ScalarPotential(golden, 2, {
+            (0, 0): Fraction(1, 3), (0, 1): Fraction(-2), (1, 0): Fraction(5, 7)})
+        A = eo.from_potential(f)
+        cycles = [eo.make_cycle(golden, w) for w in ((0, 1), (0,), (0, 0, 1))]
+        got = eo.cycle_exponent(A, cycles)
+        assert got == [Fraction(-9, 14), Fraction(1, 3), Fraction(-20, 63)]
+        assert all(type(v) is Fraction for v in got)
+
     def test_leaves_the_cocycle_table_unchanged(self, full2):
         """A one-step product above the renormalisation window must be
         rescaled in a copy, never in the cocycle's own matrix."""

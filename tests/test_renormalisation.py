@@ -22,9 +22,8 @@ def large_end(space):
 
 
 def small_end(space):
-    """Steps exp(-92) I: entries fall below 1e-100 at step 3.  The weight
-    keeps the scale out of the matrix table, whose absolute determinant
-    check rejects small matrices."""
+    """Steps exp(-92) I, the scale carried by the weight: entries fall
+    below 1e-100 at step 3."""
     return eo.from_potential(eo.constant_potential(space, -92.0), d=2), -92.0
 
 

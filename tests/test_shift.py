@@ -11,6 +11,30 @@ from ergopt.errors import (
 )
 
 
+def _sparse_shift(k, density, seed):
+    """A random shift space on k letters with about density * k^2 allowed
+    2-words (resampled until every letter lies on a cycle)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            return eo.new_shift(k, (rng.random((k, k)) < density).tolist())
+        except NoCycleError:
+            continue
+
+
+def _cycle_test_spaces():
+    """name -> (shift space, p_max) for the cycle-list oracle."""
+    return {
+        "full2": (eo.new_shift(2), 12),
+        "full3": (eo.new_shift(3), 8),
+        "golden": (eo.new_shift(2, [[True, True], [True, False]]), 14),
+        "sft3": (eo.new_shift(3, [[True, True, False], [False, True, True],
+                                  [True, True, True]]), 10),
+        "sparse8": (_sparse_shift(8, 0.25, 3), 9),
+        "sparse10": (_sparse_shift(10, 0.2, 4), 9),
+    }
+
+
 class TestConstruction:
     def test_full_shift_allows_everything(self, full2):
         assert full2.k == 2
@@ -90,6 +114,27 @@ class TestCycles:
             for p_max in range(1, 8):
                 got = {c.word for c in eo.enumerate_cycles(space, p_max)}
                 assert got == self.brute_cycles(space, p_max)
+
+    @pytest.mark.parametrize("name", ["full2", "full3", "golden", "sft3",
+                                      "sparse8", "sparse10"])
+    def test_same_list_as_brute_force(self, name):
+        """Oracle: every word over the alphabet whose cyclic 2-words are
+        allowed, kept when primitive and equal to its least rotation, then
+        sorted by (period, word); no shared code with enumerate_cycles."""
+        space, p_max = _cycle_test_spaces()[name]
+        allowed = space.allowed
+        want = []
+        words = [(a,) for a in range(space.k)]
+        for p in range(1, p_max + 1):
+            for w in words:
+                if not allowed[w[-1]][w[0]]:
+                    continue
+                rots = [w[i:] + w[:i] for i in range(p)]
+                if w == min(rots) and rots.count(w) == 1:
+                    want.append(w)
+            words = [w + (b,) for w in words for b in range(space.k) if allowed[w[-1]][b]]
+        want.sort(key=lambda w: (len(w), w))
+        assert [c.word for c in eo.enumerate_cycles(space, p_max)] == want
 
     def test_order_is_period_then_lex(self, full2):
         cycles = eo.enumerate_cycles(full2, 4)
