@@ -35,8 +35,7 @@ print("gamma-average over the maximizers:", eo.relative_beta(golden, tie, gamma)
 
 grid = [Fraction(1, 2 ** j) for j in range(1, 9)]
 sweep = eo.perturbation_sweep(golden, tie, gamma, grid)
-print("selection sets along eps -> 0:")
+print("least and greatest gamma-mean of the maximizers along eps -> 0:")
 for eps, values in zip(sweep.epsilons, sweep.value_sets):
-    print(f"  eps = {str(eps):6s} selected gamma-means: "
-          f"{[str(v) for v in values]}")
+    print(f"  eps = {str(eps):6s} {[str(v) for v in values]}")
 print("limit:", sweep.limit)

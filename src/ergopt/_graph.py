@@ -11,21 +11,53 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Hashable, Iterable, Mapping
 
-import networkx as nx
-
 Node = Hashable
 Edge = tuple[Node, Node]
 
 
-def _digraph(nodes: Iterable[Node], edges: Iterable[Edge]) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(edges)
-    return g
-
-
 def strongly_connected_components(nodes: Iterable[Node], edges: Iterable[Edge]) -> list[set[Node]]:
-    return [set(c) for c in nx.strongly_connected_components(_digraph(nodes, edges))]
+    """Tarjan's algorithm, with an explicit stack so that long paths hit no
+    recursion limit.  Edge ends missing from `nodes` are added as nodes;
+    the order of the components is unspecified."""
+    succ: dict[Node, list[Node]] = {v: [] for v in nodes}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    placed = len(succ)  # index of a node once in a component: above all others
+    path: list[Node] = []  # visited nodes not yet in a component
+    work = []  # the DFS: (node, iterator over its unexplored successors)
+    comps: list[set[Node]] = []
+
+    def visit(v: Node) -> None:
+        index[v] = low[v] = len(index)
+        path.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in succ:
+        if root not in index:
+            visit(root)
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in index:
+                    visit(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp: set[Node] = set()
+                    while v not in comp:
+                        w = path.pop()
+                        index[w] = placed
+                        comp.add(w)
+                    comps.append(comp)
+    return comps
 
 
 def max_cycle_mean(nodes: list[Node], edges: Mapping[Edge, Fraction | float]):
@@ -116,7 +148,3 @@ def critical_subgraph(
     # always lies on a tight cycle; any other tight edge is transient
     return {(u, v) for (u, v) in tight if comp_of[u] == comp_of[v]}
 
-
-def simple_cycles(nodes: Iterable[Node], edges: Iterable[Edge]) -> list[list[Node]]:
-    """Simple cycles as node lists (first node not repeated at the end)."""
-    return [list(c) for c in nx.simple_cycles(_digraph(nodes, edges))]

@@ -59,14 +59,20 @@ def _as_weight(v: Scalar) -> Scalar:
     return Fraction(v) if isinstance(v, Rational) else v
 
 
-def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
-    """Exact maximum ergodic average of a locally constant potential."""
-    nodes, edges = build_word_graph(space, f.memory)
-    weights = {e: _as_weight(f.table[w]) for e, w in edges.items()}
+def _word_graph_beta(space: ShiftSpace, f: ScalarPotential):
+    """Word graph of f's memory (nodes, edge words), its edge weights under
+    f, and their maximum cycle mean."""
+    nodes, edge_words = build_word_graph(space, f.memory)
+    weights = {e: _as_weight(f.table[w]) for e, w in edge_words.items()}
     beta = _graph.max_cycle_mean(nodes, weights)
     if beta is None:
         raise ValidationError("word graph has no cycle")
-    return beta
+    return nodes, edge_words, weights, beta
+
+
+def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
+    """Exact maximum ergodic average of a locally constant potential."""
+    return _word_graph_beta(space, f)[-1]
 
 
 @dataclass(frozen=True)
@@ -99,36 +105,40 @@ class CriticalGraph:
 
     def is_single_cycle(self) -> bool:
         """True iff the graph is exactly one primitive cycle."""
-        nodes = self.nodes
-        if not nodes or len(self.edges) != len(nodes):
-            return False
-        outdeg: dict[Node, int] = {v: 0 for v in nodes}
-        indeg: dict[Node, int] = {v: 0 for v in nodes}
-        for u, v in self.edges:
-            outdeg[u] += 1
-            indeg[v] += 1
-        if any(outdeg[v] != 1 or indeg[v] != 1 for v in nodes):
-            return False
-        comps = _graph.strongly_connected_components(nodes, self.edges)
-        return len(comps) == 1
+        # strongly connected with as many edges as nodes: every node has
+        # exactly one edge out and one in
+        return len(self.components) == 1 and len(self.edges) == len(self.nodes)
 
-    def cycles(self, p_max: int | None = None) -> list[Cycle]:
-        """Simple cycles of the graph as symbol cycles, (period, word) order."""
-        space_cycles = []
-        for node_cycle in _graph.simple_cycles(self.nodes, self.edges):
-            if p_max is not None and len(node_cycle) > p_max:
-                continue
-            word = tuple(n[0] for n in node_cycle)
-            space_cycles.append(Cycle(min(word[i:] + word[:i] for i in range(len(word)))))
-        return sorted(set(space_cycles), key=lambda c: (c.period, c.word))
+    def cycles(self, p_max: int) -> list[Cycle]:
+        """Primitive cycles of period <= p_max lying in the graph, in
+        (period, word) order.
+
+        `enumerate_cycles` walks the graph as a shift whose letters are its
+        nodes in lexicographic order.  Node sequences then compare as the
+        symbol words they spell, so Lyndon words of nodes give canonical
+        cycles, in order.
+        """
+        nodes = sorted(self.nodes)
+        index = {v: i for i, v in enumerate(nodes)}
+        allowed = [[False] * len(nodes) for _ in nodes]
+        for u, v in self.edges:
+            allowed[index[u]][index[v]] = True
+        node_shift = ShiftSpace(len(nodes), tuple(map(tuple, allowed)))
+        return [Cycle(tuple(nodes[i][0] for i in c.word))
+                for c in enumerate_cycles(node_shift, p_max)]
+
+    def max_mean(self, g: ScalarPotential) -> Scalar:
+        """Greatest mean of g over the cycles of the graph; g has the
+        graph's memory."""
+        weights = {e: _as_weight(g.table[w]) for e, w in self.edge_words.items()}
+        val = _graph.max_cycle_mean(sorted(self.nodes), weights)
+        if val is None:
+            raise ValidationError("critical graph has no cycle")
+        return val
 
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
-    nodes, edge_words = build_word_graph(space, f.memory)
-    weights = {e: _as_weight(f.table[w]) for e, w in edge_words.items()}
-    beta = _graph.max_cycle_mean(nodes, weights)
-    if beta is None:
-        raise ValidationError("word graph has no cycle")
+    nodes, edge_words, weights, beta = _word_graph_beta(space, f)
     tol = 0 if isinstance(beta, Rational) else 1e-9
     edges = frozenset(_graph.critical_subgraph(nodes, weights, beta, tol))
     used = {u for u, _ in edges} | {v for _, v in edges}
@@ -151,8 +161,7 @@ def maximizing_cycles(space: ShiftSpace, f: ScalarPotential, p_max: int) -> tupl
     exact and independent of p_max.
     """
     G = critical_graph(space, f)
-    cycles = [c for c in enumerate_cycles(space, p_max) if G.contains_cycle(c)]
-    return cycles, G.is_single_cycle()
+    return G.cycles(p_max), G.is_single_cycle()
 
 
 def relative_beta(space: ShiftSpace, f: ScalarPotential, gamma: ScalarPotential) -> Scalar:
@@ -162,13 +171,7 @@ def relative_beta(space: ShiftSpace, f: ScalarPotential, gamma: ScalarPotential)
     of f.
     """
     m = max(f.memory, gamma.memory)
-    f2, g2 = f.lift(m), gamma.lift(m)
-    G = critical_graph(space, f2)
-    weights = {e: _as_weight(g2.table[w]) for e, w in G.edge_words.items()}
-    val = _graph.max_cycle_mean(sorted(G.nodes), weights)
-    if val is None:
-        raise ValidationError("critical graph has no cycle")
-    return val
+    return critical_graph(space, f.lift(m)).max_mean(gamma.lift(m))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +385,10 @@ def _additive_bracket(space: ShiftSpace, A: MatrixCocycle) -> BetaBracket:
     G = critical_graph(space, pot)
     beta = G.beta
     val = float(beta)
-    witness = G.cycles()[0]
     nodes, _ = build_word_graph(space, pot.memory)
     size = len(nodes)
+    # the shortest critical cycle, lexicographically least among those
+    witness = next(cs[0] for p in range(1, size + 1) if (cs := G.cycles(p)))
     return BetaBracket(
         lower=val,
         upper=val,

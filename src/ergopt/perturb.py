@@ -39,7 +39,9 @@ from .shift import Cycle, ShiftSpace, admissible_words
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-epsilon selection sets of the perturbed maximizers."""
+    """Per-epsilon selection of the perturbed maximizers: `value_sets[i]`
+    holds the distinct values among the least and the greatest
+    gamma-average over them, so one value or two."""
 
     epsilons: tuple[Scalar, ...]
     value_sets: tuple[tuple[Scalar, ...], ...]
@@ -54,8 +56,9 @@ def perturbation_sweep(
     gamma: ScalarPotential,
     eps_grid: Sequence[Scalar],
 ) -> SweepResult:
-    """For each eps, the set of gamma-averages over maximizers of
-    f + eps * gamma, with diameter and distance to the limiting singleton.
+    """For each eps, the least and greatest gamma-average over maximizers of
+    f + eps * gamma, with their diameter and distance to the limiting
+    singleton.
 
     Exact (rational) when f, gamma and the grid are rational.
     """
@@ -71,9 +74,11 @@ def perturbation_sweep(
     for eps in eps_grid:
         h = f + gamma.scale(eps)
         G = critical_graph(space, h)
-        values = sorted({
-            PeriodicMeasure(space, c).integrate(gamma) for c in G.cycles()
-        })
+        g = gamma.lift(h.memory)
+        # every maximizer of h has gamma-average >= limit (compare it with
+        # a maximizer of f of gamma-average limit), so the distance to
+        # [limit] depends only on the two extremes
+        values = sorted({-G.max_mean(-g), G.max_mean(g)})
         value_sets.append(tuple(values))
         diameters.append(values[-1] - values[0])
         dists.append(hausdorff_distance(values, [limit]))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +73,7 @@ class TestCriticalGraph:
         assert G.beta == 1
         assert G.edges == frozenset({((1,), (1,))})
         assert G.is_single_cycle()
-        assert [c.word for c in G.cycles()] == [(1,)]
+        assert [c.word for c in G.cycles(4)] == [(1,)]
 
     def test_constant_keeps_whole_graph(self, golden):
         f = eo.constant_potential(golden, Fraction(2))
@@ -87,7 +88,7 @@ class TestCriticalGraph:
             (1, 0): Fraction(0), (1, 1): Fraction(1)})
         G = eo.critical_graph(full2, f)
         assert G.edges == frozenset({((0,), (0,)), ((1,), (1,))})
-        assert [c.word for c in G.cycles()] == [(0,), (1,)]
+        assert [c.word for c in G.cycles(4)] == [(0,), (1,)]
 
     def test_sound_and_complete_random(self):
         """Every cycle inside has mean beta; every mean-beta cycle is inside."""
@@ -105,6 +106,50 @@ class TestCriticalGraph:
         cycles, unique = eo.maximizing_cycles(full2, step_potential, 4)
         assert [c.word for c in cycles] == [(1,)]
         assert unique
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_cycles_witness_and_sweep_against_brute_force(self, memory):
+        """Oracles: `enumerate_cycles` filtered by `contains_cycle`, and f-
+        and gamma-means summed directly over every primitive cycle up to the
+        node count, which covers the simple cycles.  Values in {-1, 0, 1}
+        make ties common: large critical graphs, and sweeps whose maximizers
+        have two distinct gamma-means."""
+        rng = np.random.default_rng(40 + memory)
+        grid = [Fraction(1, 2 ** j) for j in range(6)]
+
+        def mean(g, c):
+            return Fraction(sum(g.value(w) for w in c.windows(g.memory)), c.period)
+
+        for _ in range(10):
+            space = random_sft(rng, int(rng.integers(2, 4)))
+            f = random_rational_potential(rng, space, memory, denom_max=1, num_max=1)
+            gamma = random_rational_potential(rng, space, int(rng.integers(1, 3)),
+                                              denom_max=1, num_max=1)
+            G = eo.critical_graph(space, f)
+            for p in (1, 3, 6):
+                assert G.cycles(p) == [c for c in eo.enumerate_cycles(space, p)
+                                       if G.contains_cycle(c)]
+            m = max(memory, gamma.memory)
+            node_count = len(eo.admissible_words(space, max(m - 1, 1)))
+            means = [(c, mean(f, c), mean(gamma, c))
+                     for c in eo.enumerate_cycles(space, node_count)]
+            beta = max(fm for _, fm, _ in means)
+            critical = [(c, gm) for c, fm, gm in means if fm == beta]
+            br = eo.beta_bracket(space, eo.from_potential(f))
+            assert br.exact == beta
+            assert br.witness == min((c for c, _ in critical),
+                                     key=lambda c: (c.period, c.word))
+            limit = max(gm for _, gm in critical)
+            res = eo.perturbation_sweep(space, f, gamma, grid)
+            assert res.limit == limit
+            for eps, vs, diam, dist in zip(grid, res.value_sets, res.diameters,
+                                           res.hausdorff):
+                top = max(fm + eps * gm for _, fm, gm in means)
+                values = [gm for _, fm, gm in means if fm + eps * gm == top]
+                assert vs == tuple(sorted({min(values), max(values)}))
+                assert diam == max(values) - min(values)
+                deviations = [abs(v - limit) for v in values]
+                assert dist == max(deviations) + min(deviations)
 
 
 class TestRelativeBeta:
@@ -246,6 +291,18 @@ class TestBracket:
         assert br.exact == Fraction(1)
         assert br.lower == br.upper == 1.0
         assert br.witness.word == (1,)
+
+    @pytest.mark.parametrize("k, memory", [(4, 3), (3, 4)])
+    def test_constant_potential_is_fast(self, k, memory):
+        """The whole word graph is critical: listing its simple cycles took
+        3.4 s at k=4, memory 3 and over 20 s at k=3, memory 4."""
+        space = eo.new_shift(k)
+        f = eo.constant_potential(space, Fraction(0), memory=memory)
+        start = time.monotonic()
+        br = eo.beta_bracket(space, eo.from_potential(f))
+        assert time.monotonic() - start < 2.0
+        assert br.exact == 0
+        assert br.witness.word == (0,)
 
     def test_fib_pair_closes(self, full2, fib_pair):
         br = eo.beta_bracket(full2, fib_pair, n_max=24, p_max=4)

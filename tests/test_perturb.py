@@ -37,6 +37,24 @@ class TestSweep:
         assert res.limit == Fraction(-2)
         assert res.value_sets == ((Fraction(-2),), (Fraction(-2),))
 
+    def test_every_cycle_tied_at_memory_four(self):
+        """f = 0 and gamma a coboundary plus a constant c: every cycle stays
+        maximizing for every eps and has gamma-mean c, so the critical graph
+        is the whole 27-node word graph."""
+        space = eo.new_shift(3)
+        rng = np.random.default_rng(5)
+        g = {w: Fraction(int(rng.integers(-9, 10)), 4) for w in eo.admissible_words(space, 3)}
+        c = Fraction(7, 3)
+        gamma = eo.ScalarPotential(space, 4, {
+            w: g[w[1:]] - g[w[:3]] + c for w in eo.admissible_words(space, 4)})
+        f = eo.constant_potential(space, Fraction(0), memory=4)
+        grid = [Fraction(1, 2 ** j) for j in range(1, 5)]
+        res = eo.perturbation_sweep(space, f, gamma, grid)
+        assert res.limit == c
+        assert res.value_sets == ((c,),) * len(grid)
+        assert all(d == 0 for d in res.diameters)
+        assert all(h == 0 for h in res.hausdorff)
+
     def test_grid_validation(self, full2, step_potential):
         gamma = eo.constant_potential(full2, Fraction(1))
         with pytest.raises(ValidationError):
