@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InadmissibleWordError, ShapeMismatchError, ValidationError
-from .shift import ShiftSpace, Word, admissible_words, word_to_str
+from .shift import ShiftSpace, Word, admissible_words, build_word_graph, word_to_str
 
 Scalar = Fraction | float
 # least |det| / (product of the row norms) of an accepted matrix; the ratio
@@ -148,6 +149,28 @@ class MatrixCocycle:
         s = self.log_weight(key)
         return inv if s == 0.0 else math.exp(-s) * inv
 
+    @cached_property
+    def _step_table(self) -> "_StepTable":
+        """The step table, built on first use and kept for the cocycle's life."""
+        m = self.memory
+        words = admissible_words(self.space, m)
+        row_of = {w: i for i, w in enumerate(words)}
+        nodes, edge_words = build_word_graph(self.space, m)
+        index = {u: i for i, u in enumerate(nodes)}
+        # with memory 1 an edge reads the step of its target letter
+        edges = sorted((index[v], index[u], row_of[w if m >= 2 else v])
+                       for (u, v), w in edge_words.items())
+        steps = np.stack([self.matrix(w) for w in words])
+        return _StepTable(
+            row_of=row_of,
+            nodes=tuple(nodes),
+            steps=steps,
+            inverses=np.stack([self.inverse_matrix(w) for w in words]),
+            norms=_op_norms(steps),
+            ends=np.array([index[w[-max(m - 1, 1):]] for w in words]),
+            edges=np.array(edges, dtype=np.intp),
+        )
+
     def lift(self, memory: int) -> "MatrixCocycle":
         if memory < self.memory:
             raise ValidationError("cannot lower cocycle memory")
@@ -181,43 +204,66 @@ class MatrixCocycle:
         return ScalarPotential(self.space, self.memory, table)
 
 
+@dataclass(frozen=True)
+class _StepTable:
+    """A cocycle's step matrices, stacked once per cocycle; the arrays are
+    read-only.  Row i is the i-th admissible memory-word in lexicographic
+    order."""
+
+    row_of: dict[Word, int]
+    nodes: tuple[Word, ...]  # of the memory-word graph
+    steps: np.ndarray  # (E, d, d): A.matrix of each memory-word
+    inverses: np.ndarray  # (E, d, d): A.inverse_matrix of each memory-word
+    norms: np.ndarray  # (E,): op norms of the steps
+    ends: np.ndarray  # (E,): the memory-word graph node each word ends in
+    # one (target, source, row of the step read) per edge of that graph,
+    # sorted
+    edges: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
 def cocycle_product(A: MatrixCocycle, w: Sequence[int]) -> np.ndarray:
     """The n-step product over w (n = len(w) - m + 1), first factor rightmost."""
     logscale, P = cocycle_log_product(A, w)
     return math.exp(logscale) * P
 
 
-def cocycle_log_product(A: MatrixCocycle, w: Sequence[int]) -> tuple[float, np.ndarray]:
-    """Product as (log_scale, matrix) with per-step renormalization."""
-    m = A.memory
-    w = tuple(w)
-    if len(w) < m:
-        raise InadmissibleWordError("word shorter than the cocycle memory")
-    if not A.space.is_admissible(w):
-        raise InadmissibleWordError(word_to_str(w))
-    # a copy, so the caller owns P even for a one-step word
-    P, logscale = _renormalise(A.matrix(w[0:m]).copy(), 0.0)
-    for j in range(1, len(w) - m + 1):
-        P, logscale = _renormalise(A.matrix(w[j : j + m]) @ P, logscale)
-    return logscale, P
+def cocycle_log_product(A: MatrixCocycle, w: Sequence):
+    """Product as (log_scale, matrix) with per-step renormalization.
+
+    A sequence of words of one length gives (log scales (N,), products
+    (N, d, d)), one per word in order; `[]` is the empty list of words,
+    `()` the empty word.
+    """
+    batch = np.ndim(w[0]) > 0 if len(w) else isinstance(w, list)
+    words = [tuple(x) for x in w] if batch else [tuple(w)]
+    if len({len(x) for x in words}) > 1:
+        raise ValidationError("the words of a list must have one length")
+    for x in words:
+        if len(x) < A.memory:
+            raise InadmissibleWordError("word shorter than the cocycle memory")
+        if not A.space.is_admissible(x):
+            raise InadmissibleWordError(word_to_str(x))
+    if not words:
+        return np.zeros(0), np.zeros((0, A.d, A.d))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.array(words, dtype=np.intp), A.memory, axis=1)
+    logscale, P = _row_products(A, _step_rows(A, windows))
+    return (logscale, P) if batch else (float(logscale[0]), P[0])
 
 
 # window for the largest entry of a running product
 _WINDOW_LO, _WINDOW_HI = 1e-100, 1e100
 
 
-def _renormalise(P: np.ndarray, logscale: float) -> tuple[np.ndarray, float]:
-    """Running product (P, logscale) with P's largest entry moved back into
-    the window when it has left; P itself is never modified."""
-    nrm = float(np.max(np.abs(P)))
-    if nrm > _WINDOW_HI or (0.0 < nrm < _WINDOW_LO):
-        return P / nrm, logscale + math.log(nrm)
-    return P, logscale
-
-
 def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
-    """`_renormalise` applied row by row, in place, to a stack of running
-    products P of shape (N, d, d) with log scales of shape (N,)."""
+    """Move the largest entry of each running product in the stack P of
+    shape (N, d, d) back into the window when it has left, in place,
+    adding the log of the divisor to the log scales of shape (N,)."""
     nrm = np.abs(P).reshape(len(P), -1).max(axis=1)
     if nrm.max() <= _WINDOW_HI and nrm.min() >= _WINDOW_LO:
         return
@@ -226,17 +272,28 @@ def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
     logscale[out] += np.log(nrm[out])
 
 
-def _step_rows(A: MatrixCocycle, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The effective step matrices of A stacked as (T, d, d), one per
-    admissible memory-word in lexicographic order, and the row of that
-    stack for each memory-word along the last axis of the integer array
-    `windows`: shape (...) for windows of shape (..., m)."""
+def _row_products(A: MatrixCocycle, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of A's steps along each row of the (C, p) array R of step
+    rows, first step rightmost, renormalised after every step: (log scales
+    (C,), products (C, d, d)).  The products are new arrays."""
+    steps = A._step_table.steps
+    P = steps[R[:, 0]]
+    logscale = np.zeros(len(R))
+    _renormalise_rows(P, logscale)
+    for j in range(1, R.shape[1]):
+        P = steps[R[:, j]] @ P
+        _renormalise_rows(P, logscale)
+    return logscale, P
+
+
+def _step_rows(A: MatrixCocycle, windows: np.ndarray) -> np.ndarray:
+    """The row of A's step table for each memory-word along the last axis
+    of the integer array `windows`: shape (...) for windows of shape
+    (..., m)."""
     k, m = A.space.k, A.memory
     if windows.min() < 0 or windows.max() >= k:
         raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
-    words = admissible_words(A.space, m)
-    steps = np.stack([A.matrix(w) for w in words])
-    row_of = {w: i for i, w in enumerate(words)}
+    row_of = A._step_table.row_of
     flat = windows.reshape(-1, m)
     # rank of each window among the distinct windows seen, built up one
     # letter at a time so that rank * k + letter never overflows
@@ -248,15 +305,20 @@ def _step_rows(A: MatrixCocycle, windows: np.ndarray) -> tuple[np.ndarray, np.nd
         rows = np.array([row_of[tuple(w)] for w in flat[first].tolist()], dtype=np.intp)
     except KeyError as exc:
         raise InadmissibleWordError(word_to_str(exc.args[0])) from None
-    return steps, rows[rank].reshape(windows.shape[:-1])
+    return rows[rank].reshape(windows.shape[:-1])
+
+
+def _op_norms(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (N, d, d); for
+    d = 1 the modulus, which keeps the scalar layer off LAPACK."""
+    if M.shape[1:] == (1, 1):
+        return np.abs(M[:, 0, 0])
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
 def op_norm(M: np.ndarray) -> float:
     """Largest singular value (spectral norm)."""
-    M = np.asarray(M, dtype=float)
-    if M.shape == (1, 1):
-        return abs(float(M[0, 0]))
-    return float(np.linalg.norm(M, 2))
+    return float(_op_norms(np.asarray(M, dtype=float)[None])[0])
 
 
 def spectral_radius(M: np.ndarray) -> float | np.ndarray:
@@ -272,13 +334,8 @@ def cocycle_distance(A: MatrixCocycle, B: MatrixCocycle) -> float:
     if A.space != B.space or A.d != B.d:
         raise ShapeMismatchError("cocycles must share the shift space and dimension")
     m = max(A.memory, B.memory)
-    A, B = A.lift(m), B.lift(m)
-    best = 0.0
-    for w in A.table:
-        fwd = op_norm(A.matrix(w) - B.matrix(w))
-        bwd = op_norm(A.inverse_matrix(w) - B.inverse_matrix(w))
-        best = max(best, fwd + bwd)
-    return best
+    a, b = A.lift(m)._step_table, B.lift(m)._step_table
+    return float((_op_norms(a.steps - b.steps) + _op_norms(a.inverses - b.inverses)).max())
 
 
 def gamma_apply(f: ScalarPotential, A: MatrixCocycle) -> MatrixCocycle:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, _renormalise_rows, _step_rows
+from .cocycle import MatrixCocycle, _op_norms, _renormalise_rows, _step_rows
 from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, connect
@@ -134,8 +134,7 @@ def finite_time_exponents(
     out = np.empty(N)
     carry = None
     for lo in range(0, N, _SCAN_ROWS):
-        steps, rows = _step_rows(A, windows[lo:lo + _SCAN_ROWS])
-        P = steps[rows]
+        P = A._step_table.steps[_step_rows(A, windows[lo:lo + _SCAN_ROWS])]
         logscale = np.zeros(len(P))
         _renormalise_rows(P, logscale)
         if carry is not None:
@@ -149,9 +148,8 @@ def finite_time_exponents(
             logscale[s:] = logscale[s:] + logscale[:-s]
             _renormalise_rows(P, logscale)
             s *= 2
-        sigma = np.linalg.svd(P, compute_uv=False)[:, 0]
         n = np.arange(lo + 1, lo + len(P) + 1)
-        out[lo:lo + len(P)] = (logscale + np.log(sigma)) / n
+        out[lo:lo + len(P)] = (logscale + np.log(_op_norms(P))) / n
         carry = (logscale[-1], P[-1])
     return out
 

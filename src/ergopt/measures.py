@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, Scalar, ScalarPotential
+from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms, cocycle_log_product
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, admissible_words
@@ -200,29 +200,19 @@ def _markov_exponent(space, A, mu, n_max, word_budget):
         words = admissible_words(space, length)
         if len(words) > word_budget:
             raise BudgetExceededError(f"{len(words)} words at depth {n} exceed the budget")
+        charged = [(w, mass) for w in words if (mass := mu.cylinder_mass(w)) > 0]
+        logscale, P = cocycle_log_product(A, [w for w, _ in charged])
+        fwd, bwd = _op_norms(P).tolist(), _op_norms(np.linalg.inv(P)).tolist()
         up_total = 0.0
         lo_total = 0.0
-        for w in words:
-            mass = mu.cylinder_mass(w)
-            if mass > 0:
-                fwd, bwd = _word_log_norms(A, w)
-                up_total += mass * fwd
-                lo_total += mass * bwd
+        for (_, mass), ls, f, b in zip(charged, logscale.tolist(), fwd, bwd):
+            up_total += mass * (ls + math.log(f))
+            lo_total += mass * (-ls + math.log(b))
         upper = min(upper, up_total / n)
         lower = max(lower, -lo_total / n)
     # rounding can push the two sides past each other by ~1 ulp in the
     # additive case where they agree exactly
     return min(lower, upper), upper
-
-
-def _word_log_norms(A: MatrixCocycle, w: Word) -> tuple[float, float]:
-    """(log norm of the product, log norm of its inverse) over the word."""
-    from .cocycle import cocycle_log_product, op_norm
-
-    logscale, P = cocycle_log_product(A, w)
-    fwd = logscale + math.log(op_norm(P))
-    bwd = -logscale + math.log(op_norm(np.linalg.inv(P)))
-    return fwd, bwd
 
 
 @dataclass(frozen=True)

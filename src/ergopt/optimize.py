@@ -10,6 +10,7 @@ arithmetic whenever the inputs are rational.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -22,12 +23,14 @@ from .cocycle import (
     MatrixCocycle,
     ScalarPotential,
     Scalar,
+    _op_norms,
     _renormalise_rows,
+    _row_products,
     _step_rows,
     spectral_radius,
 )
 from .errors import BudgetExceededError, ValidationError
-from .shift import Cycle, ShiftSpace, Word, admissible_words, enumerate_cycles
+from .shift import Cycle, ShiftSpace, Word, build_word_graph, enumerate_cycles
 
 DEFAULT_N_MAX = 24
 DEFAULT_P_MAX = 12
@@ -36,23 +39,6 @@ _BLOCK_ROWS = 4096  # most running products the U_n search holds in one block
 NORM_TAG = "spectral-2"
 
 Node = Word
-
-
-def build_word_graph(space: ShiftSpace, memory: int):
-    """Transition graph of memory-words.
-
-    Nodes are admissible (memory-1)-words (single letters when memory = 1);
-    each edge spans one memory-word, returned in the edge map.
-    """
-    s = max(memory - 1, 1)
-    nodes = admissible_words(space, s)
-    edges: dict[tuple[Node, Node], Word] = {}
-    for u in nodes:
-        for b in space.successors(u[-1]):
-            v = u[1:] + (b,) if memory >= 2 else (b,)
-            word = u + (b,) if memory >= 2 else u
-            edges[(u, v)] = word
-    return nodes, edges
 
 
 def _as_weight(v: Scalar) -> Scalar:
@@ -126,6 +112,41 @@ class CriticalGraph:
         node_shift = ShiftSpace(len(nodes), tuple(map(tuple, allowed)))
         return [Cycle(tuple(nodes[i][0] for i in c.word))
                 for c in enumerate_cycles(node_shift, p_max)]
+
+    def shortest_cycle(self) -> Cycle:
+        """The shortest cycle of the graph, lexicographically least among
+        those (node sequences compare as the words they spell, see
+        `cycles`): the greedy closed walk of girth length from the least
+        node on such a cycle.  O(V (V + E)) by one BFS per node."""
+        succ: dict[Node, list[Node]] = {v: [] for v in self.nodes}
+        pred: dict[Node, list[Node]] = {v: [] for v in self.nodes}
+        for u, v in self.edges:
+            succ[u].append(v)
+            pred[v].append(u)
+
+        def steps_back(s: Node) -> dict[Node, int]:
+            dist, queue = {s: 0}, deque([s])
+            while queue:
+                v = queue.popleft()
+                for u in pred[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        queue.append(u)
+            return dist
+
+        girth: dict[Node, int] = {}  # shortest cycle through each node
+        for s in self.nodes:
+            back = steps_back(s)
+            # every node of the graph lies on a cycle
+            girth[s] = 1 + min(back[v] for v in succ[s] if v in back)
+        length = min(girth.values())
+        walk = [min(s for s in self.nodes if girth[s] == length)]
+        back = steps_back(walk[0])
+        # the least next node that can still close the walk in the steps
+        # left; the walk is a simple cycle, as no cycle is shorter
+        for left in range(length - 1, 0, -1):
+            walk.append(min(v for v in succ[walk[-1]] if back.get(v, length) <= left))
+        return Cycle(tuple(v[0] for v in walk))
 
     def max_mean(self, g: ScalarPotential) -> Scalar:
         """Greatest mean of g over the cycles of the graph; g has the
@@ -211,19 +232,13 @@ def _exponents(A: MatrixCocycle, cycles: list[Cycle]) -> list[Scalar]:
     windows = [np.array([cycles[i].word for i in which])
                [:, (np.arange(p)[:, None] + np.arange(m)) % p]
                for p, which in by_period.items()]
-    steps, rows = _step_rows(A, np.concatenate([w.reshape(-1, m) for w in windows]))
+    rows = _step_rows(A, np.concatenate([w.reshape(-1, m) for w in windows]))
     values = [0.0] * len(cycles)
     start = 0
     for p, which in by_period.items():
         R = rows[start:start + len(which) * p].reshape(len(which), p)
         start += len(which) * p
-        # the running products around each cycle, first step rightmost
-        P = steps[R[:, 0]]
-        logscale = np.zeros(len(which))
-        _renormalise_rows(P, logscale)
-        for j in range(1, p):
-            P = steps[R[:, j]] @ P
-            _renormalise_rows(P, logscale)
+        logscale, P = _row_products(A, R)
         rho = spectral_radius(P)
         for i, ls, r in zip(which, logscale.tolist(), rho.tolist()):
             values[i] = (ls + math.log(r)) / p
@@ -291,30 +306,22 @@ def upper_bound(
     """
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    m = A.memory
-    nodes, edge_words = build_word_graph(space, m)
-    index = {u: i for i, u in enumerate(nodes)}
-    step = {w: A.matrix(w) for w in admissible_words(space, m)}
-    # (target, source, step matrix) per edge, sorted by target so that
-    # children come out sorted by state; with memory 1 the step is the
-    # target letter's
-    edges = sorted(
-        ((index[v], index[u], step[w if m >= 2 else v])
-         for (u, v), w in edge_words.items()),
-        key=lambda e: e[:2],
-    )
-    first = sorted((index[w[-max(m - 1, 1):]], w) for w in step)
-    P = np.stack([step[w] for _, w in first])
+    table = A._step_table
+    steps = table.steps
+    # edges sorted by target, so that children come out sorted by state
+    edges = table.edges.tolist()
+    first = np.argsort(table.ends, kind="stable")
+    P = steps[first]
     prune_floor = None
     if lower_hint is not None:
         prune_floor = n * lower_hint - 1e-9 * max(1, n)
         # largest one-step log norm, for the pruning bound
-        max_step = float(np.log(np.linalg.svd(P, compute_uv=False)[:, 0]).max())
+        max_step = float(np.log(table.norms).max())
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     # blocks (depth, states, log scales, products), each sorted by state
-    stack = [(1, np.array([i for i, _ in first]), logscale, P)]
-    state_range = np.arange(len(nodes) + 1)
+    stack = [(1, table.ends[first], logscale, P)]
+    state_range = np.arange(len(table.nodes) + 1)
     best = -math.inf
     count = 0
     while stack:
@@ -323,8 +330,7 @@ def upper_bound(
         if count > budget:
             raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
         if k == n:
-            sigma = np.linalg.svd(P, compute_uv=False)[:, 0]
-            best = max(best, float(np.max(logscale + np.log(sigma))))
+            best = max(best, float(np.max(logscale + np.log(_op_norms(P)))))
             continue
         if prune_floor is not None:
             # cheap norm overbound (Frobenius) keeps pruning sound
@@ -334,13 +340,13 @@ def upper_bound(
                 states, logscale, P = states[keep], logscale[keep], P[keep]
         starts = np.searchsorted(states, state_range).tolist()
         targets, sizes, child_ls, child_P = [], [], [], []
-        for v, u, M in edges:
+        for v, u, r in edges:
             lo, hi = starts[u], starts[u + 1]
             if lo < hi:
                 targets.append(v)
                 sizes.append(hi - lo)
                 child_ls.append(logscale[lo:hi])
-                child_P.append(M @ P[lo:hi])
+                child_P.append(steps[r] @ P[lo:hi])
         if not targets:
             continue
         states = np.repeat(targets, sizes)
@@ -385,16 +391,13 @@ def _additive_bracket(space: ShiftSpace, A: MatrixCocycle) -> BetaBracket:
     G = critical_graph(space, pot)
     beta = G.beta
     val = float(beta)
-    nodes, _ = build_word_graph(space, pot.memory)
-    size = len(nodes)
-    # the shortest critical cycle, lexicographically least among those
-    witness = next(cs[0] for p in range(1, size + 1) if (cs := G.cycles(p)))
+    size = len(build_word_graph(space, pot.memory)[0])
     return BetaBracket(
         lower=val,
         upper=val,
         n_used=size,
         p_used=size,
-        witness=witness,
+        witness=G.shortest_cycle(),
         exact=beta if isinstance(beta, Rational) else None,
         upper_series=((size, val),),
         lower_series=((size, val),),

@@ -21,9 +21,9 @@ from .cocycle import (
     MatrixCocycle,
     Scalar,
     ScalarPotential,
+    _op_norms,
     cocycle_distance,
     gamma_apply,
-    op_norm,
 )
 from .errors import InvalidArgumentError, NoGapError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
@@ -104,10 +104,10 @@ def _rational_noise(rng: np.random.Generator, words, scale: Fraction) -> dict:
     }
 
 
-def _sensitivity(space: ShiftSpace, A: MatrixCocycle) -> float:
+def _sensitivity(A: MatrixCocycle) -> float:
     """max over memory-words of ||A_w|| + ||A_w^-1||."""
-    return max(op_norm(A.matrix(w)) + op_norm(A.inverse_matrix(w))
-               for w in admissible_words(space, A.memory))
+    table = A._step_table
+    return float((table.norms + _op_norms(table.inverses)).max())
 
 
 def _scaled_perturbation(
@@ -119,7 +119,7 @@ def _scaled_perturbation(
     sens: float,
 ) -> tuple[ScalarPotential, MatrixCocycle]:
     """Draw a scalar perturbation eta with cocycle distance at most delta;
-    `sens` is `_sensitivity(space, A)`."""
+    `sens` is `_sensitivity(A)`."""
     words = admissible_words(space, A.memory)
     if rational:
         scale = Fraction(delta).limit_denominator(10**9) / Fraction(max(1, math.ceil(2 * sens)))
@@ -154,7 +154,7 @@ def uniqueness_probe(
         raise InvalidArgumentError("delta must be positive")
     rng = np.random.default_rng(seed)
     exact = A.is_additive and A.additive_potential().is_rational
-    sens = _sensitivity(space, A)
+    sens = _sensitivity(A)
     hits = 0
     for _ in range(n_samples):
         eta, B = _scaled_perturbation(space, A, rng, delta, exact, sens)
@@ -202,7 +202,7 @@ def stability_radius(
         gap = float(values[best] - values[order[1]])
     else:
         gap = math.inf
-    sens = _sensitivity(space, A)
+    sens = _sensitivity(A)
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
     ok = 0

@@ -114,6 +114,23 @@ def admissible_words(space: ShiftSpace, n: int) -> list[Word]:
     return words
 
 
+def build_word_graph(space: ShiftSpace, memory: int):
+    """Transition graph of memory-words.
+
+    Nodes are admissible (memory-1)-words (single letters when memory = 1);
+    each edge spans one memory-word, returned in the edge map.
+    """
+    s = max(memory - 1, 1)
+    nodes = admissible_words(space, s)
+    edges: dict[tuple[Word, Word], Word] = {}
+    for u in nodes:
+        for b in space.successors(u[-1]):
+            v = u[1:] + (b,) if memory >= 2 else (b,)
+            word = u + (b,) if memory >= 2 else u
+            edges[(u, v)] = word
+    return nodes, edges
+
+
 @dataclass(frozen=True)
 class Cycle:
     """A primitive admissible cycle, stored in its lexicographically

@@ -261,3 +261,111 @@ class TestGamma:
         A = eo.from_potential(step_potential, d=2)
         P = eo.cocycle_product(A, (1, 1, 0))
         assert np.allclose(P, math.exp(2) * np.eye(2))
+
+
+def sft3_memory2(seed):
+    """Memory 2 on a 3-letter SFT, with a float weight."""
+    sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+    rng = np.random.default_rng(seed)
+    words = eo.admissible_words(sft3, 2)
+    weight = eo.ScalarPotential(sft3, 2, {w: float(rng.uniform(-1, 1)) for w in words})
+    table = {w: rng.standard_normal((2, 2)) for w in words}
+    return sft3, eo.MatrixCocycle(sft3, 2, 2, table, weight)
+
+
+class TestStepTable:
+    def test_steps_are_stacked_once(self, full2, monkeypatch):
+        """Every kernel reads the cocycle's one step table: after the first
+        build no call reaches `MatrixCocycle.matrix` again."""
+        calls = []
+        original = eo.MatrixCocycle.matrix
+
+        def counting(self, w):
+            calls.append(tuple(w))
+            return original(self, w)
+
+        monkeypatch.setattr(eo.MatrixCocycle, "matrix", counting)
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                          (1,): np.array([[1.0, 0.0], [1.0, 1.0]])})
+        mu = eo.markov_measure(full2, [[0.5, 0.5], [0.3, 0.7]])
+
+        def run_kernels():
+            for n in range(1, 7):
+                eo.upper_bound(full2, A, n)
+            eo.cycle_exponent(A, eo.enumerate_cycles(full2, 6))
+            eo.finite_time_exponents(full2, A, ((0,), eo.make_cycle(full2, (0, 1))), 50)
+            eo.exponent_of_measure(full2, A, mu, n_max=5)
+
+        run_kernels()
+        assert sorted(calls) == [(0,), (1,)]
+        run_kernels()
+        assert len(calls) == 2
+
+    def test_table_matches_the_cocycle_and_is_read_only(self):
+        space, A = sft3_memory2(5)
+        table = A._step_table
+        words = eo.admissible_words(space, 2)
+        assert list(table.row_of) == words
+        assert np.array_equal(table.steps, np.stack([A.matrix(w) for w in words]))
+        assert np.array_equal(table.inverses, np.stack([A.inverse_matrix(w) for w in words]))
+        assert np.array_equal(table.norms, [eo.op_norm(A.matrix(w)) for w in words])
+        assert A._step_table is table
+        arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+class TestListProduct:
+    """The list form of `cocycle_log_product` against plain numpy products
+    of the effective matrices, and `svd` / `inv` of those."""
+
+    @staticmethod
+    def direct(A, w):
+        m = A.memory
+        P = np.eye(A.d)
+        for j in range(len(w) - m + 1):
+            key = tuple(w[j:j + m])
+            scale = math.exp(A.weight.table[key]) if A.weight is not None else 1.0
+            P = scale * A.table[key] @ P
+        return P
+
+    def check(self, A, words):
+        logscale, P = cocycle_log_product(A, words)
+        assert logscale.shape == (len(words),) and P.shape == (len(words), A.d, A.d)
+        for w, ls, Q in zip(words, logscale.tolist(), P):
+            want = self.direct(A, w)
+            np.testing.assert_allclose(math.exp(ls) * Q, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            top = np.linalg.svd(want, compute_uv=False)[0]
+            top_inv = np.linalg.svd(np.linalg.inv(want), compute_uv=False)[0]
+            assert ls + math.log(np.linalg.svd(Q, compute_uv=False)[0]) == pytest.approx(
+                math.log(top), rel=1e-12, abs=1e-12)
+            assert -ls + math.log(np.linalg.svd(np.linalg.inv(Q), compute_uv=False)[0]) \
+                == pytest.approx(math.log(top_inv), rel=1e-12, abs=1e-12)
+            one_ls, one_P = cocycle_log_product(A, w)
+            assert one_ls == ls and np.array_equal(one_P, Q)
+        return logscale
+
+    def test_memory_two_with_weight(self):
+        space, A = sft3_memory2(31)
+        self.check(A, eo.admissible_words(space, 6))
+
+    def test_across_the_window(self, full2):
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.diag([1e101, 1.0]),
+                                          (1,): np.array([[0.0, 1.0], [1.0, 0.0]])})
+        logscale = self.check(A, eo.admissible_words(full2, 3))
+        assert logscale.max() > 0.0
+
+    def test_empty_list(self, fib_pair):
+        logscale, P = cocycle_log_product(fib_pair, [])
+        assert logscale.shape == (0,) and P.shape == (0, 2, 2)
+
+    def test_rejects_bad_lists(self, golden):
+        A = eo.identity_cocycle(golden, 2)
+        # each window of (1, 1) is an admissible memory-word, its 2-word is not
+        with pytest.raises(InadmissibleWordError):
+            cocycle_log_product(A, [(0, 1), (1, 1)])
+        with pytest.raises(ValidationError):
+            cocycle_log_product(A, [(0, 1), (0, 1, 0)])

@@ -28,6 +28,15 @@ def brute_upper(space, A, n):
     return best
 
 
+def layered_shift(L):
+    """2L letters in L layers of two, each letter followed by both letters
+    of the next layer (cyclically): every cycle has a length divisible by
+    L, and there are 2^L closed walks of length L."""
+    k = 2 * L
+    return eo.new_shift(k, [[b // 2 == (a // 2 + 1) % L for b in range(k)]
+                            for a in range(k)])
+
+
 class TestWordGraph:
     def test_memory_one_nodes_are_letters(self, golden):
         nodes, edges = build_word_graph(golden, 1)
@@ -303,6 +312,40 @@ class TestBracket:
         assert time.monotonic() - start < 2.0
         assert br.exact == 0
         assert br.witness.word == (0,)
+
+    def test_layered_witness_is_fast(self):
+        """Every closed walk of the layered family is critical under the
+        constant potential; a witness search over all cycles up to the
+        girth took 2.06 s at L = 16."""
+        f = eo.constant_potential(layered_shift(16), Fraction(0))
+        start = time.monotonic()
+        br = eo.beta_bracket(f.space, eo.from_potential(f))
+        assert time.monotonic() - start < 0.5
+        assert br.exact == 0
+        assert br.witness.word == tuple(range(0, 32, 2))
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_layered_witness_against_brute_force(self, L, seed):
+        """Oracle: the shortest closed walks of maximal mean among all
+        closed walks, and the least rotation among those."""
+        space = layered_shift(L)
+        if seed is None:
+            f = eo.constant_potential(space, Fraction(0))
+        else:
+            f = random_rational_potential(np.random.default_rng(seed), space, 2,
+                                          denom_max=2, num_max=2)
+        beta = brute_force_beta(space, f)
+        for p in range(1, 2 * L + 1):
+            best = [eo.canonical_rotation(w) for w in eo.admissible_words(space, p)
+                    if space.allowed[w[-1]][w[0]]
+                    and sum(f.value((w[i], w[(i + 1) % p])[:f.memory])
+                            for i in range(p)) == p * beta]
+            if best:
+                break
+        br = eo.beta_bracket(space, eo.from_potential(f))
+        assert br.exact == beta
+        assert br.witness.word == min(best)
 
     def test_fib_pair_closes(self, full2, fib_pair):
         br = eo.beta_bracket(full2, fib_pair, n_max=24, p_max=4)
