@@ -18,7 +18,7 @@ import numpy as np
 from .cocycle import MatrixCocycle, _op_norms, _renormalise_rows, _step_rows
 from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
-from .shift import Cycle, ShiftSpace, Word, connect
+from .shift import Cycle, ShiftSpace, Word, connect, iter_point
 
 MAX_SERIES_LENGTH = 10**6
 _SCAN_ROWS = 1 << 14  # most prefix products one chunk of the series holds
@@ -109,7 +109,7 @@ def _symbol_stream(x) -> Iterator[int]:
         final = x.cycles[(len(x.lengths) - 1) % 2]
         return itertools.chain(x.symbols(), itertools.cycle(final.word))
     preamble, c = x
-    return itertools.chain(preamble, itertools.cycle(c.word))
+    return iter_point(preamble, c)
 
 
 def finite_time_exponents(

@@ -81,9 +81,6 @@ class MarkovMeasure:
             for w in admissible_words(self.space, g.memory)
         ))
 
-    def support_letters(self) -> set[int]:
-        return {a for a in range(self.space.k) if self.stationary[a] > 0}
-
 
 @dataclass(frozen=True)
 class OrbitAverageMeasure:

@@ -22,10 +22,9 @@ from .cocycle import (
     Scalar,
     ScalarPotential,
     _op_norms,
-    cocycle_distance,
     gamma_apply,
 )
-from .errors import InvalidArgumentError, NoGapError, ValidationError
+from .errors import InvalidArgumentError, NoGapError, ShapeMismatchError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
     critical_graph,
@@ -71,13 +70,12 @@ def perturbation_sweep(
     value_sets: list[tuple[Scalar, ...]] = []
     diameters: list[Scalar] = []
     dists: list[Scalar] = []
+    g = gamma.lift(max(f.memory, gamma.memory))
     for eps in eps_grid:
-        h = f + gamma.scale(eps)
-        G = critical_graph(space, h)
-        g = gamma.lift(h.memory)
-        # every maximizer of h has gamma-average >= limit (compare it with
-        # a maximizer of f of gamma-average limit), so the distance to
-        # [limit] depends only on the two extremes
+        G = critical_graph(space, f + gamma.scale(eps))
+        # every maximizer of f + eps * gamma has gamma-average >= limit
+        # (compare it with a maximizer of f of gamma-average limit), so the
+        # distance to [limit] depends only on the two extremes
         values = sorted({-G.max_mean(-g), G.max_mean(g)})
         value_sets.append(tuple(values))
         diameters.append(values[-1] - values[0])
@@ -97,17 +95,17 @@ def pinning_potential(space: ShiftSpace, c: Cycle) -> ScalarPotential:
     return ScalarPotential(space, memory, table)
 
 
-def _rational_noise(rng: np.random.Generator, words, scale: Fraction) -> dict:
-    return {
-        w: scale * Fraction(int(rng.integers(-(2**30), 2**30 + 1)), 2**30)
-        for w in words
-    }
-
-
-def _sensitivity(A: MatrixCocycle) -> float:
-    """max over memory-words of ||A_w|| + ||A_w^-1||."""
+def _step_norms(A: MatrixCocycle) -> np.ndarray:
+    """||A_w|| and ||A_w^-1|| over the rows w of A's step table: (2, E)."""
     table = A._step_table
-    return float((table.norms + _op_norms(table.inverses)).max())
+    return np.stack([table.norms, _op_norms(table.inverses)])
+
+
+def _distance(eta: Sequence[Scalar], norms: np.ndarray) -> float:
+    """`cocycle_distance(gamma_apply(eta, A), A)` for `norms = _step_norms(A)`:
+    B_w - A_w = expm1(eta_w) A_w and B_w^-1 - A_w^-1 = expm1(-eta_w) A_w^-1."""
+    x = np.array(eta, dtype=float)
+    return float((np.abs(np.expm1(x)) * norms[0] + np.abs(np.expm1(-x)) * norms[1]).max())
 
 
 def _scaled_perturbation(
@@ -116,23 +114,21 @@ def _scaled_perturbation(
     rng: np.random.Generator,
     delta: float,
     rational: bool,
-    sens: float,
-) -> tuple[ScalarPotential, MatrixCocycle]:
-    """Draw a scalar perturbation eta with cocycle distance at most delta;
-    `sens` is `_sensitivity(A)`."""
+    norms: np.ndarray,
+) -> ScalarPotential:
+    """Draw a scalar perturbation eta of A's memory with cocycle distance
+    below delta; `norms` is `_step_norms(A)`."""
     words = admissible_words(space, A.memory)
+    sens = float(norms.sum(axis=0).max())
     if rational:
         scale = Fraction(delta).limit_denominator(10**9) / Fraction(max(1, math.ceil(2 * sens)))
-        table = _rational_noise(rng, words, scale)
+        eta = [scale * Fraction(n, 2**30)
+               for n in rng.integers(-(2**30), 2**30 + 1, len(words)).tolist()]
     else:
-        scale = delta / (2.0 * sens)
-        table = {w: scale * float(rng.uniform(-1.0, 1.0)) for w in words}
-    eta = ScalarPotential(space, A.memory, table)
-    B = gamma_apply(eta, A)
-    while cocycle_distance(B, A) >= delta:
-        eta = eta.scale(Fraction(1, 2) if rational else 0.5)
-        B = gamma_apply(eta, A)
-    return eta, B
+        eta = (delta / (2.0 * sens) * rng.uniform(-1.0, 1.0, len(words))).tolist()
+    while _distance(eta, norms) >= delta:
+        eta = [(Fraction(1, 2) if rational else 0.5) * v for v in eta]
+    return ScalarPotential(space, A.memory, dict(zip(words, eta)))
 
 
 def uniqueness_probe(
@@ -153,17 +149,17 @@ def uniqueness_probe(
     if delta <= 0:
         raise InvalidArgumentError("delta must be positive")
     rng = np.random.default_rng(seed)
-    exact = A.is_additive and A.additive_potential().is_rational
-    sens = _sensitivity(A)
+    f = A.additive_potential() if A.is_additive else None
+    exact = f is not None and f.is_rational
+    norms = _step_norms(A)
     hits = 0
     for _ in range(n_samples):
-        eta, B = _scaled_perturbation(space, A, rng, delta, exact, sens)
+        eta = _scaled_perturbation(space, A, rng, delta, exact, norms)
         if exact:
-            f_tot = A.additive_potential() + eta
-            _, unique = maximizing_cycles(space, f_tot, p_max)
+            _, unique = maximizing_cycles(space, f + eta, p_max)
         else:
-            report = matrix_candidates(space, B, n_max=n_max, p_max=p_max, slack=slack)
-            unique = report.unique_at_resolution
+            unique = matrix_candidates(space, gamma_apply(eta, A), n_max=n_max, p_max=p_max,
+                                       slack=slack).unique_at_resolution
         hits += bool(unique)
     return hits / n_samples
 
@@ -191,9 +187,10 @@ def stability_radius(
     if not measures or any(not isinstance(mu, PeriodicMeasure) for mu in measures):
         raise ValidationError("the family must consist of periodic measures")
     space = measures[0].space
+    if space != A.space:
+        raise ShapeMismatchError("the measures and the cocycle live on different shift spaces")
     exact = A.is_additive and A.additive_potential().is_rational
-    cycles = [mu.cycle for mu in measures]
-    values = cycle_exponent(A, cycles)
+    values = cycle_exponent(A, [mu.cycle for mu in measures])
     order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
     best = order[0]
     if len(values) > 1:
@@ -202,13 +199,15 @@ def stability_radius(
         gap = float(values[best] - values[order[1]])
     else:
         gap = math.inf
-    sens = _sensitivity(A)
+    norms = _step_norms(A)
+    sens = float(norms.sum(axis=0).max())
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
     ok = 0
     for _ in range(trials):
-        eta, B = _scaled_perturbation(space, A, rng, delta, exact, sens)
-        new_values = cycle_exponent(B, cycles)
+        eta = _scaled_perturbation(space, A, rng, delta, exact, norms)
+        # exp(eta) commutes with every step: exponents shift by eta-averages
+        new_values = [v + mu.integrate(eta) for v, mu in zip(values, measures)]
         new_best = max(range(len(new_values)), key=lambda i: (new_values[i], -i))
         ok += new_best == best
     return StabilityResult(delta=delta, gap=gap, argmax_index=best,

@@ -59,3 +59,13 @@ def brute_force_beta(space, f):
         if best is None or mean > best:
             best = mean
     return best
+
+
+def sft3_memory2(seed):
+    """Memory 2 on a 3-letter SFT, with a float weight."""
+    sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+    rng = np.random.default_rng(seed)
+    words = eo.admissible_words(sft3, 2)
+    weight = eo.ScalarPotential(sft3, 2, {w: float(rng.uniform(-1, 1)) for w in words})
+    table = {w: rng.standard_normal((2, 2)) for w in words}
+    return sft3, eo.MatrixCocycle(sft3, 2, 2, table, weight)

@@ -12,6 +12,8 @@ from ergopt.errors import (
     ValidationError,
 )
 
+from conftest import sft3_memory2
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -261,16 +263,6 @@ class TestGamma:
         A = eo.from_potential(step_potential, d=2)
         P = eo.cocycle_product(A, (1, 1, 0))
         assert np.allclose(P, math.exp(2) * np.eye(2))
-
-
-def sft3_memory2(seed):
-    """Memory 2 on a 3-letter SFT, with a float weight."""
-    sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
-    rng = np.random.default_rng(seed)
-    words = eo.admissible_words(sft3, 2)
-    weight = eo.ScalarPotential(sft3, 2, {w: float(rng.uniform(-1, 1)) for w in words})
-    table = {w: rng.standard_normal((2, 2)) for w in words}
-    return sft3, eo.MatrixCocycle(sft3, 2, 2, table, weight)
 
 
 class TestStepTable:

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 import ergopt as eo
+from ergopt import perturb
+from ergopt.cocycle import MatrixCocycle, cocycle_distance, gamma_apply
 from ergopt.errors import (
     InvalidArgumentError,
     NoGapError,
+    ShapeMismatchError,
     ValidationError,
 )
+
+from conftest import random_rational_potential, sft3_memory2
 
 
 def two_loop_tie(full2):
@@ -152,6 +157,138 @@ class TestStability:
         res = eo.stability_radius(self.family(full2), fib_pair, trials=30, seed=9)
         assert res.argmax_index == 1  # the alternating cycle
         assert res.trials_invariant == 30
+
+
+def eta_row(eta):
+    """The values of eta in the row order of a step table."""
+    return [eta.table[w] for w in eo.admissible_words(eta.space, eta.memory)]
+
+
+def argmax(values):
+    return max(range(len(values)), key=lambda i: (values[i], -i))
+
+
+class TestScalarShift:
+    """exp(eta) commutes with every step, so the probe and the stability
+    trials score eta without building the perturbed cocycle; checked
+    against `gamma_apply`, `cocycle_distance` and `cycle_exponent`."""
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_closed_form_distance(self, rational):
+        space, A = sft3_memory2(41)
+        words = eo.admissible_words(space, 2)
+        norms = perturb._step_norms(A)
+        rng = np.random.default_rng(3)
+        for size in (Fraction(1, 20), Fraction(1, 2), Fraction(3)):
+            for _ in range(10):
+                if rational:
+                    table = {w: size * Fraction(int(rng.integers(-1000, 1001)), 1000)
+                             for w in words}
+                else:
+                    table = {w: float(size) * float(rng.uniform(-1, 1)) for w in words}
+                eta = eo.ScalarPotential(space, 2, table)
+                want = cocycle_distance(gamma_apply(eta, A), A)
+                assert perturb._distance(eta_row(eta), norms) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def record_draws(monkeypatch, radius=None):
+        """Record every eta the package draws, drawn within `radius` in
+        place of the requested delta when it is given."""
+        drawn = []
+        draw = perturb._scaled_perturbation
+
+        def recording(space, A, rng, delta, rational, norms):
+            drawn.append(draw(space, A, rng, radius or delta, rational, norms))
+            return drawn[-1]
+
+        monkeypatch.setattr(perturb, "_scaled_perturbation", recording)
+        return drawn
+
+    def test_matrix_trial_values(self, monkeypatch):
+        """Trial exponents are A's plus the eta-averages, to 1e-12.  Drawn
+        far past the certified radius, some trials move the argmax, and the
+        count of those that keep it matches the oracle's."""
+        space, A = sft3_memory2(43)
+        cycles = eo.enumerate_cycles(space, 4)
+        family = [eo.periodic_measure(space, c) for c in cycles]
+        drawn = self.record_draws(monkeypatch, radius=30.0)
+        res = eo.stability_radius(family, A, trials=60, seed=8)
+        values = eo.cycle_exponent(A, cycles)
+        kept = 0
+        for eta in drawn:
+            want = eo.cycle_exponent(gamma_apply(eta, A), cycles)
+            got = [v + mu.integrate(eta) for v, mu in zip(values, family)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            kept += argmax(want) == res.argmax_index
+        assert len(drawn) == 60
+        assert 0 < kept < 60
+        assert res.trials_invariant == kept
+
+    def test_rational_trial_values_are_exact(self, monkeypatch):
+        space = eo.new_shift(2, [[True, True], [True, False]])
+        f = random_rational_potential(np.random.default_rng(6), space, 2,
+                                      denom_max=4, num_max=3)
+        A = eo.from_potential(f)
+        cycles = eo.enumerate_cycles(space, 6)
+        family = [eo.periodic_measure(space, c) for c in cycles]
+        values = eo.cycle_exponent(A, cycles)
+        drawn = self.record_draws(monkeypatch, radius=30.0)
+        res = eo.stability_radius(family, A, trials=40, seed=1)
+        kept = 0
+        for eta in drawn:
+            assert eta.is_rational
+            want = eo.cycle_exponent(gamma_apply(eta, A), cycles)
+            got = [v + mu.integrate(eta) for v, mu in zip(values, family)]
+            assert got == want and all(isinstance(v, Fraction) for v in got)
+            kept += argmax(want) == res.argmax_index
+        assert len(drawn) == 40
+        assert 0 < kept < 40
+        assert res.trials_invariant == kept
+
+    def test_no_cocycle_is_built_per_trial(self, full2, fib_pair, step_potential, monkeypatch):
+        built = []
+        init = MatrixCocycle.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        exact = eo.from_potential(step_potential)
+        family = [eo.periodic_measure(full2, eo.make_cycle(full2, w))
+                  for w in ((0,), (0, 1), (1,))]
+        monkeypatch.setattr(MatrixCocycle, "__post_init__", counting)
+        for A in (fib_pair, exact):
+            assert eo.stability_radius(family, A, trials=200, seed=4).trials_invariant == 200
+        assert eo.uniqueness_probe(full2, exact, n_samples=10, delta=0.05, seed=1) == 1.0
+        assert built == []
+        eo.uniqueness_probe(full2, fib_pair, n_samples=6, delta=0.01, seed=1, n_max=6, p_max=4)
+        assert len(built) == 6
+
+    def test_large_delta_drives_the_halving_loop(self, full2, fib_pair, step_potential,
+                                                 monkeypatch):
+        drawn = self.record_draws(monkeypatch)
+        distances = []
+        distance = perturb._distance
+
+        def counting(eta, norms):
+            distances.append(distance(eta, norms))
+            return distances[-1]
+
+        monkeypatch.setattr(perturb, "_distance", counting)
+        delta = 20.0
+        for A in (fib_pair, eo.from_potential(step_potential)):
+            drawn.clear()
+            distances.clear()
+            eo.uniqueness_probe(full2, A, n_samples=12, delta=delta, seed=2, n_max=6, p_max=4)
+            assert len(drawn) == 12
+            assert len(distances) > 12 and max(distances) >= delta
+            for eta in drawn:
+                assert cocycle_distance(gamma_apply(eta, A), A) < delta
+
+    def test_family_on_another_space(self, full2, golden, fib_pair):
+        family = [eo.periodic_measure(golden, eo.make_cycle(golden, (0,)))]
+        with pytest.raises(ShapeMismatchError):
+            eo.stability_radius(family, fib_pair, trials=1, seed=0)
 
 
 class TestFlatten:
