@@ -203,11 +203,12 @@ def stability_radius(
     sens = float(norms.sum(axis=0).max())
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
+    windows = [mu.cycle.windows(A.memory) for mu in measures]
     ok = 0
     for _ in range(trials):
-        eta = _scaled_perturbation(space, A, rng, delta, exact, norms)
+        eta = _scaled_perturbation(space, A, rng, delta, exact, norms).table
         # exp(eta) commutes with every step: exponents shift by eta-averages
-        new_values = [v + mu.integrate(eta) for v, mu in zip(values, measures)]
+        new_values = [v + sum(eta[w] for w in ws) / len(ws) for v, ws in zip(values, windows)]
         new_best = max(range(len(new_values)), key=lambda i: (new_values[i], -i))
         ok += new_best == best
     return StabilityResult(delta=delta, gap=gap, argmax_index=best,

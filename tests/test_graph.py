@@ -1,10 +1,13 @@
-"""Strongly connected components against an independent reachability
-oracle."""
+"""Strongly connected components, maximum cycle means and critical
+subgraphs against independent oracles."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ergopt._graph import strongly_connected_components
+from ergopt._graph import critical_subgraph, max_cycle_mean, strongly_connected_components
 
 
 def closure_components(n, edges):
@@ -42,3 +45,165 @@ def test_long_chain_needs_no_recursion():
     chain = [(i, i + 1) for i in range(n - 1)]
     assert len(strongly_connected_components(range(n), chain)) == n
     assert strongly_connected_components(range(n), chain + [(n - 1, 0)]) == [set(range(n))]
+
+
+# ---------------------------------------------------------------------------
+# maximum cycle mean and critical subgraph against brute-force oracles
+
+def simple_cycles(n, edges):
+    """Oracle: every simple cycle, as a node list, by depth-first search from
+    its least node."""
+    succ = {u: [v for (a, v) in edges if a == u] for u in range(n)}
+    out = []
+    for s in range(n):
+        stack = [[s]]
+        while stack:
+            path = stack.pop()
+            for v in succ[path[-1]]:
+                if v == s:
+                    out.append(path)
+                elif v > s and v not in path:
+                    stack.append(path + [v])
+    return out
+
+
+def oracle_mean(n, edges):
+    """Oracle: the largest mean over simple cycles, exact for exact weights."""
+    means = [Fraction(sum(Fraction(edges[(c[i], c[(i + 1) % len(c)])]) for i in range(len(c))),
+                      len(c)) for c in simple_cycles(n, edges)]
+    return max(means, default=None)
+
+
+def random_digraph(rng, weight):
+    """A digraph on n <= 7 nodes: a few dense blocks (several strongly
+    connected components), self-loops, forward edges between the blocks and
+    an acyclic tail of nodes with no edge back."""
+    n = int(rng.integers(1, 8))
+    cut = sorted(rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 4))),
+                            replace=False).tolist())
+    block = np.searchsorted(cut, np.arange(n), side="right")
+    edges = {}
+    for u in range(n):
+        for v in range(n):
+            same = block[u] == block[v] and block[u] < len(cut) - 1
+            if (same and rng.random() < 0.6) or (block[u] < block[v] and rng.random() < 0.2):
+                edges[(u, v)] = weight()
+    return n, edges
+
+
+WEIGHTS = {
+    "int": lambda rng: int(rng.integers(-9, 10)),
+    # pairwise coprime denominators, so L grows with every edge
+    "coprime": lambda rng: Fraction(int(rng.integers(-60, 61)),
+                                    int(rng.choice([1, 2, 3, 5, 7, 11, 13, 17, 19, 23]))),
+    "float": lambda rng: float(rng.uniform(-3.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+def test_max_cycle_mean_matches_simple_cycles(kind):
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n, edges = random_digraph(rng, lambda: WEIGHTS[kind](rng))
+        expected = oracle_mean(n, edges)
+        got = max_cycle_mean(list(range(n)), edges)
+        if expected is None:
+            assert got is None
+        elif kind == "float":
+            assert isinstance(got, float)
+            assert got == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+        else:
+            assert isinstance(got, Fraction) and got == expected
+
+
+def test_max_cycle_mean_beyond_int64_is_exact():
+    """Weights near +-2^70 with large coprime denominators: the scaled
+    weights are far past int64, and the answer must still be exact."""
+    rng = np.random.default_rng(2)
+    dens = [2**31 - 1, 2**31 - 19, 2**61 - 1, 3**41]
+
+    def weight():
+        near = int(rng.choice([-1, 1])) * 2**70 + int(rng.integers(-1000, 1001))
+        return near + Fraction(int(rng.integers(-1000, 1001)), int(rng.choice(dens)))
+
+    tested = 0
+    for _ in range(60):
+        n, edges = random_digraph(rng, weight)
+        if not edges or math.lcm(*(w.denominator for w in edges.values())) <= 2**62:
+            continue
+        tested += 1
+        assert max_cycle_mean(list(range(n)), edges) == oracle_mean(n, edges)
+    assert tested >= 20
+
+
+@pytest.mark.parametrize("base", [2**55, 2**70])
+def test_max_cycle_mean_separates_near_ties(base):
+    """Means of large weights that differ in the last units: a comparison
+    through floats would call them equal."""
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n, edges = random_digraph(rng, lambda: base + int(rng.integers(-3, 4)))
+        assert max_cycle_mean(list(range(n)), edges) == oracle_mean(n, edges)
+
+
+def test_max_cycle_mean_int64_bound():
+    """Integer weights near 2^60 pass int64 only as a single step: sums of a
+    few of them must be formed without wrapping."""
+    n = 6
+    edges = {(i, (i + 1) % n): 2**60 + i for i in range(n)}
+    edges[(0, 0)] = -(2**60)
+    assert max_cycle_mean(list(range(n)), edges) == Fraction(n * 2**60 + 15, n)
+
+
+def reduced_closure(n, edges, beta):
+    """Oracle: Floyd-Warshall max-plus closure of the reduced weights
+    w - beta, reflexive (the empty walk weighs 0); None means no walk."""
+    best = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for (u, v), w in edges.items():
+        r = Fraction(w) - beta
+        if u != v and (best[u][v] is None or r > best[u][v]):
+            best[u][v] = r
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if best[i][k] is not None and best[k][j] is not None:
+                    via = best[i][k] + best[k][j]
+                    if best[i][j] is None or via > best[i][j]:
+                        best[i][j] = via
+    return best
+
+
+def oracle_critical(n, edges, beta):
+    """Edge (u, v) is critical iff w(u, v) - beta plus the best reduced walk
+    from v back to u is 0."""
+    best = reduced_closure(n, edges, beta)
+    return {(u, v) for (u, v), w in edges.items()
+            if best[v][u] is not None and Fraction(w) - beta + best[v][u] == 0}
+
+
+@pytest.mark.parametrize("kind", ["int", "coprime", "ties"])
+def test_critical_subgraph_matches_closure(kind):
+    rng = np.random.default_rng(3)
+    draw = {"ties": lambda: Fraction(int(rng.integers(-1, 2)), int(rng.choice([1, 2])))}
+    draw.update({k: (lambda k=k: WEIGHTS[k](rng)) for k in ("int", "coprime")})
+    for _ in range(300):
+        n, edges = random_digraph(rng, draw[kind])
+        beta = oracle_mean(n, edges)
+        if beta is None:
+            continue
+        assert critical_subgraph(list(range(n)), edges, beta) == oracle_critical(n, edges, beta)
+
+
+def test_critical_ties_across_two_components():
+    """Two components each hold a cycle of the maximal mean 1/2, joined by a
+    one-way edge: both cycles are critical, the bridge and the slower cycle
+    are not."""
+    h = Fraction(1, 2)
+    edges = {(0, 1): Fraction(1), (1, 0): Fraction(0), (1, 1): Fraction(0),
+             (1, 2): Fraction(5),
+             (2, 3): h, (3, 2): h, (3, 4): Fraction(0), (4, 3): Fraction(0)}
+    nodes = list(range(5))
+    assert max_cycle_mean(nodes, edges) == h
+    expected = {(0, 1), (1, 0), (2, 3), (3, 2)}
+    assert oracle_critical(5, edges, h) == expected
+    assert critical_subgraph(nodes, edges, h) == expected
