@@ -1,14 +1,12 @@
 """Weighted-digraph internals: maximum cycle mean and critical subgraphs.
 
-Weights may be Fractions (exact) or floats.  Edges are a mapping
-(u, v) -> weight; parallel edges never occur in the word graphs built by
-the optimizer.
-
-Both routines run on edge arrays through one max-plus kernel, `_relax`.
+A graph is a node count n and edge arrays: tails `src` and heads `dst` in
+0..n-1, sorted by head, and a weight array as `_weights` makes it.
 Rational weights are scaled by the lcm L of their denominators to
-integers: int64 when the input bounds every sum the kernel forms, Python
+integers: int64 when the input bounds every sum the kernels form, Python
 ints in object arrays otherwise.  Float weights run in float64, where each
-relaxation is one add and an exact max, as in a loop over the edges.
+relaxation is one add and an exact max, as in a loop over the edges.  Both
+routines run through one max-plus kernel, `_relax`.
 """
 
 from __future__ import annotations
@@ -16,41 +14,38 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-Node = Hashable
-Edge = tuple[Node, Node]
 
-
-def strongly_connected_components(nodes: Iterable[Node], edges: Iterable[Edge]) -> list[set[Node]]:
-    """Tarjan's algorithm, with an explicit stack so that long paths hit no
-    recursion limit.  Edge ends missing from `nodes` are added as nodes;
-    the order of the components is unspecified."""
-    succ: dict[Node, list[Node]] = {v: [] for v in nodes}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
-        succ.setdefault(v, [])
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    placed = len(succ)  # index of a node once in a component: above all others
-    path: list[Node] = []  # visited nodes not yet in a component
+def strongly_connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The strongly connected component of each node 0..n-1 of the graph
+    with edges src -> dst, numbered as found.  Tarjan's algorithm, with an
+    explicit stack so that long paths hit no recursion limit."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+    index = [-1] * n  # -1 until visited; n, above all others, once placed
+    low = [0] * n
+    comp = [0] * n
+    path: list[int] = []  # visited nodes not yet in a component
     work = []  # the DFS: (node, iterator over its unexplored successors)
-    comps: list[set[Node]] = []
+    seen = found = 0
 
-    def visit(v: Node) -> None:
-        index[v] = low[v] = len(index)
+    def visit(v: int) -> None:
+        nonlocal seen
+        index[v] = low[v] = seen
+        seen += 1
         path.append(v)
         work.append((v, iter(succ[v])))
 
-    for root in succ:
-        if root not in index:
+    for root in range(n):
+        if index[root] < 0:
             visit(root)
         while work:
             v, todo = work[-1]
             for w in todo:
-                if w not in index:
+                if index[w] < 0:
                     visit(w)
                     break
                 low[v] = min(low[v], index[w])
@@ -60,50 +55,29 @@ def strongly_connected_components(nodes: Iterable[Node], edges: Iterable[Edge]) 
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
                 if low[v] == index[v]:
-                    comp: set[Node] = set()
-                    while v not in comp:
+                    while index[v] < n:
                         w = path.pop()
-                        index[w] = placed
-                        comp.add(w)
-                    comps.append(comp)
-    return comps
+                        index[w], comp[w] = n, found
+                    found += 1
+    return np.array(comp, dtype=np.intp)
 
 
-def _edge_arrays(nodes: list[Node], edges: Mapping[Edge, Fraction | float]):
-    """Node labels in index order, and the edges sorted by head index: tail
-    and head index arrays and the weight list.  Edge ends missing from
-    `nodes` are added."""
-    index = {v: i for i, v in enumerate(nodes)}
-    for u, v in edges:
-        index.setdefault(u, len(index))
-        index.setdefault(v, len(index))
-    arcs = sorted((index[v], index[u], w) for (u, v), w in edges.items())
-    src = np.array([u for _, u, _ in arcs], dtype=np.intp)
-    dst = np.array([v for v, _, _ in arcs], dtype=np.intp)
-    return list(index), src, dst, [w for _, _, w in arcs]
+def _int_dtype(n: int, big: int):
+    """int64 when (n + 1)^2 big < 2^62, for big >= every |weight|: that
+    bounds every walk weight of at most n edges, difference of two and
+    product with a length <= n that the kernels form; Python ints otherwise."""
+    return np.int64 if (n + 1) ** 2 * big < 2**62 else object
 
 
-def _integers(values: list) -> tuple[list[int], int]:
-    """The rational values times the lcm L of their denominators, and L."""
+def _weights(values: list, n: int) -> tuple[np.ndarray, int | None]:
+    """Weights of a graph on n nodes for the kernels: rational values times
+    the lcm L of their denominators, and L; float64 and None when any value
+    is a float."""
+    if not all(isinstance(x, Rational) for x in values):
+        return np.array(values, dtype=np.float64), None
     L = math.lcm(*(x.denominator for x in values))
-    return [int(x.numerator) * (L // x.denominator) for x in values], L
-
-
-def _int_array(ints: list[int], n: int) -> np.ndarray:
-    """int64 when (n + 1)^2 max |x| < 2^62, which bounds every walk weight
-    of at most n edges, difference of two and product with a length <= n
-    that the kernels form; Python ints otherwise."""
-    big = max(map(abs, ints), default=0)
-    return np.array(ints, dtype=np.int64 if (n + 1) ** 2 * big < 2**62 else object)
-
-
-def _component_of(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Index of each node's strongly connected component."""
-    comp_of = np.zeros(n, dtype=np.intp)
-    comps = strongly_connected_components(range(n), zip(src.tolist(), dst.tolist()))
-    for i, comp in enumerate(comps):
-        comp_of[list(comp)] = i
-    return comp_of
+    ints = [int(x.numerator) * (L // x.denominator) for x in values]
+    return np.array(ints, dtype=_int_dtype(n, max(map(abs, ints), default=0))), L
 
 
 def _relax(x: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
@@ -113,14 +87,15 @@ def _relax(x: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     return dst[starts], np.maximum.reduceat(x[src] + w, starts)
 
 
-def _karp(n: int, source: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+def _karp(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Karp's maximum cycle mean of a strongly connected graph on nodes
     0..n-1, edges sorted by head: a float for float weights, else the
-    pair (num, den), den > 0, of integers."""
-    # D[k, v] = max weight of a k-edge walk source -> v, where reached[k, v]
+    pair (num, den), den > 0, of integers.  The walks start at node 0, so
+    float sums are formed in a fixed order."""
+    # D[k, v] = max weight of a k-edge walk 0 -> v, where reached[k, v]
     D = np.zeros((n + 1, n), dtype=w.dtype)
     reached = np.zeros((n + 1, n), dtype=bool)
-    reached[0, source] = True
+    reached[0, 0] = True
     for k in range(1, n + 1):
         keep = reached[k - 1, src]
         heads, best = _relax(D[k - 1], src[keep], dst[keep], w[keep])
@@ -145,62 +120,50 @@ def _karp(n: int, source: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     return best
 
 
-def max_cycle_mean(nodes: list[Node], edges: Mapping[Edge, Fraction | float]):
+def max_cycle_mean(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None):
     """Karp's maximum cycle mean, run per strongly connected component.
 
-    Returns None when the graph has no cycle.  Exact, as a Fraction, when
-    weights are rational.
+    Returns None when the graph has no cycle.  Exact, as a Fraction, for
+    integer weights scaled by L; a float for float weights (L None).
     """
-    labels, src, dst, weights = _edge_arrays(nodes, edges)
-    exact = all(isinstance(x, Rational) for x in weights)
-    if exact:
-        ints, L = _integers(weights)
-        w = _int_array(ints, len(labels))
-    else:
-        w = np.array(weights, dtype=np.float64)
-    comp_of = _component_of(len(labels), src, dst)
+    comp_of = strongly_connected_components(n, src, dst)
     inside = comp_of[src] == comp_of[dst]
     best = None
     for c in sorted(set(comp_of[src[inside]].tolist())):
         members = np.flatnonzero(comp_of == c)
         sel = np.flatnonzero(inside & (comp_of[src] == c))
-        # the least node by repr starts the walks, so float sums are formed
-        # in a fixed order
-        source = min(range(len(members)), key=lambda i: repr(labels[members[i]]))
-        mean = _karp(len(members), source, np.searchsorted(members, src[sel]),
+        mean = _karp(len(members), np.searchsorted(members, src[sel]),
                      np.searchsorted(members, dst[sel]), w[sel])
-        if exact:
+        if L is not None:
             mean = Fraction(mean[0], mean[1] * L)
         if best is None or mean > best:
             best = mean
     return best
 
 
-def critical_subgraph(
-    nodes: list[Node],
-    edges: Mapping[Edge, Fraction | float],
-    beta: Fraction | float,
-    tol: Fraction | float = 0,
-) -> set[Edge]:
-    """Edges lying on some cycle of mean exactly beta.
+def critical_subgraph(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None,
+                      beta: Fraction | float, tol: Fraction | float = 0):
+    """Edges lying on some cycle of mean exactly beta: their positions, and
+    the strongly connected component of each node in the graph of tight
+    edges.
 
     Subtract beta, compute node potentials as maximal reduced walk weights
-    (all reduced cycle weights are <= 0, so |nodes| Bellman passes reach the
+    (all reduced cycle weights are <= 0, so n Bellman passes reach the
     fixed point), keep tight edges, then keep only edges inside a strongly
-    connected component of the tight graph.  Rational input runs on the
-    integers L*(w - beta), L the lcm of all denominators, beta's included.
+    connected component of the tight graph.  Integer weights run on the
+    integers L' * (w / L - beta), L' the lcm of L and beta's denominator.
     """
-    labels, src, dst, weights = _edge_arrays(nodes, edges)
-    if not weights:
-        return set()
-    if all(isinstance(x, Rational) for x in weights + [beta]):
-        ints, L = _integers(weights + [beta])
-        reduced = _int_array([x - ints[-1] for x in ints[:-1]], len(labels))
-        tol = math.floor(tol * L)
+    if L is None:
+        reduced = w - float(beta)
     else:
-        reduced = np.array(weights, dtype=np.float64) - float(beta)
-    phi = np.zeros(len(labels), dtype=reduced.dtype)
-    for _ in range(len(labels)):
+        beta = Fraction(beta)
+        L2 = math.lcm(L, beta.denominator)
+        f, b = L2 // L, beta.numerator * (L2 // beta.denominator)
+        big = int(np.abs(w).max()) * f + abs(b)  # bounds every reduced weight
+        reduced = w.astype(_int_dtype(n, big)) * f - b
+        tol = math.floor(tol * L2)
+    phi = np.zeros(n, dtype=reduced.dtype)
+    for _ in range(n):
         heads, best = _relax(phi, src, dst, reduced)
         new = phi.copy()
         new[heads] = np.maximum(phi[heads], best)
@@ -208,8 +171,7 @@ def critical_subgraph(
             break
         phi = new
     tight = np.flatnonzero(np.abs(phi[src] + reduced - phi[dst]) <= tol)
-    comp_of = _component_of(len(labels), src[tight], dst[tight])
+    comp_of = strongly_connected_components(n, src[tight], dst[tight])
     # an edge inside one strongly connected component of the tight graph
     # always lies on a tight cycle; any other tight edge is transient
-    keep = tight[comp_of[src[tight]] == comp_of[dst[tight]]]
-    return {(labels[u], labels[v]) for u, v in zip(src[keep].tolist(), dst[keep].tolist())}
+    return tight[comp_of[src[tight]] == comp_of[dst[tight]]], comp_of

@@ -8,7 +8,7 @@ import logging
 import os
 import sys
 
-from .errors import BudgetExceededError, ErgoptError, ParseError, ValidationError
+from .errors import BudgetExceededError, ErgoptError
 from .report import run
 
 
@@ -34,9 +34,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _emit_error(args.out, exc)
         return 3
-    except (ParseError, ValidationError) as exc:
-        _emit_error(args.out, exc)
-        return 2
     except ErgoptError as exc:
         _emit_error(args.out, exc)
         return 2

@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _graph
 from .errors import InadmissibleWordError, ShapeMismatchError, ValidationError
-from .shift import ShiftSpace, Word, admissible_words, build_word_graph, word_to_str
+from .shift import ShiftSpace, Word, _word_index, _WordIndex, admissible_words, word_to_str
 
 Scalar = Fraction | float
 # least |det| / (product of the row norms) of an accepted matrix; the ratio
@@ -36,9 +37,17 @@ class ScalarPotential:
     table: Mapping[Word, Scalar]
 
     def __post_init__(self):
-        words = set(admissible_words(self.space, self.memory))
-        if set(self.table) != words:
+        if self.table.keys() != _word_index(self.space, self.memory).row_of.keys():
             raise ValidationError("potential table must cover exactly the admissible memory-words")
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, int | None]:
+        """The values at the rows of the word index, as the graph kernels
+        take them (`_graph._weights`), built on first use; read-only."""
+        index = _word_index(self.space, self.memory)
+        w, L = _graph._weights([self.table[u] for u in index.words], len(index.nodes))
+        w.flags.writeable = False
+        return w, L
 
     @property
     def is_rational(self) -> bool:
@@ -64,8 +73,8 @@ class ScalarPotential:
             raise ValidationError("cannot lower potential memory")
         if memory == self.memory:
             return self
-        table = {w: self.table[w[: self.memory]] for w in admissible_words(self.space, memory)}
-        return ScalarPotential(self.space, memory, table)
+        words = _word_index(self.space, memory).words
+        return ScalarPotential(self.space, memory, {w: self.table[w[: self.memory]] for w in words})
 
     def __add__(self, other: "ScalarPotential") -> "ScalarPotential":
         if other.space != self.space:
@@ -116,8 +125,7 @@ class MatrixCocycle:
     weight: ScalarPotential | None = field(default=None)
 
     def __post_init__(self):
-        words = set(admissible_words(self.space, self.memory))
-        if set(self.table) != words:
+        if self.table.keys() != _word_index(self.space, self.memory).row_of.keys():
             raise ValidationError("cocycle table must cover exactly the admissible memory-words")
         for w, mat in self.table.items():
             if mat.shape != (self.d, self.d):
@@ -152,23 +160,13 @@ class MatrixCocycle:
     @cached_property
     def _step_table(self) -> "_StepTable":
         """The step table, built on first use and kept for the cocycle's life."""
-        m = self.memory
-        words = admissible_words(self.space, m)
-        row_of = {w: i for i, w in enumerate(words)}
-        nodes, edge_words = build_word_graph(self.space, m)
-        index = {u: i for i, u in enumerate(nodes)}
-        # with memory 1 an edge reads the step of its target letter
-        edges = sorted((index[v], index[u], row_of[w if m >= 2 else v])
-                       for (u, v), w in edge_words.items())
-        steps = np.stack([self.matrix(w) for w in words])
+        index = _word_index(self.space, self.memory)
+        steps = np.stack([self.matrix(w) for w in index.words])
         return _StepTable(
-            row_of=row_of,
-            nodes=tuple(nodes),
+            index=index,
             steps=steps,
-            inverses=np.stack([self.inverse_matrix(w) for w in words]),
+            inverses=np.stack([self.inverse_matrix(w) for w in index.words]),
             norms=_op_norms(steps),
-            ends=np.array([index[w[-max(m - 1, 1):]] for w in words]),
-            edges=np.array(edges, dtype=np.intp),
         )
 
     def lift(self, memory: int) -> "MatrixCocycle":
@@ -176,7 +174,7 @@ class MatrixCocycle:
             raise ValidationError("cannot lower cocycle memory")
         if memory == self.memory:
             return self
-        table = {w: self.table[w[: self.memory]] for w in admissible_words(self.space, memory)}
+        table = {w: self.table[w[: self.memory]] for w in _word_index(self.space, memory).words}
         weight = self.weight.lift(memory) if self.weight is not None else None
         return MatrixCocycle(self.space, self.d, memory, table, weight)
 
@@ -197,33 +195,24 @@ class MatrixCocycle:
         for w, mat in self.table.items():
             s = self.weight.value(w) if self.weight is not None else 0
             a = float(mat[0, 0])
-            if a == 1.0:
-                table[w] = s
-            else:
-                table[w] = float(s) + math.log(abs(a))
+            table[w] = s if a == 1.0 else float(s) + math.log(abs(a))
         return ScalarPotential(self.space, self.memory, table)
 
 
 @dataclass(frozen=True)
 class _StepTable:
     """A cocycle's step matrices, stacked once per cocycle; the arrays are
-    read-only.  Row i is the i-th admissible memory-word in lexicographic
-    order."""
+    read-only.  Row i is row i of the word index of the cocycle's space
+    and memory, which also holds the word graph."""
 
-    row_of: dict[Word, int]
-    nodes: tuple[Word, ...]  # of the memory-word graph
+    index: _WordIndex
     steps: np.ndarray  # (E, d, d): A.matrix of each memory-word
     inverses: np.ndarray  # (E, d, d): A.inverse_matrix of each memory-word
     norms: np.ndarray  # (E,): op norms of the steps
-    ends: np.ndarray  # (E,): the memory-word graph node each word ends in
-    # one (target, source, row of the step read) per edge of that graph,
-    # sorted
-    edges: np.ndarray
 
     def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        for value in (self.steps, self.inverses, self.norms):
+            value.flags.writeable = False
 
 
 def cocycle_product(A: MatrixCocycle, w: Sequence[int]) -> np.ndarray:
@@ -252,7 +241,7 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence):
         return np.zeros(0), np.zeros((0, A.d, A.d))
     windows = np.lib.stride_tricks.sliding_window_view(
         np.array(words, dtype=np.intp), A.memory, axis=1)
-    logscale, P = _row_products(A, _step_rows(A, windows))
+    logscale, P = _row_products(A, _step_rows(A._step_table.index, windows))
     return (logscale, P) if batch else (float(logscale[0]), P[0])
 
 
@@ -286,26 +275,19 @@ def _row_products(A: MatrixCocycle, R: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return logscale, P
 
 
-def _step_rows(A: MatrixCocycle, windows: np.ndarray) -> np.ndarray:
-    """The row of A's step table for each memory-word along the last axis
+def _step_rows(index: _WordIndex, windows: np.ndarray) -> np.ndarray:
+    """The row of the word index for each memory-word along the last axis
     of the integer array `windows`: shape (...) for windows of shape
-    (..., m)."""
-    k, m = A.space.k, A.memory
+    (..., m).  Words are found by their codes (`_WordIndex.powers`)."""
+    k = index.space.k
     if windows.min() < 0 or windows.max() >= k:
         raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
-    row_of = A._step_table.row_of
-    flat = windows.reshape(-1, m)
-    # rank of each window among the distinct windows seen, built up one
-    # letter at a time so that rank * k + letter never overflows
-    rank = np.zeros(len(flat), dtype=np.intp)
-    for i in range(m):
-        _, first, rank = np.unique(rank * k + flat[:, i], return_index=True,
-                                   return_inverse=True)
-    try:
-        rows = np.array([row_of[tuple(w)] for w in flat[first].tolist()], dtype=np.intp)
-    except KeyError as exc:
-        raise InadmissibleWordError(word_to_str(exc.args[0])) from None
-    return rows[rank].reshape(windows.shape[:-1])
+    codes = windows @ index.powers
+    rows = np.searchsorted(index.codes, codes)
+    found = index.codes[np.minimum(rows, len(index.codes) - 1)] == codes
+    if not found.all():
+        raise InadmissibleWordError(word_to_str(windows[~found][0].tolist()))
+    return rows
 
 
 def _op_norms(M: np.ndarray) -> np.ndarray:

@@ -134,7 +134,7 @@ def finite_time_exponents(
     out = np.empty(N)
     carry = None
     for lo in range(0, N, _SCAN_ROWS):
-        P = A._step_table.steps[_step_rows(A, windows[lo:lo + _SCAN_ROWS])]
+        P = A._step_table.steps[_step_rows(A._step_table.index, windows[lo:lo + _SCAN_ROWS])]
         logscale = np.zeros(len(P))
         _renormalise_rows(P, logscale)
         if carry is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -29,8 +29,9 @@ from .cocycle import (
     _step_rows,
     spectral_radius,
 )
-from .errors import BudgetExceededError, ValidationError
-from .shift import Cycle, ShiftSpace, Word, build_word_graph, enumerate_cycles
+from .errors import BudgetExceededError, ShapeMismatchError, ValidationError
+from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, enumerate_cycles
+from .shift import build_word_graph  # noqa: F401  (re-exported)
 
 DEFAULT_N_MAX = 24
 DEFAULT_P_MAX = 12
@@ -41,24 +42,27 @@ NORM_TAG = "spectral-2"
 Node = Word
 
 
-def _as_weight(v: Scalar) -> Scalar:
-    return Fraction(v) if isinstance(v, Rational) else v
+def _edge_weights(index: _WordIndex, f: ScalarPotential) -> tuple[np.ndarray, int | None]:
+    """f's weights on the index's edges; f lives on the index's space and memory."""
+    if f.space != index.space or f.memory != index.memory:
+        raise ShapeMismatchError("the potential's space or memory differs from the word graph's")
+    w, L = f._weights
+    return w[index.rows], L
 
 
-def _word_graph_beta(space: ShiftSpace, f: ScalarPotential):
-    """Word graph of f's memory (nodes, edge words), its edge weights under
-    f, and their maximum cycle mean."""
-    nodes, edge_words = build_word_graph(space, f.memory)
-    weights = {e: _as_weight(f.table[w]) for e, w in edge_words.items()}
-    beta = _graph.max_cycle_mean(nodes, weights)
-    if beta is None:
+def _max_mean(index: _WordIndex, edges, f: ScalarPotential) -> Scalar:
+    """Maximum cycle mean of f over the index's edges at positions `edges`."""
+    w, L = _edge_weights(index, f)
+    val = _graph.max_cycle_mean(len(index.nodes), index.tails[edges], index.heads[edges],
+                                w[edges], L)
+    if val is None:
         raise ValidationError("word graph has no cycle")
-    return nodes, edge_words, weights, beta
+    return val
 
 
 def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
     """Exact maximum ergodic average of a locally constant potential."""
-    return _word_graph_beta(space, f)[-1]
+    return _max_mean(_word_index(space, f.memory), slice(None), f)
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ class CriticalGraph:
     beta: Scalar
     memory: int
     edges: frozenset[tuple[Node, Node]]
-    edge_words: dict[tuple[Node, Node], Word]
     components: tuple[frozenset[Node], ...]
+    # the potential's word graph, and the positions of `edges` in its arrays
+    index: _WordIndex = field(repr=False, compare=False)
+    edge_ids: np.ndarray = field(repr=False, compare=False)
 
     @property
     def nodes(self) -> frozenset[Node]:
@@ -81,13 +87,7 @@ class CriticalGraph:
 
     def contains_cycle(self, c: Cycle) -> bool:
         s = max(self.memory - 1, 1)
-        p = c.period
-        for i in range(p):
-            u = c.window(i, s)
-            v = c.window(i + 1, s)
-            if (u, v) not in self.edges:
-                return False
-        return True
+        return all((c.window(i, s), c.window(i + 1, s)) in self.edges for i in range(c.period))
 
     def is_single_cycle(self) -> bool:
         """True iff the graph is exactly one primitive cycle."""
@@ -149,29 +149,28 @@ class CriticalGraph:
         return Cycle(tuple(v[0] for v in walk))
 
     def max_mean(self, g: ScalarPotential) -> Scalar:
-        """Greatest mean of g over the cycles of the graph; g has the
-        graph's memory."""
-        weights = {e: _as_weight(g.table[w]) for e, w in self.edge_words.items()}
-        val = _graph.max_cycle_mean(sorted(self.nodes), weights)
-        if val is None:
-            raise ValidationError("critical graph has no cycle")
-        return val
+        """Greatest mean of g over the cycles of the graph; g lives on the
+        graph's space and memory."""
+        return _max_mean(self.index, self.edge_ids, g)
 
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
-    nodes, edge_words, weights, beta = _word_graph_beta(space, f)
-    tol = 0 if isinstance(beta, Rational) else 1e-9
-    edges = frozenset(_graph.critical_subgraph(nodes, weights, beta, tol))
-    used = {u for u, _ in edges} | {v for _, v in edges}
-    comps = tuple(
-        frozenset(c) for c in _graph.strongly_connected_components(used, edges) if c
-    )
+    index = _word_index(space, f.memory)
+    beta = _max_mean(index, slice(None), f)
+    w, L = _edge_weights(index, f)
+    keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads, w, L,
+                                             beta, 0 if L is not None else 1e-9)
+    nodes, tails, heads = index.nodes, index.tails[keep], index.heads[keep]
+    # the components of the tight graph that hold a critical edge
+    labels = comp_of[tails]
     return CriticalGraph(
         beta=beta,
         memory=f.memory,
-        edges=edges,
-        edge_words={e: w for e, w in edge_words.items() if e in edges},
-        components=comps,
+        edges=frozenset((nodes[u], nodes[v]) for u, v in zip(tails.tolist(), heads.tolist())),
+        components=tuple(frozenset(nodes[u] for u in tails[labels == c].tolist())
+                         for c in sorted(set(labels.tolist()))),
+        index=index,
+        edge_ids=keep,
     )
 
 
@@ -212,36 +211,43 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | lis
     return _exponents(A, list(c))
 
 
-def _exponents(A: MatrixCocycle, cycles: list[Cycle]) -> list[Scalar]:
-    """`cycle_exponent` of each cycle, in order."""
-    if not cycles:
-        return []
-    if A.is_additive:
-        pot = A.additive_potential()
-        out: list[Scalar] = []
-        for c in cycles:
-            total = sum(pot.value(w) for w in c.windows(pot.memory))
-            out.append(Fraction(total) / c.period if isinstance(total, Rational)
-                       else total / c.period)
-        return out
-    m = A.memory
+def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> list[tuple[list[int], np.ndarray]]:
+    """The cycles grouped by period: their positions in `cycles`, and the
+    (C, p) array of the index rows of their memory-words, step by step."""
     by_period: dict[int, list[int]] = {}
     for i, c in enumerate(cycles):
         by_period.setdefault(c.period, []).append(i)
-    # the memory-word at each step of each cycle, (C, p, m) per period
-    windows = [np.array([cycles[i].word for i in which])
-               [:, (np.arange(p)[:, None] + np.arange(m)) % p]
-               for p, which in by_period.items()]
-    rows = _step_rows(A, np.concatenate([w.reshape(-1, m) for w in windows]))
+    return [(which, _step_rows(index, np.array([cycles[i].word for i in which])
+                               [:, (np.arange(p)[:, None] + np.arange(index.memory)) % p]))
+            for p, which in by_period.items()]
+
+
+def _means(w: np.ndarray, L: int | None, groups: list, count: int) -> np.ndarray:
+    """The mean of each weight row along the last axis of w, scaled by L
+    as `ScalarPotential._weights` scales them, over each of `count` cycles
+    grouped by `_cycle_rows`: shape (..., count), exact Fractions for
+    integer weights, floats summed in step order otherwise."""
+    out = np.empty(w.shape[:-1] + (count,), dtype=float if L is None else object)
+    w = w if L is None else w.astype(object)  # Python ints: exact sums of any length
+    for which, R in groups:
+        p = R.shape[1]
+        total = w[..., R[:, 0]]
+        for j in range(1, p):
+            total += w[..., R[:, j]]
+        out[..., which] = total / p if L is None else np.frompyfunc(Fraction, 2, 1)(total, L * p)
+    return out
+
+
+def _exponents(A: MatrixCocycle, cycles: list[Cycle]) -> list[Scalar]:
+    """`cycle_exponent` of each cycle, in order."""
+    groups = _cycle_rows(_word_index(A.space, A.memory), cycles)
+    if A.is_additive:
+        return _means(*A.additive_potential()._weights, groups, len(cycles)).tolist()
     values = [0.0] * len(cycles)
-    start = 0
-    for p, which in by_period.items():
-        R = rows[start:start + len(which) * p].reshape(len(which), p)
-        start += len(which) * p
+    for which, R in groups:
         logscale, P = _row_products(A, R)
-        rho = spectral_radius(P)
-        for i, ls, r in zip(which, logscale.tolist(), rho.tolist()):
-            values[i] = (ls + math.log(r)) / p
+        for i, ls, r in zip(which, logscale.tolist(), spectral_radius(P).tolist()):
+            values[i] = (ls + math.log(r)) / R.shape[1]
     return values
 
 
@@ -307,10 +313,13 @@ def upper_bound(
     if n < 1:
         raise ValidationError("depth must be >= 1")
     table = A._step_table
+    index = table.index
     steps = table.steps
-    # edges sorted by target, so that children come out sorted by state
-    edges = table.edges.tolist()
-    first = np.argsort(table.ends, kind="stable")
+    # (target, source, step row) per edge, sorted by target, so that children
+    # come out sorted by state; with memory 1 an edge reads its target letter
+    reads = index.heads if A.memory == 1 else index.rows
+    edges = list(zip(index.heads.tolist(), index.tails.tolist(), reads.tolist()))
+    first = np.argsort(index.ends, kind="stable")
     P = steps[first]
     prune_floor = None
     if lower_hint is not None:
@@ -320,8 +329,8 @@ def upper_bound(
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     # blocks (depth, states, log scales, products), each sorted by state
-    stack = [(1, table.ends[first], logscale, P)]
-    state_range = np.arange(len(table.nodes) + 1)
+    stack = [(1, index.ends[first], logscale, P)]
+    state_range = np.arange(len(index.nodes) + 1)
     best = -math.inf
     count = 0
     while stack:
@@ -391,7 +400,7 @@ def _additive_bracket(space: ShiftSpace, A: MatrixCocycle) -> BetaBracket:
     G = critical_graph(space, pot)
     beta = G.beta
     val = float(beta)
-    size = len(build_word_graph(space, pot.memory)[0])
+    size = len(G.index.nodes)
     return BetaBracket(
         lower=val,
         upper=val,

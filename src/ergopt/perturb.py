@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _graph
 from .cocycle import (
     MatrixCocycle,
     Scalar,
@@ -27,13 +28,17 @@ from .cocycle import (
 from .errors import InvalidArgumentError, NoGapError, ShapeMismatchError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
+    _cycle_rows,
+    _means,
     critical_graph,
     cycle_exponent,
     matrix_candidates,
     maximizing_cycles,
     relative_beta,
 )
-from .shift import Cycle, ShiftSpace, admissible_words
+from .shift import Cycle, ShiftSpace, _word_index, admissible_words
+
+_TRIAL_BLOCK = 1024  # most stability trials scored as one array
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,13 @@ def perturbation_sweep(
     diameters: list[Scalar] = []
     dists: list[Scalar] = []
     g = gamma.lift(max(f.memory, gamma.memory))
+    neg = -g
     for eps in eps_grid:
         G = critical_graph(space, f + gamma.scale(eps))
         # every maximizer of f + eps * gamma has gamma-average >= limit
         # (compare it with a maximizer of f of gamma-average limit), so the
         # distance to [limit] depends only on the two extremes
-        values = sorted({-G.max_mean(-g), G.max_mean(g)})
+        values = sorted({-G.max_mean(neg), G.max_mean(g)})
         value_sets.append(tuple(values))
         diameters.append(values[-1] - values[0])
         dists.append(hausdorff_distance(values, [limit]))
@@ -118,7 +124,7 @@ def _scaled_perturbation(
 ) -> ScalarPotential:
     """Draw a scalar perturbation eta of A's memory with cocycle distance
     below delta; `norms` is `_step_norms(A)`."""
-    words = admissible_words(space, A.memory)
+    words = _word_index(space, A.memory).words
     sens = float(norms.sum(axis=0).max())
     if rational:
         scale = Fraction(delta).limit_denominator(10**9) / Fraction(max(1, math.ceil(2 * sens)))
@@ -203,14 +209,18 @@ def stability_radius(
     sens = float(norms.sum(axis=0).max())
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
-    windows = [mu.cycle.windows(A.memory) for mu in measures]
+    index = _word_index(space, A.memory)
+    groups = _cycle_rows(index, [mu.cycle for mu in measures])
     ok = 0
-    for _ in range(trials):
-        eta = _scaled_perturbation(space, A, rng, delta, exact, norms).table
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        etas = [_scaled_perturbation(space, A, rng, delta, exact, norms).table
+                for _ in range(min(_TRIAL_BLOCK, trials - lo))]
+        W, L = _graph._weights([eta[w] for eta in etas for w in index.words], len(index.nodes))
         # exp(eta) commutes with every step: exponents shift by eta-averages
-        new_values = [v + sum(eta[w] for w in ws) / len(ws) for v, ws in zip(values, windows)]
-        new_best = max(range(len(new_values)), key=lambda i: (new_values[i], -i))
-        ok += new_best == best
+        new_values = _means(W.reshape(len(etas), -1), L, groups, len(values))
+        new_values += np.array(values, dtype=new_values.dtype)
+        # ties go to the least index, as in `best`
+        ok += int(np.count_nonzero(new_values.argmax(axis=1) == best))
     return StabilityResult(delta=delta, gap=gap, argmax_index=best,
                            trials=trials, trials_invariant=ok)
 

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyAlphabetError,
     InadmissibleWordError,
     NoCycleError,
     UnreachableError,
+    ValidationError,
 )
 
 Word = tuple[int, ...]
@@ -90,24 +94,18 @@ def new_shift(k: int, allowed: Sequence[Sequence[bool]] | None = None) -> ShiftS
 
 
 def _on_cycle(space: ShiftSpace, a: int) -> bool:
-    # letter lies on a cycle iff some path a -> a of length >= 1 exists
-    seen = set()
-    frontier = deque(space.successors(a))
-    while frontier:
-        b = frontier.popleft()
-        if b == a:
-            return True
-        if b in seen:
-            continue
-        seen.add(b)
-        frontier.extend(space.successors(b))
-    return False
+    """Whether some path a -> a of length >= 1 exists."""
+    try:
+        connect(space, a, a)
+    except UnreachableError:
+        return False
+    return True
 
 
 def admissible_words(space: ShiftSpace, n: int) -> list[Word]:
     """All admissible words of length n, in lexicographic order."""
     if n < 1:
-        raise ValueError("word length must be >= 1")
+        raise ValidationError("word length must be >= 1")
     words: list[Word] = [(a,) for a in range(space.k)]
     for _ in range(n - 1):
         words = [w + (b,) for w in words for b in space.successors(w[-1])]
@@ -129,6 +127,47 @@ def build_word_graph(space: ShiftSpace, memory: int):
             word = u + (b,) if memory >= 2 else u
             edges[(u, v)] = word
     return nodes, edges
+
+
+@dataclass(frozen=True)
+class _WordIndex:
+    """The admissible memory-words of one (space, memory) in lexicographic
+    order, which number the rows of step tables and weight rows, and their
+    word graph.  The arrays are read-only."""
+
+    space: ShiftSpace
+    memory: int
+    words: tuple[Word, ...]
+    row_of: dict[Word, int]
+    powers: np.ndarray  # k^(m-1), ..., k, 1: `windows @ powers` codes words
+    codes: np.ndarray  # of the words, ascending
+    nodes: tuple[Word, ...]  # of the word graph, as `build_word_graph` gives them
+    ends: np.ndarray  # the node each word ends in
+    # per edge, sorted by head: head and tail node, and the row of the word
+    # `build_word_graph` labels it with (the source letter for memory 1)
+    heads: np.ndarray
+    tails: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        for value in (self.powers, self.codes, self.ends, self.heads, self.tails, self.rows):
+            value.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
+    """The word index of (space, memory), built once while it is cached."""
+    words = admissible_words(space, memory)
+    row_of = {w: i for i, w in enumerate(words)}
+    nodes, edge_words = build_word_graph(space, memory)
+    node_of = {u: i for i, u in enumerate(nodes)}
+    edges = sorted((node_of[v], node_of[u], row_of[w]) for (u, v), w in edge_words.items())
+    k, s = space.k, max(memory - 1, 1)
+    powers = np.array([k**i for i in reversed(range(memory))],
+                      dtype=np.int64 if k**memory < 2**63 else object)
+    return _WordIndex(space, memory, tuple(words), row_of, powers, np.array(words) @ powers,
+                      tuple(nodes), np.array([node_of[w[-s:]] for w in words]),
+                      *np.array(edges, dtype=np.intp).reshape(-1, 3).T)
 
 
 @dataclass(frozen=True)
@@ -173,7 +212,7 @@ def make_cycle(space: ShiftSpace, w: Sequence[int]) -> Cycle:
         raise InadmissibleWordError(
             f"word {word_to_str(w)} is not cyclically admissible")
     if not is_primitive(w):
-        raise ValueError(f"word {word_to_str(w)} is not primitive")
+        raise ValidationError(f"word {word_to_str(w)} is not primitive")
     return Cycle(canonical_rotation(w))
 
 
@@ -188,7 +227,7 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     extended (Ruskey-Sawada).
     """
     if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+        raise ValidationError("p_max must be >= 1")
     allowed = space.allowed
     by_period: list[list[Cycle]] = [[] for _ in range(p_max + 1)]
     # (prenecklace w, length p of its longest Lyndon prefix); w is a Lyndon

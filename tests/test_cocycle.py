@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.cocycle import cocycle_log_product, cocycles_equal
+from ergopt.cocycle import _step_rows, cocycle_log_product, cocycles_equal
 from ergopt.errors import (
     InadmissibleWordError,
     ShapeMismatchError,
     ValidationError,
 )
+
+from ergopt.shift import _word_index, build_word_graph
 
 from conftest import sft3_memory2
 
@@ -296,17 +298,60 @@ class TestStepTable:
     def test_table_matches_the_cocycle_and_is_read_only(self):
         space, A = sft3_memory2(5)
         table = A._step_table
+        index = table.index
         words = eo.admissible_words(space, 2)
-        assert list(table.row_of) == words
+        assert list(index.row_of) == list(index.words) == words
         assert np.array_equal(table.steps, np.stack([A.matrix(w) for w in words]))
         assert np.array_equal(table.inverses, np.stack([A.inverse_matrix(w) for w in words]))
         assert np.array_equal(table.norms, [eo.op_norm(A.matrix(w)) for w in words])
         assert A._step_table is table
-        arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 5
+        # the word graph of `build_word_graph`, one edge per position,
+        # sorted by head
+        nodes, edge_words = build_word_graph(space, 2)
+        assert list(index.nodes) == nodes
+        heads, tails, rows = index.heads.tolist(), index.tails.tolist(), index.rows.tolist()
+        assert list(zip(heads, tails)) == sorted(zip(heads, tails))
+        assert {(nodes[u], nodes[v]): words[r] for u, v, r in zip(tails, heads, rows)} == edge_words
+        assert [nodes[e] for e in index.ends.tolist()] == [w[1:] for w in words]
+        arrays = [table.steps, table.inverses, table.norms,
+                  index.powers, index.codes, index.ends, index.heads, index.tails, index.rows]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_step_rows_read_the_index(self):
+        """Every admissible window maps to its row, and a window with a
+        forbidden 2-word is refused, at memory 1 to 4 on an SFT and where
+        the codes of the words pass int64."""
+        space = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+        for m in range(1, 5):
+            index = _word_index(space, m)
+            words = eo.admissible_words(space, m)
+            assert _step_rows(index, np.array(words)).tolist() == list(range(len(words)))
+            if m >= 2:
+                with pytest.raises(InadmissibleWordError):
+                    _step_rows(index, np.array([words[0], (0, 2) + words[0][2:]]))
+        # 70 letters in one cycle: the codes of 11-words pass int64
+        ring = eo.new_shift(70, [[b == (a + 1) % 70 for b in range(70)] for a in range(70)])
+        index = _word_index(ring, 11)
+        assert index.codes.dtype == object
+        words = eo.admissible_words(ring, 11)
+        assert _step_rows(index, np.array(words[::-1])).tolist() == list(range(70))[::-1]
+        with pytest.raises(InadmissibleWordError):
+            _step_rows(index, np.array([words[0][:-1] + (0,)]))
+
+    def test_equal_spaces_share_one_index(self):
+        """Cocycles and potentials on equal spaces, built apart, with the
+        same memory read one word index."""
+        space, A = sft3_memory2(5)
+        same = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+        B = eo.identity_cocycle(same, 2, memory=2)
+        assert space is not same
+        assert A._step_table.index is B._step_table.index is _word_index(same, 2)
+        assert _word_index(same, 1) is not _word_index(same, 2)
+        f = eo.constant_potential(same, Fraction(1), memory=2)
+        assert eo.karp_beta(space, f) == 1
+        assert eo.critical_graph(space, f).index is A._step_table.index
 
 
 class TestListProduct:

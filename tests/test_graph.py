@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergopt._graph import critical_subgraph, max_cycle_mean, strongly_connected_components
+from ergopt._graph import (
+    _weights,
+    critical_subgraph,
+    max_cycle_mean,
+    strongly_connected_components,
+)
 
 
 def closure_components(n, edges):
@@ -24,6 +29,17 @@ def closure_components(n, edges):
     return {frozenset(np.flatnonzero(row).tolist()) for row in R & R.T}
 
 
+def components(n, edges):
+    """The components as sets of nodes, from the labels
+    `strongly_connected_components` gives the nodes 0..n-1."""
+    arcs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    labels = strongly_connected_components(n, arcs[:, 0], arcs[:, 1]).tolist()
+    comps = {}
+    for v, c in enumerate(labels):
+        comps.setdefault(c, set()).add(v)
+    return list(comps.values())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_matches_reachability_closure(seed):
     rng = np.random.default_rng(seed)
@@ -35,7 +51,7 @@ def test_matches_reachability_closure(seed):
         A[isolated, :] = False
         A[:, isolated] = False
         edges = list(zip(*(a.tolist() for a in np.nonzero(A))))
-        comps = strongly_connected_components(range(n), edges)
+        comps = components(n, edges)
         assert sum(len(c) for c in comps) == n
         assert {frozenset(c) for c in comps} == closure_components(n, edges)
 
@@ -43,12 +59,32 @@ def test_matches_reachability_closure(seed):
 def test_long_chain_needs_no_recursion():
     n = 10_000
     chain = [(i, i + 1) for i in range(n - 1)]
-    assert len(strongly_connected_components(range(n), chain)) == n
-    assert strongly_connected_components(range(n), chain + [(n - 1, 0)]) == [set(range(n))]
+    assert len(components(n, chain)) == n
+    assert components(n, chain + [(n - 1, 0)]) == [set(range(n))]
 
 
 # ---------------------------------------------------------------------------
 # maximum cycle mean and critical subgraph against brute-force oracles
+
+def as_arrays(n, edges):
+    """A graph {(u, v): weight} on nodes 0..n-1 as the kernels take it:
+    tails and heads sorted by head, and the weights scaled by `_weights`."""
+    arcs = sorted((v, u, w) for (u, v), w in edges.items())
+    src = np.array([u for _, u, _ in arcs], dtype=np.intp)
+    dst = np.array([v for v, _, _ in arcs], dtype=np.intp)
+    return (n, src, dst, *_weights([w for _, _, w in arcs], n))
+
+
+def mean_of(n, edges):
+    return max_cycle_mean(*as_arrays(n, edges))
+
+
+def critical_of(n, edges, beta):
+    """The critical edges as (u, v) pairs, and the tight components."""
+    n, src, dst, w, L = as_arrays(n, edges)
+    keep, comp_of = critical_subgraph(n, src, dst, w, L, beta)
+    return set(zip(src[keep].tolist(), dst[keep].tolist())), comp_of.tolist()
+
 
 def simple_cycles(n, edges):
     """Oracle: every simple cycle, as a node list, by depth-first search from
@@ -106,7 +142,7 @@ def test_max_cycle_mean_matches_simple_cycles(kind):
     for _ in range(300):
         n, edges = random_digraph(rng, lambda: WEIGHTS[kind](rng))
         expected = oracle_mean(n, edges)
-        got = max_cycle_mean(list(range(n)), edges)
+        got = mean_of(n, edges)
         if expected is None:
             assert got is None
         elif kind == "float":
@@ -132,7 +168,7 @@ def test_max_cycle_mean_beyond_int64_is_exact():
         if not edges or math.lcm(*(w.denominator for w in edges.values())) <= 2**62:
             continue
         tested += 1
-        assert max_cycle_mean(list(range(n)), edges) == oracle_mean(n, edges)
+        assert mean_of(n, edges) == oracle_mean(n, edges)
     assert tested >= 20
 
 
@@ -143,7 +179,7 @@ def test_max_cycle_mean_separates_near_ties(base):
     rng = np.random.default_rng(4)
     for _ in range(200):
         n, edges = random_digraph(rng, lambda: base + int(rng.integers(-3, 4)))
-        assert max_cycle_mean(list(range(n)), edges) == oracle_mean(n, edges)
+        assert mean_of(n, edges) == oracle_mean(n, edges)
 
 
 def test_max_cycle_mean_int64_bound():
@@ -152,7 +188,7 @@ def test_max_cycle_mean_int64_bound():
     n = 6
     edges = {(i, (i + 1) % n): 2**60 + i for i in range(n)}
     edges[(0, 0)] = -(2**60)
-    assert max_cycle_mean(list(range(n)), edges) == Fraction(n * 2**60 + 15, n)
+    assert mean_of(n, edges) == Fraction(n * 2**60 + 15, n)
 
 
 def reduced_closure(n, edges, beta):
@@ -191,7 +227,7 @@ def test_critical_subgraph_matches_closure(kind):
         beta = oracle_mean(n, edges)
         if beta is None:
             continue
-        assert critical_subgraph(list(range(n)), edges, beta) == oracle_critical(n, edges, beta)
+        assert critical_of(n, edges, beta)[0] == oracle_critical(n, edges, beta)
 
 
 def test_critical_ties_across_two_components():
@@ -202,8 +238,9 @@ def test_critical_ties_across_two_components():
     edges = {(0, 1): Fraction(1), (1, 0): Fraction(0), (1, 1): Fraction(0),
              (1, 2): Fraction(5),
              (2, 3): h, (3, 2): h, (3, 4): Fraction(0), (4, 3): Fraction(0)}
-    nodes = list(range(5))
-    assert max_cycle_mean(nodes, edges) == h
+    assert mean_of(5, edges) == h
     expected = {(0, 1), (1, 0), (2, 3), (3, 2)}
     assert oracle_critical(5, edges, h) == expected
-    assert critical_subgraph(nodes, edges, h) == expected
+    critical, comp_of = critical_of(5, edges, h)
+    assert critical == expected
+    assert comp_of[0] == comp_of[1] != comp_of[2] == comp_of[3]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.errors import ValidationError
+from ergopt.errors import ShapeMismatchError, ValidationError
 from ergopt.optimize import build_word_graph
 
 from conftest import (
@@ -172,6 +172,35 @@ class TestRelativeBeta:
     def test_unique_argmax_gives_its_mean(self, full2, step_potential):
         gamma = eo.ScalarPotential(full2, 1, {(0,): Fraction(9), (1,): Fraction(-4)})
         assert eo.relative_beta(full2, step_potential, gamma) == Fraction(-4)
+
+
+class TestMismatch:
+    """A potential read on another space or memory than the word graph's
+    is refused, not solved on the wrong graph."""
+
+    def test_larger_alphabet(self, step_potential):
+        k3 = eo.new_shift(3)
+        with pytest.raises(ShapeMismatchError):
+            eo.karp_beta(k3, step_potential)
+        with pytest.raises(ShapeMismatchError):
+            eo.critical_graph(k3, step_potential)
+
+    def test_sub_shift(self, golden, step_potential):
+        with pytest.raises(ShapeMismatchError):
+            eo.karp_beta(golden, step_potential)
+        with pytest.raises(ShapeMismatchError):
+            eo.critical_graph(golden, step_potential)
+
+    def test_gamma_on_another_space(self, full2, step_potential):
+        gamma = eo.constant_potential(eo.new_shift(3), Fraction(1))
+        with pytest.raises(ShapeMismatchError):
+            eo.relative_beta(full2, step_potential, gamma)
+
+    def test_max_mean_of_another_memory(self, full2, step_potential):
+        G = eo.critical_graph(full2, step_potential)
+        with pytest.raises(ShapeMismatchError):
+            G.max_mean(step_potential.lift(2))
+        assert G.max_mean(step_potential) == 1
 
 
 class TestCycleExponent:

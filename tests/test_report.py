@@ -203,6 +203,24 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["error"]["code"] == "ParseError"
 
+    @pytest.mark.parametrize("cfg", [
+        {"potential": STEP_POTENTIAL, "experiment": "birkhoff", "params": {"p_max": 0}},
+        {"potential": STEP_POTENTIAL, "experiment": "probe",
+         "params": {"n_samples": 2, "delta": 0.1, "seed": 1, "p_max": 0}},
+        {"potential": {"memory": 0, "values": {"0": "0", "1": "1"}},
+         "experiment": "birkhoff", "params": {}},
+        {"cocycle": {**FIB_COCYCLE, "memory": 0}, "experiment": "beta", "params": {}},
+        {"cocycle": FIB_COCYCLE, "experiment": "lambda",
+         "params": {"seed": 1, "measures": [{"cycle": "0101"}, {"cycle": "0"}]}},
+    ], ids=["birkhoff_p_max_0", "exact_probe_p_max_0", "potential_memory_0",
+            "cocycle_memory_0", "lambda_non_primitive_cycle"])
+    def test_bad_config_exits_2_with_an_error_report(self, tmp_path, cfg):
+        out = tmp_path / "err.json"
+        code = cli.main(["--config", str(write_config(tmp_path, {"system": {"alphabet": 2}, **cfg})),
+                         "--out", str(out)])
+        assert code == 2
+        assert json.loads(out.read_text())["error"]["code"] == "ValidationError"
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         cfg = {
             "system": {"alphabet": 2},
