@@ -292,9 +292,15 @@ def _step_rows(index: _WordIndex, windows: np.ndarray) -> np.ndarray:
 
 def _op_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack (N, d, d); for
-    d = 1 the modulus, which keeps the scalar layer off LAPACK."""
+    d = 1 the modulus, which keeps the scalar layer off LAPACK, and for
+    d = 2 the closed form (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2
+    of [[a, b], [c, d]], on the halved entries so that no sum overflows."""
     if M.shape[1:] == (1, 1):
         return np.abs(M[:, 0, 0])
+    if M.shape[1:] == (2, 2):
+        h = 0.5 * M
+        a, b, c, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+        return np.hypot(a + d, b - c) + np.hypot(a - d, b + c)
     return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 

@@ -121,10 +121,10 @@ def finite_time_exponents(
     """The series (1/n) log norm of the n-step product along x, n = 1..N.
 
     x is either (preamble, Cycle) or a BlockSchedule.  The prefix products
-    P_n = M_n ... M_1 come from a log-depth scan over chunks of at most
+    P_n = M_n ... M_1 come from a two-level scan over chunks of at most
     _SCAN_ROWS steps, each chunk continuing from the last product of the one
-    before; rows are renormalised after every round, accumulating their log
-    scales, so the values stay exact to within rounding at any N.
+    before; products are renormalised after every step, accumulating their
+    log scales, so the values stay exact to within rounding at any N.
     """
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
@@ -132,26 +132,72 @@ def finite_time_exponents(
     symbols = np.fromiter(itertools.islice(_symbol_stream(x), count), dtype=np.intp, count=count)
     windows = np.lib.stride_tricks.sliding_window_view(symbols, A.memory)
     out = np.empty(N)
-    carry = None
+    carry = (0.0, 0.0, np.eye(A.d))
     for lo in range(0, N, _SCAN_ROWS):
-        P = A._step_table.steps[_step_rows(A._step_table.index, windows[lo:lo + _SCAN_ROWS])]
-        logscale = np.zeros(len(P))
-        _renormalise_rows(P, logscale)
-        if carry is not None:
-            P[0] = P[0] @ carry[1]
-            logscale[0] += carry[0]
-        # Hillis-Steele: after the round with shift s, row i holds the
-        # product of the last min(2s, i + 1) steps up to step lo + i
-        s = 1
-        while s < len(P):
-            P[s:] = P[s:] @ P[:-s]
-            logscale[s:] = logscale[s:] + logscale[:-s]
-            _renormalise_rows(P, logscale)
-            s *= 2
-        n = np.arange(lo + 1, lo + len(P) + 1)
-        out[lo:lo + len(P)] = (logscale + np.log(_op_norms(P))) / n
-        carry = (logscale[-1], P[-1])
+        rows = _step_rows(A._step_table.index, windows[lo:lo + _SCAN_ROWS])
+        carry = _scan_chunk(A._step_table.steps, rows, carry, lo, out)
     return out
+
+
+def _running_sums(total: float, comp: float, terms: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums of `terms` after total + comp as two arrays hi and
+    lo, compensated (Neumaier): hi + lo is each sum to within about one
+    rounding of its own size, however many terms came before."""
+    hi, lo = [], []
+    for x in terms:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        hi.append(total)
+        lo.append(comp)
+    return np.array(hi), np.array(lo)
+
+
+def _scan_chunk(steps: np.ndarray, rows: np.ndarray, carry, start: int, out: np.ndarray):
+    """Write the series at steps start + 1 .. start + n of the n step rows
+    `rows` into out, continuing from carry = (hi, lo, product) of the first
+    start steps, whose log scale is hi + lo; return the carry of the first
+    start + n steps.
+
+    The n steps are cut into b = isqrt(n) blocks of s = ceil(n / b), the
+    last one padded by repeating its final step.  One batched product per
+    position scans all blocks at once, a sequential scan of the b block
+    totals gives the product before each block, and one more batched
+    product joins the two: about 2n products in 2s + b numpy steps.  The
+    log scales before each block, which grow with n, are summed
+    compensated and added last, so each value is rounded about once at
+    its own size.
+    """
+    n, d = len(rows), steps.shape[1]
+    b = math.isqrt(n)
+    s = -(-n // b)
+    # Q[j, i] and L[j, i]: the product of steps i s .. i s + j of the chunk
+    Q = steps[np.pad(rows, (0, b * s - n), mode="edge").reshape(b, s).T.reshape(-1)]
+    L = np.zeros(len(Q))
+    _renormalise_rows(Q, L)
+    Q, L = Q.reshape(s, b, d, d), L.reshape(s, b)
+    for j in range(1, s):
+        Q[j] = Q[j] @ Q[j - 1]
+        L[j] += L[j - 1]
+        _renormalise_rows(Q[j], L[j])
+    # C[i]: the product of every step before block i, with log scale
+    # hi[i] + lo[i]; g[i] is the log scale of C[i] over C[i - 1]
+    C = np.empty((b, d, d))
+    C[0] = carry[2]
+    g = np.zeros(b)
+    g[1:] = L[-1, :-1]
+    for i in range(1, b):
+        C[i] = Q[-1, i - 1] @ C[i - 1]
+        _renormalise_rows(C[i:i + 1], g[i:i + 1])
+    hi, lo = _running_sums(carry[0], carry[1], g.tolist())
+    P = (Q @ C).reshape(-1, d, d)
+    small = (L + lo).reshape(-1)
+    _renormalise_rows(P, small)
+    # back from (position, block) to step order
+    values = ((small + np.log(_op_norms(P))).reshape(s, b) + hi).T.reshape(-1)[:n]
+    out[start:start + n] = values / np.arange(start + 1, start + n + 1)
+    last = (n - 1) % s * b + (n - 1) // s
+    return hi[last % b], small[last], P[last]
 
 
 def oscillation(series: Sequence[float]) -> tuple[float, float, float]:

@@ -50,11 +50,10 @@ def _edge_weights(index: _WordIndex, f: ScalarPotential) -> tuple[np.ndarray, in
     return w[index.rows], L
 
 
-def _max_mean(index: _WordIndex, edges, f: ScalarPotential) -> Scalar:
-    """Maximum cycle mean of f over the index's edges at positions `edges`."""
+def _max_mean(index: _WordIndex, f: ScalarPotential) -> Scalar:
+    """Maximum cycle mean of f over the index's word graph."""
     w, L = _edge_weights(index, f)
-    val = _graph.max_cycle_mean(len(index.nodes), index.tails[edges], index.heads[edges],
-                                w[edges], L)
+    val = _graph.max_cycle_mean(len(index.nodes), index.tails, index.heads, w, L)
     if val is None:
         raise ValidationError("word graph has no cycle")
     return val
@@ -62,7 +61,7 @@ def _max_mean(index: _WordIndex, edges, f: ScalarPotential) -> Scalar:
 
 def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
     """Exact maximum ergodic average of a locally constant potential."""
-    return _max_mean(_word_index(space, f.memory), slice(None), f)
+    return _max_mean(_word_index(space, f.memory), f)
 
 
 @dataclass(frozen=True)
@@ -151,12 +150,20 @@ class CriticalGraph:
     def max_mean(self, g: ScalarPotential) -> Scalar:
         """Greatest mean of g over the cycles of the graph; g lives on the
         graph's space and memory."""
-        return _max_mean(self.index, self.edge_ids, g)
+        w, L = _edge_weights(self.index, g)
+        tails, heads = self.index.tails[self.edge_ids], self.index.heads[self.edge_ids]
+        # number the nodes the edges touch 0..k-1, in order (so the edges
+        # stay sorted by head): Karp and Tarjan then visit only those
+        used = np.zeros(len(self.index.nodes), dtype=bool)
+        used[tails] = used[heads] = True
+        label = np.cumsum(used) - 1
+        return _graph.max_cycle_mean(int(label[-1]) + 1, label[tails], label[heads],
+                                     w[self.edge_ids], L)
 
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
     index = _word_index(space, f.memory)
-    beta = _max_mean(index, slice(None), f)
+    beta = _max_mean(index, f)
     w, L = _edge_weights(index, f)
     keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads, w, L,
                                              beta, 0 if L is not None else 1e-9)
@@ -217,9 +224,16 @@ def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> list[tuple[list[i
     by_period: dict[int, list[int]] = {}
     for i, c in enumerate(cycles):
         by_period.setdefault(c.period, []).append(i)
-    return [(which, _step_rows(index, np.array([cycles[i].word for i in which])
-                               [:, (np.arange(p)[:, None] + np.arange(index.memory)) % p]))
-            for p, which in by_period.items()]
+    if not by_period:
+        return []
+    # the windows of every period, looked up in one call
+    windows = [np.array([cycles[i].word for i in which])
+               [:, (np.arange(p)[:, None] + np.arange(index.memory)) % p].reshape(-1, index.memory)
+               for p, which in by_period.items()]
+    rows = _step_rows(index, np.concatenate(windows))
+    ends = np.cumsum([len(w) for w in windows])
+    return [(which, R.reshape(len(which), p))
+            for (p, which), R in zip(by_period.items(), np.split(rows, ends[:-1]))]
 
 
 def _means(w: np.ndarray, L: int | None, groups: list, count: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import time
@@ -291,7 +292,9 @@ def _exp_irregular(space, cfg, params):
         "tail_max": num(tail_hi),
         "N": N,
     }
-    rows = [("n", "exponent")] + [(n + 1, repr(float(v))) for n, v in enumerate(series)]
+    # formatted only if a series file is written
+    rows = itertools.chain([("n", "exponent")],
+                           zip(range(1, N + 1), map(repr, series.tolist())))
     return results, rows
 
 
@@ -375,6 +378,9 @@ def serialize_body(body: dict) -> str:
 
 def run_config(cfg: dict, cache_dir: str | Path | None = None, threads: int = 1):
     """Execute one experiment config, returning (body, series_rows, cached).
+
+    The series rows of an `irregular` config are a one-pass iterable,
+    formatted as it is read.
 
     `threads` is accepted for callers that pass it and selects nothing:
     every experiment runs on one thread.

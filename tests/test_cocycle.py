@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.cocycle import _step_rows, cocycle_log_product, cocycles_equal
+from ergopt.cocycle import _op_norms, _step_rows, cocycle_log_product, cocycles_equal
 from ergopt.errors import (
     InadmissibleWordError,
     ShapeMismatchError,
@@ -164,6 +165,29 @@ class TestNorms:
         # shear: largest singular value is sqrt((3 + sqrt 5) / 2) = phi
         shear = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert eo.op_norm(shear) == pytest.approx(PHI, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "near_rank_one", "orthogonal"])
+    def test_2x2_closed_form_matches_svd(self, kind):
+        """Oracle: the largest singular value from LAPACK, on stacks scaled
+        matrix by matrix over 1e-100 .. 1e100."""
+        rng = np.random.default_rng(["random", "near_rank_one", "orthogonal"].index(kind))
+        n = 100_000
+        if kind == "random":
+            M = rng.standard_normal((n, 2, 2))
+        elif kind == "near_rank_one":
+            u, v = rng.standard_normal((n, 2, 1)), rng.standard_normal((n, 1, 2))
+            M = u @ v + 10.0 ** rng.uniform(-17, -8, (n, 1, 1)) * rng.standard_normal((n, 2, 2))
+        else:
+            t = rng.uniform(0, 2 * np.pi, n)
+            c, s = np.cos(t), np.sin(t)
+            M = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+            M[::2, 1] *= -1  # reflections as well as rotations
+        M *= 10.0 ** rng.uniform(-100, 100, (n, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _op_norms(M)
+        want = np.linalg.svd(M, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
     def test_spectral_radius_examples(self):
         assert eo.spectral_radius(np.diag([2.0, -3.0])) == pytest.approx(3.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import islice
@@ -7,6 +8,7 @@ import pytest
 
 import ergopt as eo
 from ergopt.errors import EqualExponentsError, TooShortError, ValidationError
+from ergopt.irregular import _SCAN_ROWS
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -14,6 +16,53 @@ PHI = (1 + math.sqrt(5)) / 2
 def scalar_step_cocycle(full2):
     f = eo.ScalarPotential(full2, 1, {(0,): Fraction(0), (1,): Fraction(1)})
     return eo.from_potential(f)
+
+
+SCAN_N_MAX = 3 * _SCAN_ROWS + 7
+
+
+@functools.lru_cache(maxsize=None)
+def scan_case(d, memory, kind):
+    """A cocycle on the full 3-shift, a point along it given as a random
+    preamble of SCAN_N_MAX steps, and the oracle series over all of them.
+
+    "gaussian" steps are standard normal; "extreme" steps are
+    diag(10^60q) times them, q a rotation of (1, -1, 0) chosen by the last
+    letter, so a product leaves [1e-100, 1e100] within two steps."""
+    space = eo.new_shift(3)
+    rng = np.random.default_rng(100 * d + 10 * memory + (kind == "extreme"))
+    table = {}
+    for w in eo.admissible_words(space, memory):
+        step = rng.standard_normal((d, d))
+        if kind == "extreme":
+            step = np.diag(10.0 ** (60 * np.roll([1, -1, 0], w[-1])[:d])) @ step
+        table[w] = step
+    A = eo.MatrixCocycle(space, d, memory, table)
+    preamble = tuple(rng.integers(0, 3, SCAN_N_MAX + memory - 1).tolist())
+    return space, A, (preamble, eo.make_cycle(space, (0,))), sequential_series(A, preamble)
+
+
+def sequential_series(A, symbols):
+    """Oracle: one product M @ P per step, divided by its largest entry,
+    the logs of the divisors summed with Neumaier's compensation, and the
+    2-norms from one batched `numpy.linalg.svd` call, added to the
+    compensation before the sum."""
+    m = A.memory
+    N = len(symbols) - m + 1
+    P = np.eye(A.d)
+    total = comp = 0.0
+    products, totals, comps = np.empty((N, A.d, A.d)), np.empty(N), np.empty(N)
+    for n in range(N):
+        P = A.table[symbols[n:n + m]] @ P
+        big = np.abs(P).max()
+        P = P / big
+        x = math.log(big)
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        products[n], totals[n], comps[n] = P, total, comp
+    norms = np.linalg.svd(products, compute_uv=False)[:, 0]
+    return ((comps + np.log(norms)) + totals) / np.arange(1, N + 1)
 
 
 class TestSchedule:
@@ -129,6 +178,20 @@ class TestFiniteTimeExponents:
                 logscale += math.log(big)
             want[n - 1] = (logscale + math.log(np.linalg.norm(P, 2))) / n
         np.testing.assert_allclose(series, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "extreme"])
+    @pytest.mark.parametrize("memory", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scan_matches_the_sequential_oracle(self, d, memory, kind):
+        """Every N where the blocks or chunks of the scan change shape:
+        one block, a square, a square and one, one chunk, a chunk and one,
+        and four chunks, the last one short."""
+        space, A, x, want = scan_case(d, memory, kind)
+        b = 12
+        for N in (1, 2, 3, b * b, b * b + 1, _SCAN_ROWS, _SCAN_ROWS + 1, SCAN_N_MAX):
+            series = eo.finite_time_exponents(space, A, x, N)
+            assert series.shape == (N,)
+            np.testing.assert_allclose(series, want[:N], rtol=0, atol=1e-13, err_msg=f"N = {N}")
 
     def test_length_validation(self, full2, fib_pair):
         x = ((), eo.make_cycle(full2, (0,)))

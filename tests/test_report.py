@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import ergopt as eo
 from ergopt import cli, report
 from ergopt.errors import ParseError, ValidationError
 
@@ -193,6 +194,35 @@ class TestCli:
         assert rep["cached"] is False
         assert rep["body"]["experiment"] == "beta"
         assert series.read_text().startswith("kind,n_or_p,value")
+
+    def test_irregular_series_is_written_only_when_asked(self, tmp_path):
+        """N + 1 lines, header first, each value the series value exactly;
+        without out.series nothing is written beside the report."""
+        cfg = {
+            "system": {"alphabet": 2},
+            "cocycle": FIB_COCYCLE,
+            "experiment": "irregular",
+            "params": {"c1": "01", "c2": "001", "ratio": 3.0, "depth": 6, "N": 3000},
+        }
+        space = eo.new_shift(2)
+        A = report.parse_cocycle(space, FIB_COCYCLE)
+        schedule = eo.build_irregular_point(space, A, eo.make_cycle(space, (0, 1)),
+                                            eo.make_cycle(space, (0, 0, 1)), r=3.0, J=6)
+        want = eo.finite_time_exponents(space, A, schedule, 3000)
+
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        report.run(write_config(bare, cfg), bare / "report.json")
+        assert sorted(p.name for p in bare.iterdir()) == ["cfg.json", "report.json"]
+
+        series = tmp_path / "series.csv"
+        cfg["out"] = {"series": str(series)}
+        report.run(write_config(tmp_path, cfg), tmp_path / "report.json")
+        lines = series.read_text().splitlines()
+        assert len(lines) == 3001
+        assert lines[0] == "n,exponent"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(1, 3001)]
+        assert [float(line.split(",")[1]) for line in lines[1:]] == want.tolist()
 
     def test_malformed_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
