@@ -5,8 +5,13 @@ A graph is a node count n and edge arrays: tails `src` and heads `dst` in
 Rational weights are scaled by the lcm L of their denominators to
 integers: int64 when the input bounds every sum the kernels form, Python
 ints in object arrays otherwise.  Float weights run in float64, where each
-relaxation is one add and an exact max, as in a loop over the edges.  Both
-routines run through one max-plus kernel, `_relax`.
+relaxation is one add and an exact max, as in a loop over the edges.
+
+Both routines read one Karp walk table, `_walks`, built by one max-plus
+kernel, `_relax`.  Every node starts a walk, as if a virtual source were
+joined to each, so one table serves any digraph, strongly connected or
+not (Karp 1978).  `max_cycle_mean` applies Karp's formula to the table;
+`critical_subgraph` also reads the node potentials from it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
+
+_TOL = 1e-9  # float weights: how far from a potential difference an edge is still tight
 
 
 def strongly_connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -63,9 +70,10 @@ def strongly_connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> n
 
 
 def _int_dtype(n: int, big: int):
-    """int64 when (n + 1)^2 big < 2^62, for big >= every |weight|: that
-    bounds every walk weight of at most n edges, difference of two and
-    product with a length <= n that the kernels form; Python ints otherwise."""
+    """int64 when (n + 1)^2 big < 2^62, for big >= every |weight|; Python
+    ints otherwise.  Every value the kernels form then stays within
+    2 (n + 1)^2 big < 2^63: walk weights of at most n edges, their
+    differences times a length <= n, the potentials and the tightness sums."""
     return np.int64 if (n + 1) ** 2 * big < 2**62 else object
 
 
@@ -87,91 +95,79 @@ def _relax(x: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     return dst[starts], np.maximum.reduceat(x[src] + w, starts)
 
 
-def _karp(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
-    """Karp's maximum cycle mean of a strongly connected graph on nodes
-    0..n-1, edges sorted by head: a float for float weights, else the
-    pair (num, den), den > 0, of integers.  The walks start at node 0, so
-    float sums are formed in a fixed order."""
-    # D[k, v] = max weight of a k-edge walk 0 -> v, where reached[k, v]
+def _walks(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """Karp's walk table for k = 0..n: D[k, v], the largest weight of a
+    k-edge walk ending at v, where reached[k, v] says one exists.  Walks
+    start at every node (D[0] = 0), and reached[k] lies inside reached[k-1]."""
     D = np.zeros((n + 1, n), dtype=w.dtype)
     reached = np.zeros((n + 1, n), dtype=bool)
-    reached[0, 0] = True
+    reached[0] = True
     for k in range(1, n + 1):
         keep = reached[k - 1, src]
+        if not keep.any():
+            break
         heads, best = _relax(D[k - 1], src[keep], dst[keep], w[keep])
         D[k, heads] = best
         reached[k, heads] = True
+    return D, reached
+
+
+def _karp(n: int, D: np.ndarray, reached: np.ndarray):
+    """Karp's maximum cycle mean over a walk table: a float for float
+    weights, else a Fraction; None when no n-edge walk, and so no cycle,
+    exists."""
     last = reached[n]
-    # max over v of min over k of (D[n, v] - D[k, v]) / (n - k)
-    if w.dtype.kind == "f":
+    if not last.any():
+        return None
+    # max over v of min over k of (D[n, v] - D[k, v]) / (n - k); a walk
+    # counted in D[n, v] ends with a k-edge walk for every k
+    if D.dtype.kind == "f":
         means = (D[n] - D[:n]) / np.arange(n, 0, -1)[:, None]
-        return float(np.min(means, axis=0, where=reached[:n], initial=np.inf)[last].max())
+        return float(means.min(axis=0)[last].max())
     # the least so far, num / den, compared by cross-multiplication
-    num, den, has = D[n] - D[0], np.full(n, n), reached[0].copy()
+    num, den = D[n] - D[0], np.full(n, n)
     for k in range(1, n):
         cand = D[n] - D[k]
-        take = reached[k] & (~has | (cand * den < num * (n - k)))
+        take = cand * den < num * (n - k)
         num, den = np.where(take, cand, num), np.where(take, n - k, den)
-        has |= reached[k]
-    best = None
-    for a, b in zip(num[last].tolist(), den[last].tolist()):
-        if best is None or a * best[1] > best[0] * b:
-            best = (a, b)
-    return best
+    return max(map(Fraction, num[last].tolist(), den[last].tolist()))
 
 
 def max_cycle_mean(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None):
-    """Karp's maximum cycle mean, run per strongly connected component.
+    """Karp's maximum cycle mean.
 
     Returns None when the graph has no cycle.  Exact, as a Fraction, for
     integer weights scaled by L; a float for float weights (L None).
     """
-    comp_of = strongly_connected_components(n, src, dst)
-    inside = comp_of[src] == comp_of[dst]
-    best = None
-    for c in sorted(set(comp_of[src[inside]].tolist())):
-        members = np.flatnonzero(comp_of == c)
-        sel = np.flatnonzero(inside & (comp_of[src] == c))
-        mean = _karp(len(members), np.searchsorted(members, src[sel]),
-                     np.searchsorted(members, dst[sel]), w[sel])
-        if L is not None:
-            mean = Fraction(mean[0], mean[1] * L)
-        if best is None or mean > best:
-            best = mean
-    return best
+    mean = _karp(n, *_walks(n, src, dst, w))
+    return mean if mean is None or L is None else mean / L
 
 
-def critical_subgraph(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None,
-                      beta: Fraction | float, tol: Fraction | float = 0):
-    """Edges lying on some cycle of mean exactly beta: their positions, and
-    the strongly connected component of each node in the graph of tight
-    edges.
+def critical_subgraph(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None):
+    """The maximum cycle mean beta as `max_cycle_mean` gives it (None when
+    there is no cycle), the positions of the edges lying on some cycle of
+    mean exactly beta, and the strongly connected component of each node
+    in the graph of tight edges.
 
-    Subtract beta, compute node potentials as maximal reduced walk weights
-    (all reduced cycle weights are <= 0, so n Bellman passes reach the
-    fixed point), keep tight edges, then keep only edges inside a strongly
-    connected component of the tight graph.  Integer weights run on the
-    integers L' * (w / L - beta), L' the lcm of L and beta's denominator.
+    With beta L = num / den, every reduced cycle weight under den w - num
+    is <= 0.  So the largest reduced weight of a walk into v, the fixed
+    point of a Bellman-Ford pass from every node, is reached within n
+    edges: phi(v) = max_k (den D[k, v] - k num).  An edge is tight when
+    phi[src] + den w - num == phi[dst], within _TOL for float weights.
     """
-    if L is None:
-        reduced = w - float(beta)
-    else:
-        beta = Fraction(beta)
-        L2 = math.lcm(L, beta.denominator)
-        f, b = L2 // L, beta.numerator * (L2 // beta.denominator)
-        big = int(np.abs(w).max()) * f + abs(b)  # bounds every reduced weight
-        reduced = w.astype(_int_dtype(n, big)) * f - b
-        tol = math.floor(tol * L2)
-    phi = np.zeros(n, dtype=reduced.dtype)
-    for _ in range(n):
-        heads, best = _relax(phi, src, dst, reduced)
-        new = phi.copy()
-        new[heads] = np.maximum(phi[heads], best)
-        if (new == phi).all():
-            break
-        phi = new
-    tight = np.flatnonzero(np.abs(phi[src] + reduced - phi[dst]) <= tol)
+    D, reached = _walks(n, src, dst, w)
+    mean = _karp(n, D, reached)
+    if mean is None:
+        return None, np.empty(0, dtype=np.intp), np.arange(n)
+    num, den = (mean, 1) if L is None else (mean.numerator, mean.denominator)
+    k = np.arange(n + 1, dtype=w.dtype)[:, None]
+    phi = np.where(reached, den * D - k * num, 0).max(axis=0)  # k = 0 gives 0
+    # compared with phi[dst], not subtracted from it: in int64 the
+    # difference could wrap, where the sum stays inside `_int_dtype`'s bound
+    into = phi[src] + (den * w - num)
+    tight = np.flatnonzero(into == phi[dst] if L is not None else np.abs(into - phi[dst]) <= _TOL)
     comp_of = strongly_connected_components(n, src[tight], dst[tight])
     # an edge inside one strongly connected component of the tight graph
     # always lies on a tight cycle; any other tight edge is transient
-    return tight[comp_of[src[tight]] == comp_of[dst[tight]]], comp_of
+    beta = mean if L is None else mean / L
+    return beta, tight[comp_of[src[tight]] == comp_of[dst[tight]]], comp_of

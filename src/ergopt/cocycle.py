@@ -142,20 +142,24 @@ class MatrixCocycle:
 
     def matrix(self, w: Sequence[int]) -> np.ndarray:
         """Effective single-step matrix on the cylinder of w."""
-        key = tuple(w[: self.memory])
-        if key not in self.table:
-            raise InadmissibleWordError(word_to_str(w))
-        mat = self.table[key]
-        s = self.log_weight(key)
-        return mat if s == 0.0 else math.exp(s) * mat
+        return self._effective(w, 1)
 
     def inverse_matrix(self, w: Sequence[int]) -> np.ndarray:
+        return self._effective(w, -1)
+
+    def _effective(self, w: Sequence[int], sign: int) -> np.ndarray:
+        """exp(sign * weight(w)) * table[w]^sign on the cylinder of w.  A
+        weight under which it is not finite in float64 is refused."""
         key = tuple(w[: self.memory])
         if key not in self.table:
             raise InadmissibleWordError(word_to_str(w))
-        inv = np.linalg.inv(self.table[key])
-        s = self.log_weight(key)
-        return inv if s == 0.0 else math.exp(-s) * inv
+        mat = self.table[key] if sign > 0 else np.linalg.inv(self.table[key])
+        s = sign * self.log_weight(key)
+        try:
+            with np.errstate(over="raise"):
+                return mat if s == 0.0 else math.exp(s) * mat
+        except (OverflowError, FloatingPointError):
+            raise ValidationError(f"the weight at {word_to_str(key)} overflows float64") from None
 
     @cached_property
     def _step_table(self) -> "_StepTable":

@@ -50,18 +50,14 @@ def _edge_weights(index: _WordIndex, f: ScalarPotential) -> tuple[np.ndarray, in
     return w[index.rows], L
 
 
-def _max_mean(index: _WordIndex, f: ScalarPotential) -> Scalar:
-    """Maximum cycle mean of f over the index's word graph."""
-    w, L = _edge_weights(index, f)
-    val = _graph.max_cycle_mean(len(index.nodes), index.tails, index.heads, w, L)
-    if val is None:
-        raise ValidationError("word graph has no cycle")
-    return val
-
-
 def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
     """Exact maximum ergodic average of a locally constant potential."""
-    return _max_mean(_word_index(space, f.memory), f)
+    index = _word_index(space, f.memory)
+    beta = _graph.max_cycle_mean(len(index.nodes), index.tails, index.heads,
+                                 *_edge_weights(index, f))
+    if beta is None:
+        raise ValidationError("word graph has no cycle")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,8 @@ class CriticalGraph:
         w, L = _edge_weights(self.index, g)
         tails, heads = self.index.tails[self.edge_ids], self.index.heads[self.edge_ids]
         # number the nodes the edges touch 0..k-1, in order (so the edges
-        # stay sorted by head): Karp and Tarjan then visit only those
+        # stay sorted by head): Karp's walk table then has k columns and
+        # k + 1 rows, not one per node of the word graph
         used = np.zeros(len(self.index.nodes), dtype=bool)
         used[tails] = used[heads] = True
         label = np.cumsum(used) - 1
@@ -163,10 +160,10 @@ class CriticalGraph:
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
     index = _word_index(space, f.memory)
-    beta = _max_mean(index, f)
-    w, L = _edge_weights(index, f)
-    keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads, w, L,
-                                             beta, 0 if L is not None else 1e-9)
+    beta, keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads,
+                                                   *_edge_weights(index, f))
+    if beta is None:
+        raise ValidationError("word graph has no cycle")
     nodes, tails, heads = index.nodes, index.tails[keep], index.heads[keep]
     # the components of the tight graph that hold a critical edge
     labels = comp_of[tails]

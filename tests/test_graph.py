@@ -79,11 +79,12 @@ def mean_of(n, edges):
     return max_cycle_mean(*as_arrays(n, edges))
 
 
-def critical_of(n, edges, beta):
-    """The critical edges as (u, v) pairs, and the tight components."""
+def critical_of(n, edges):
+    """The maximum cycle mean `critical_subgraph` finds, the critical edges
+    as (u, v) pairs, and the tight components."""
     n, src, dst, w, L = as_arrays(n, edges)
-    keep, comp_of = critical_subgraph(n, src, dst, w, L, beta)
-    return set(zip(src[keep].tolist(), dst[keep].tolist())), comp_of.tolist()
+    beta, keep, comp_of = critical_subgraph(n, src, dst, w, L)
+    return beta, set(zip(src[keep].tolist(), dst[keep].tolist())), comp_of.tolist()
 
 
 def simple_cycles(n, edges):
@@ -143,6 +144,7 @@ def test_max_cycle_mean_matches_simple_cycles(kind):
         n, edges = random_digraph(rng, lambda: WEIGHTS[kind](rng))
         expected = oracle_mean(n, edges)
         got = mean_of(n, edges)
+        assert critical_of(n, edges)[0] == got  # so the oracle checks both
         if expected is None:
             assert got is None
         elif kind == "float":
@@ -227,7 +229,7 @@ def test_critical_subgraph_matches_closure(kind):
         beta = oracle_mean(n, edges)
         if beta is None:
             continue
-        assert critical_of(n, edges, beta)[0] == oracle_critical(n, edges, beta)
+        assert critical_of(n, edges)[:2] == (beta, oracle_critical(n, edges, beta))
 
 
 def test_critical_ties_across_two_components():
@@ -241,6 +243,34 @@ def test_critical_ties_across_two_components():
     assert mean_of(5, edges) == h
     expected = {(0, 1), (1, 0), (2, 3), (3, 2)}
     assert oracle_critical(5, edges, h) == expected
-    critical, comp_of = critical_of(5, edges, h)
-    assert critical == expected
+    beta, critical, comp_of = critical_of(5, edges)
+    assert (beta, critical) == (h, expected)
     assert comp_of[0] == comp_of[1] != comp_of[2] == comp_of[3]
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["int64", "python_ints"])
+def test_critical_subgraph_at_the_int64_envelope(past):
+    """Integer weights up to big with (n + 1)^2 big just under 2^62 run in
+    int64, and just over it in Python ints: the potentials and tightness
+    sums must not wrap at the edge of the envelope.  Weights drawn near
+    +-big from a few values give ties; others spread over [-big, big]."""
+    rng = np.random.default_rng(5)
+    tested = 0
+    for i in range(300):
+        n, edges = random_digraph(rng, lambda: 0)
+        if not edges:
+            continue
+        big = (2**62 - 1) // (n + 1) ** 2 + past
+        near = [-big, -big + 1, big - 1, big]
+        draw = ((lambda: int(rng.choice(near))) if i % 2 else
+                (lambda: int(rng.integers(-big, big, endpoint=True))))
+        edges = {e: draw() for e in edges}
+        edges[next(iter(edges))] = big  # so that max |w| is big
+        assert as_arrays(n, edges)[3].dtype == (object if past else np.int64)
+        beta = oracle_mean(n, edges)
+        got = critical_of(n, edges)
+        assert got[0] == beta
+        if beta is not None:
+            tested += 1
+            assert got[1] == oracle_critical(n, edges, beta)
+    assert tested >= 100

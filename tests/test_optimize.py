@@ -174,6 +174,16 @@ class TestRelativeBeta:
         assert eo.relative_beta(full2, step_potential, gamma) == Fraction(-4)
 
 
+def test_cycle_free_word_graph_is_refused():
+    """0 may be followed by 1 and 1 by nothing: the word graph has no cycle,
+    so there is no invariant measure, and each exact solver says so."""
+    space = eo.ShiftSpace(2, ((False, True), (False, False)))
+    f = eo.constant_potential(space, Fraction(1))
+    for solve in (eo.karp_beta, eo.critical_graph, lambda s, g: eo.maximizing_cycles(s, g, 3)):
+        with pytest.raises(ValidationError, match="no cycle"):
+            solve(space, f)
+
+
 class TestMismatch:
     """A potential read on another space or memory than the word graph's
     is refused, not solved on the wrong graph."""

@@ -242,14 +242,29 @@ class TestCli:
         {"cocycle": {**FIB_COCYCLE, "memory": 0}, "experiment": "beta", "params": {}},
         {"cocycle": FIB_COCYCLE, "experiment": "lambda",
          "params": {"seed": 1, "measures": [{"cycle": "0101"}, {"cycle": "0"}]}},
+        # e^800 I and, for -800, its inverse e^800 I are past float64
+        {"potential": {"memory": 1, "values": {"0": "800", "1": "0"}},
+         "experiment": "beta", "params": {"d": 2}},
+        {"potential": {"memory": 1, "values": {"0": "-800", "1": "0"}},
+         "experiment": "beta", "params": {"d": 2}},
     ], ids=["birkhoff_p_max_0", "exact_probe_p_max_0", "potential_memory_0",
-            "cocycle_memory_0", "lambda_non_primitive_cycle"])
+            "cocycle_memory_0", "lambda_non_primitive_cycle", "weighted_step_overflows",
+            "weighted_inverse_overflows"])
     def test_bad_config_exits_2_with_an_error_report(self, tmp_path, cfg):
         out = tmp_path / "err.json"
         code = cli.main(["--config", str(write_config(tmp_path, {"system": {"alphabet": 2}, **cfg})),
                          "--out", str(out)])
         assert code == 2
         assert json.loads(out.read_text())["error"]["code"] == "ValidationError"
+
+    def test_large_weight_stays_exact_at_d_1(self, tmp_path):
+        """At d = 1 the weight is read as a rational potential and no float
+        step e^800 is formed, so the config that overflows at d = 2 runs."""
+        cfg = {"system": {"alphabet": 2}, "experiment": "beta", "params": {"d": 1},
+               "potential": {"memory": 1, "values": {"0": "800", "1": "0"}}}
+        out = tmp_path / "report.json"
+        assert cli.main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["body"]["results"]["beta_exact"]["value"] == "800/1"
 
     def test_budget_exhaustion_exits_3(self, tmp_path):
         cfg = {
