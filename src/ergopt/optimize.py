@@ -311,6 +311,7 @@ def upper_bound(
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
     lower_hint: float | None = None,
+    maxima: Sequence[float] = (),
 ) -> float:
     """U_n: exact max over admissible depth-n products of (1/n) log norm.
 
@@ -318,11 +319,21 @@ def upper_bound(
     running products.  Pruning only discards words whose submultiplicative
     upper bound lies below n * lower_hint (less a rounding margin), a
     certified lower bound on the depth-n maximum, so the returned maximum
-    is exact and schedule-independent.  `budget` caps the number of words
+    is exact and schedule-independent.  A depth-k prefix is dropped when
+    its log Frobenius norm plus the look-ahead min((n - k) * max_step,
+    N_{n-k}) lies below that floor: ||A_w|| <= ||A_tail|| * ||A_prefix||_F,
+    and the tail is itself an admissible (n - k)-step path, whose log norm
+    is at most (n - k) times the largest one-step log norm max_step, and at
+    most N_{n-k}.  `maxima[j - 1]`, when given, must bound N_j, the largest
+    log norm of an admissible j-step product (j * U_j).  A NaN or +inf hint
+    is refused, and so is a search whose maximum ends below the floor: the
+    hint or `maxima` were no bounds.  `budget` caps the number of words
     (tree nodes) visited over all depths.
     """
     if n < 1:
         raise ValidationError("depth must be >= 1")
+    if lower_hint is not None and (math.isnan(lower_hint) or lower_hint == math.inf):
+        raise ValidationError(f"lower_hint must be a lower bound, got {lower_hint}")
     table = A._step_table
     index = table.index
     steps = table.steps
@@ -335,8 +346,11 @@ def upper_bound(
     prune_floor = None
     if lower_hint is not None:
         prune_floor = n * lower_hint - 1e-9 * max(1, n)
-        # largest one-step log norm, for the pruning bound
+        # reach[j]: the largest log norm a j-step tail can add
         max_step = float(np.log(table.norms).max())
+        reach = [j * max_step for j in range(n)]
+        for j, top in enumerate(maxima[:n - 1], 1):
+            reach[j] = min(reach[j], top)
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     # blocks (depth, states, log scales, products), each sorted by state
@@ -355,7 +369,7 @@ def upper_bound(
         if prune_floor is not None:
             # cheap norm overbound (Frobenius) keeps pruning sound
             frob = 0.5 * np.log(np.einsum("nij,nij->n", P, P))
-            keep = logscale + frob >= prune_floor - (n - k) * max_step
+            keep = logscale + frob >= prune_floor - reach[n - k]
             if not keep.all():
                 states, logscale, P = states[keep], logscale[keep], P[keep]
         starts = np.searchsorted(states, state_range).tolist()
@@ -376,6 +390,9 @@ def upper_bound(
         for lo in range(0, len(states), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
             stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi]))
+    if prune_floor is not None and best < prune_floor:
+        raise ValidationError(f"depth-{n} maximum {best / n} lies below the lower "
+                              f"hint {lower_hint}: the hint or maxima are not bounds")
     return best / n
 
 
@@ -460,11 +477,16 @@ def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[C
     lower_series, witness = _lower_series(exponents)
     best_l = lower_series[-1][1]
     upper_series: list[tuple[int, float]] = []
+    # maxima[j - 1] = N_j = j * U_j, padded for rounding: the tail bounds of
+    # every deeper search
+    maxima: list[float] = []
     best_u = math.inf
     n_used = 1
     for n in range(1, n_max + 1):
-        u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l)
+        u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l, maxima=maxima)
         upper_series.append((n, u_n))
+        top = n * u_n
+        maxima.append(top + 1e-12 * max(1.0, abs(top)))
         if u_n < best_u:
             best_u, n_used = u_n, n
         if best_u - best_l <= gap_tol:

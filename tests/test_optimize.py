@@ -28,6 +28,27 @@ def brute_upper(space, A, n):
     return best
 
 
+# the unjittered base of the golden-mean 3x3 benchmark cocycle
+GOLDEN_3X3 = {
+    (0,): [[0.13, -0.13, 0.64], [0.1, -0.54, 0.36], [1.3, 0.95, -0.7]],
+    (1,): [[-1.27, -0.62, 0.04], [-2.33, -0.22, -1.25], [-0.73, -0.54, -0.32]],
+}
+
+
+def golden_3x3(golden):
+    return eo.MatrixCocycle(golden, 3, 1, {w: np.array(m) for w, m in GOLDEN_3X3.items()})
+
+
+def bracket_against_brute_upper(space, A):
+    """The bracket to depth 8, whose U_n series must be the unpruned
+    maximum at every depth."""
+    br = eo.beta_bracket(space, A, n_max=8, p_max=4, gap_tol=1e-300)
+    assert [n for n, _ in br.upper_series] == list(range(1, 9))
+    for n, u_n in br.upper_series:
+        assert u_n == pytest.approx(brute_upper(space, A, n), abs=1e-12)
+    return br
+
+
 def layered_shift(L):
     """2L letters in L layers of two, each letter followed by both letters
     of the next layer (cyclically): every cycle has a length divisible by
@@ -317,6 +338,18 @@ class TestBounds:
         assert eo.upper_bound(full2, fib_pair, 13) == \
             pytest.approx(brute_upper(full2, fib_pair, 13), abs=1e-12)
 
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, 5.0])
+    def test_upper_bound_refuses_a_hint_that_is_no_lower_bound(self, full2, fib_pair, hint):
+        """A NaN, +inf or too-large hint prunes every word; the search
+        refuses it instead of returning -inf."""
+        with pytest.raises(ValidationError):
+            eo.upper_bound(full2, fib_pair, 4, lower_hint=hint)
+
+    def test_upper_bound_refuses_too_small_maxima(self, full2, fib_pair):
+        hint, _ = eo.lower_bound_cycles(full2, fib_pair, 4)
+        with pytest.raises(ValidationError):
+            eo.upper_bound(full2, fib_pair, 4, lower_hint=hint, maxima=[-10.0] * 3)
+
     def test_subadditive_and_sandwich(self, full2, fib_pair):
         U = {n: eo.upper_bound(full2, fib_pair, n) for n in range(1, 11)}
         L, _ = eo.lower_bound_cycles(full2, fib_pair, 6)
@@ -393,6 +426,63 @@ class TestBracket:
         assert br.witness.word == (0, 1)
         assert br.norm_tag == "spectral-2"
         assert br.gap >= 0.0
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_upper_series_against_brute_force(self, memory, seed):
+        """Each U_n of the bracket, searched with the depth maxima of the
+        shallower depths as tail bounds, is the unpruned maximum."""
+        rng = np.random.default_rng(seed)
+        space = random_sft(rng, 3)
+        A = eo.MatrixCocycle(space, 2, memory, {w: rng.standard_normal((2, 2))
+                                                for w in eo.admissible_words(space, memory)})
+        bracket_against_brute_upper(space, A)
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_upper_series_at_a_fixed_point_maximiser(self, memory):
+        """The fixed point a carries the nearly rank-one J = [[2, t], [0, t]],
+        t = 1e-3, and every other step has norm 0.1, so L = beta = log 2
+        exactly.  The maximiser a^n sits only about t^2 / 8 above the prune
+        floor n * L, and ||J^(n-k)|| * ||J^k||_F exceeds ||J^n|| by the same
+        factor, so a tail bound 1e-6 too small would prune it."""
+        rng = np.random.default_rng(5)
+        space = random_sft(rng, 3)
+        a = next(a for a in range(3) if space.allowed[a][a])
+        table = {}
+        for w in eo.admissible_words(space, memory):
+            M = rng.standard_normal((2, 2))
+            table[w] = 0.1 * M / np.linalg.norm(M, 2)
+        table[(a,) * memory] = np.array([[2.0, 1e-3], [0.0, 1e-3]])
+        br = bracket_against_brute_upper(space, eo.MatrixCocycle(space, 2, memory, table))
+        assert br.lower == pytest.approx(math.log(2), abs=1e-15)
+        assert br.witness.word == (a,)
+
+    def test_depth_maxima_prune_where_the_step_bound_does_not(self, golden):
+        """With only the one-step look-ahead, depth 9 visits 136 words; with
+        the depth maxima as tail bounds no depth visits more than 63."""
+        A = golden_3x3(golden)
+        want = eo.beta_bracket(golden, A, n_max=12, p_max=12)
+        br = eo.beta_bracket(golden, A, n_max=12, p_max=12, budget=100)
+        assert br.upper_series == want.upper_series
+        assert len(br.upper_series) == 12
+        with pytest.raises(eo.errors.BudgetExceededError):
+            eo.upper_bound(golden, A, 9, budget=100, lower_hint=br.lower)
+
+    def test_maxima_above_the_step_bound_change_nothing(self, golden):
+        A = golden_3x3(golden)
+        hint, _ = eo.lower_bound_cycles(golden, A, 12)
+        u_1 = eo.upper_bound(golden, A, 1)  # the largest one-step log norm
+        loose = [j * u_1 + 1.0 for j in range(1, 12)]
+
+        def outcome(n, budget, **kw):
+            try:
+                return eo.upper_bound(golden, A, n, budget=budget, lower_hint=hint, **kw)
+            except eo.errors.BudgetExceededError:
+                return "budget"
+
+        for n in range(1, 13):
+            for budget in (10, 50, 100, 200, 400):
+                assert outcome(n, budget, maxima=loose) == outcome(n, budget)
 
     def test_invalid_interval_rejected(self, full2):
         c = eo.make_cycle(full2, (0,))
