@@ -192,11 +192,16 @@ def _markov_exponent(space, A, mu, n_max, word_budget):
     lower = -math.inf
     upper = math.inf
     m = A.memory
+    # the admissible words of the current length by last letter, counted in
+    # Python ints, so that a depth over the budget builds none of its words
+    ends = [1] * space.k
     for n in range(1, n_max + 1):
         length = n + m - 1
+        for _ in range(length - 1 if n == 1 else 1):
+            ends = [sum(c for c, row in zip(ends, space.allowed) if row[b]) for b in range(space.k)]
+        if sum(ends) > word_budget:
+            raise BudgetExceededError(f"{sum(ends)} words at depth {n} exceed the budget")
         words = admissible_words(space, length)
-        if len(words) > word_budget:
-            raise BudgetExceededError(f"{len(words)} words at depth {n} exceed the budget")
         charged = [(w, mass) for w in words if (mass := mu.cylinder_mass(w)) > 0]
         logscale, P = cocycle_log_product(A, [w for w, _ in charged])
         fwd, bwd = _op_norms(P).tolist(), _op_norms(np.linalg.inv(P)).tolist()

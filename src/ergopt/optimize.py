@@ -10,9 +10,9 @@ arithmetic whenever the inputs are rational.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Sequence
 
@@ -30,8 +30,7 @@ from .cocycle import (
     spectral_radius,
 )
 from .errors import BudgetExceededError, ShapeMismatchError, ValidationError
-from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, enumerate_cycles
-from .shift import build_word_graph  # noqa: F401  (re-exported)
+from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, connect, enumerate_cycles
 
 DEFAULT_N_MAX = 24
 DEFAULT_P_MAX = 12
@@ -90,58 +89,33 @@ class CriticalGraph:
         # exactly one edge out and one in
         return len(self.components) == 1 and len(self.edges) == len(self.nodes)
 
-    def cycles(self, p_max: int) -> list[Cycle]:
-        """Primitive cycles of period <= p_max lying in the graph, in
-        (period, word) order.
-
-        `enumerate_cycles` walks the graph as a shift whose letters are its
-        nodes in lexicographic order.  Node sequences then compare as the
-        symbol words they spell, so Lyndon words of nodes give canonical
-        cycles, in order.
-        """
+    @cached_property
+    def _node_shift(self) -> tuple[list[Node], ShiftSpace]:
+        """The graph as a shift whose letters are its nodes in lexicographic
+        order.  Node sequences then compare as the symbol words they spell."""
         nodes = sorted(self.nodes)
         index = {v: i for i, v in enumerate(nodes)}
         allowed = [[False] * len(nodes) for _ in nodes]
         for u, v in self.edges:
             allowed[index[u]][index[v]] = True
-        node_shift = ShiftSpace(len(nodes), tuple(map(tuple, allowed)))
+        return nodes, ShiftSpace(len(nodes), tuple(map(tuple, allowed)))
+
+    def cycles(self, p_max: int) -> list[Cycle]:
+        """Primitive cycles of period <= p_max lying in the graph, in
+        (period, word) order: Lyndon words of the node shift give canonical
+        cycles, in order."""
+        nodes, node_shift = self._node_shift
         return [Cycle(tuple(nodes[i][0] for i in c.word))
                 for c in enumerate_cycles(node_shift, p_max)]
 
     def shortest_cycle(self) -> Cycle:
         """The shortest cycle of the graph, lexicographically least among
-        those (node sequences compare as the words they spell, see
-        `cycles`): the greedy closed walk of girth length from the least
-        node on such a cycle.  O(V (V + E)) by one BFS per node."""
-        succ: dict[Node, list[Node]] = {v: [] for v in self.nodes}
-        pred: dict[Node, list[Node]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            succ[u].append(v)
-            pred[v].append(u)
-
-        def steps_back(s: Node) -> dict[Node, int]:
-            dist, queue = {s: 0}, deque([s])
-            while queue:
-                v = queue.popleft()
-                for u in pred[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        queue.append(u)
-            return dist
-
-        girth: dict[Node, int] = {}  # shortest cycle through each node
-        for s in self.nodes:
-            back = steps_back(s)
-            # every node of the graph lies on a cycle
-            girth[s] = 1 + min(back[v] for v in succ[s] if v in back)
-        length = min(girth.values())
-        walk = [min(s for s in self.nodes if girth[s] == length)]
-        back = steps_back(walk[0])
-        # the least next node that can still close the walk in the steps
-        # left; the walk is a simple cycle, as no cycle is shorter
-        for left in range(length - 1, 0, -1):
-            walk.append(min(v for v in succ[walk[-1]] if back.get(v, length) <= left))
-        return Cycle(tuple(v[0] for v in walk))
+        those: the first shortest `connect(node_shift, s, s)` over the nodes
+        s in order.  A closed walk of girth length is a simple cycle, and
+        starts at its least node.  O(V (V + E)) by one BFS per node."""
+        nodes, node_shift = self._node_shift
+        walk = min((connect(node_shift, s, s) for s in range(len(nodes))), key=len)
+        return Cycle(tuple(nodes[i][0] for i in walk[:-1]))
 
     def max_mean(self, g: ScalarPotential) -> Scalar:
         """Greatest mean of g over the cycles of the graph; g lives on the

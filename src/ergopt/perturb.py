@@ -115,26 +115,27 @@ def _distance(eta: Sequence[Scalar], norms: np.ndarray) -> float:
 
 
 def _scaled_perturbation(
-    space: ShiftSpace,
-    A: MatrixCocycle,
     rng: np.random.Generator,
     delta: float,
     rational: bool,
     norms: np.ndarray,
-) -> ScalarPotential:
+) -> list[Scalar]:
     """Draw a scalar perturbation eta of A's memory with cocycle distance
-    below delta; `norms` is `_step_norms(A)`."""
-    words = _word_index(space, A.memory).words
+    below delta from A, for `norms = _step_norms(A)`: its values at the rows
+    of A's word index, in order."""
+    count = norms.shape[1]
     sens = float(norms.sum(axis=0).max())
     if rational:
-        scale = Fraction(delta).limit_denominator(10**9) / Fraction(max(1, math.ceil(2 * sens)))
+        # a delta too small for the denominator limit keeps its exact value
+        size = Fraction(delta).limit_denominator(10**9) or Fraction(delta)
+        scale = size / Fraction(max(1, math.ceil(2 * sens)))
         eta = [scale * Fraction(n, 2**30)
-               for n in rng.integers(-(2**30), 2**30 + 1, len(words)).tolist()]
+               for n in rng.integers(-(2**30), 2**30 + 1, count).tolist()]
     else:
-        eta = (delta / (2.0 * sens) * rng.uniform(-1.0, 1.0, len(words))).tolist()
+        eta = (delta / (2.0 * sens) * rng.uniform(-1.0, 1.0, count)).tolist()
     while _distance(eta, norms) >= delta:
         eta = [(Fraction(1, 2) if rational else 0.5) * v for v in eta]
-    return ScalarPotential(space, A.memory, dict(zip(words, eta)))
+    return eta
 
 
 def uniqueness_probe(
@@ -158,9 +159,11 @@ def uniqueness_probe(
     f = A.additive_potential() if A.is_additive else None
     exact = f is not None and f.is_rational
     norms = _step_norms(A)
+    words = _word_index(space, A.memory).words
     hits = 0
     for _ in range(n_samples):
-        eta = _scaled_perturbation(space, A, rng, delta, exact, norms)
+        values = _scaled_perturbation(rng, delta, exact, norms)
+        eta = ScalarPotential(space, A.memory, dict(zip(words, values)))
         if exact:
             _, unique = maximizing_cycles(space, f + eta, p_max)
         else:
@@ -213,9 +216,9 @@ def stability_radius(
     groups = _cycle_rows(index, [mu.cycle for mu in measures])
     ok = 0
     for lo in range(0, trials, _TRIAL_BLOCK):
-        etas = [_scaled_perturbation(space, A, rng, delta, exact, norms).table
+        etas = [_scaled_perturbation(rng, delta, exact, norms)
                 for _ in range(min(_TRIAL_BLOCK, trials - lo))]
-        W, L = _graph._weights([eta[w] for eta in etas for w in index.words], len(index.nodes))
+        W, L = _graph._weights([v for eta in etas for v in eta], len(index.nodes))
         # exp(eta) commutes with every step: exponents shift by eta-averages
         new_values = _means(W.reshape(len(etas), -1), L, groups, len(values))
         new_values += np.array(values, dtype=new_values.dtype)

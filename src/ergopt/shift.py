@@ -7,9 +7,9 @@ schedules.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,8 +60,13 @@ class ShiftSpace:
     def is_cyclically_admissible(self, w: Sequence[int]) -> bool:
         return self.is_admissible(w) and bool(self.allowed[w[-1]][w[0]])
 
-    def successors(self, a: int) -> list[int]:
-        return [b for b in range(self.k) if self.allowed[a][b]]
+    def successors(self, a: int) -> tuple[int, ...]:
+        return self._successors[a]
+
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        """The letters that may follow each letter, ascending; built once."""
+        return tuple(tuple(compress(range(self.k), row)) for row in self.allowed)
 
 
 def point_distance(x: Sequence[int], y: Sequence[int]) -> float:
@@ -112,28 +117,16 @@ def admissible_words(space: ShiftSpace, n: int) -> list[Word]:
     return words
 
 
-def build_word_graph(space: ShiftSpace, memory: int):
-    """Transition graph of memory-words.
-
-    Nodes are admissible (memory-1)-words (single letters when memory = 1);
-    each edge spans one memory-word, returned in the edge map.
-    """
-    s = max(memory - 1, 1)
-    nodes = admissible_words(space, s)
-    edges: dict[tuple[Word, Word], Word] = {}
-    for u in nodes:
-        for b in space.successors(u[-1]):
-            v = u[1:] + (b,) if memory >= 2 else (b,)
-            word = u + (b,) if memory >= 2 else u
-            edges[(u, v)] = word
-    return nodes, edges
-
-
 @dataclass(frozen=True)
 class _WordIndex:
     """The admissible memory-words of one (space, memory) in lexicographic
     order, which number the rows of step tables and weight rows, and their
-    word graph.  The arrays are read-only."""
+    word graph.  The arrays are read-only.
+
+    The graph's nodes are the admissible (memory-1)-words, single letters
+    for memory 1.  With memory m >= 2 each word w is the edge
+    w[:-1] -> w[1:]; with memory 1 each allowed pair ab is the edge a -> b,
+    read at the row of a."""
 
     space: ShiftSpace
     memory: int
@@ -141,10 +134,10 @@ class _WordIndex:
     row_of: dict[Word, int]
     powers: np.ndarray  # k^(m-1), ..., k, 1: `windows @ powers` codes words
     codes: np.ndarray  # of the words, ascending
-    nodes: tuple[Word, ...]  # of the word graph, as `build_word_graph` gives them
+    nodes: tuple[Word, ...]  # of the word graph, in lexicographic order
     ends: np.ndarray  # the node each word ends in
-    # per edge, sorted by head: head and tail node, and the row of the word
-    # `build_word_graph` labels it with (the source letter for memory 1)
+    # per edge, sorted by head: head and tail node, and the row it is read
+    # at (its word, or the source letter for memory 1)
     heads: np.ndarray
     tails: np.ndarray
     rows: np.ndarray
@@ -159,10 +152,13 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
     """The word index of (space, memory), built once while it is cached."""
     words = admissible_words(space, memory)
     row_of = {w: i for i, w in enumerate(words)}
-    nodes, edge_words = build_word_graph(space, memory)
-    node_of = {u: i for i, u in enumerate(nodes)}
-    edges = sorted((node_of[v], node_of[u], row_of[w]) for (u, v), w in edge_words.items())
     k, s = space.k, max(memory - 1, 1)
+    nodes = words if memory == 1 else admissible_words(space, s)
+    node_of = {u: i for i, u in enumerate(nodes)}
+    if memory == 1:
+        edges = sorted((b, a, a) for a in range(k) for b in space.successors(a))
+    else:
+        edges = sorted((node_of[w[1:]], node_of[w[:-1]], i) for i, w in enumerate(words))
     powers = np.array([k**i for i in reversed(range(memory))],
                       dtype=np.int64 if k**memory < 2**63 else object)
     return _WordIndex(space, memory, tuple(words), row_of, powers, np.array(words) @ powers,
@@ -253,17 +249,21 @@ def connect(space: ShiftSpace, a: int, b: int) -> Word:
     """Shortest admissible word from letter a to letter b (both included,
     at least one shift step); ties broken lexicographically."""
     # level-order BFS expanding letters in increasing order: the first path
-    # reaching b is the lexicographically least among shortest ones
-    frontier: deque[Word] = deque([(a,)])
-    visited: set[int] = set()
-    while frontier:
-        path = frontier.popleft()
-        for c in space.successors(path[-1]):
+    # reaching b is the lexicographically least among shortest ones.  Each
+    # letter keeps the letter it was first reached from.
+    successors = space._successors
+    parent = {a: a}
+    frontier = [a]
+    for u in frontier:  # grows while it is walked: a FIFO queue
+        for c in successors[u]:
             if c == b:
-                return path + (c,)
-            if c not in visited:
-                visited.add(c)
-                frontier.append(path + (c,))
+                path = [c, u]
+                while path[-1] != a:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            if c not in parent:
+                parent[c] = u
+                frontier.append(c)
     raise UnreachableError(f"no admissible path from {a} to {b}")
 
 

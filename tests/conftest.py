@@ -61,6 +61,24 @@ def brute_force_beta(space, f):
     return best
 
 
+def word_graph_edges(space, memory):
+    """Oracle word graph, read off `admissible_words` alone: (tail node,
+    head node) -> the word the edge is read at.  The nodes are the
+    (memory-1)-words; with memory m >= 2 each m-word w is the edge
+    w[:-1] -> w[1:], with memory 1 each 2-word ab is the edge a -> b, read
+    at the word a."""
+    if memory == 1:
+        return {((a,), (b,)): (a,) for a, b in eo.admissible_words(space, 2)}
+    return {(w[:-1], w[1:]): w for w in eo.admissible_words(space, memory)}
+
+
+def index_edges(index):
+    """The word index's edges in the form of `word_graph_edges`."""
+    nodes, words = index.nodes, index.words
+    return {(nodes[u], nodes[v]): words[r]
+            for u, v, r in zip(index.tails.tolist(), index.heads.tolist(), index.rows.tolist())}
+
+
 def sft3_memory2(seed):
     """Memory 2 on a 3-letter SFT, with a float weight."""
     sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])

@@ -13,7 +13,6 @@ import numpy as np
 
 import ergopt as eo
 from ergopt import report
-from ergopt.optimize import build_word_graph
 
 from conftest import (
     brute_force_beta,
@@ -100,7 +99,7 @@ def test_criterion_04_scalar_matrix_agreement():
         f = random_rational_potential(rng, space, int(rng.integers(1, 3)))
         beta = eo.karp_beta(space, f)
         br = eo.beta_bracket(space, eo.from_potential(f))
-        size = len(build_word_graph(space, f.memory)[0])
+        size = len(eo.admissible_words(space, max(f.memory - 1, 1)))
         assert br.n_used <= size and br.p_used <= size
         assert br.upper - br.lower < 1e-9
         assert br.lower - 1e-12 <= float(beta) <= br.upper + 1e-12

@@ -13,9 +13,9 @@ from ergopt.errors import (
     ValidationError,
 )
 
-from ergopt.shift import _word_index, build_word_graph
+from ergopt.shift import _word_index
 
-from conftest import sft3_memory2
+from conftest import index_edges, sft3_memory2, word_graph_edges
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -329,13 +329,14 @@ class TestStepTable:
         assert np.array_equal(table.inverses, np.stack([A.inverse_matrix(w) for w in words]))
         assert np.array_equal(table.norms, [eo.op_norm(A.matrix(w)) for w in words])
         assert A._step_table is table
-        # the word graph of `build_word_graph`, one edge per position,
-        # sorted by head
-        nodes, edge_words = build_word_graph(space, 2)
+        # the word graph read off the words, one edge per position, sorted
+        # by head
+        nodes = eo.admissible_words(space, 1)
         assert list(index.nodes) == nodes
-        heads, tails, rows = index.heads.tolist(), index.tails.tolist(), index.rows.tolist()
+        heads, tails = index.heads.tolist(), index.tails.tolist()
         assert list(zip(heads, tails)) == sorted(zip(heads, tails))
-        assert {(nodes[u], nodes[v]): words[r] for u, v, r in zip(tails, heads, rows)} == edge_words
+        edges = word_graph_edges(space, 2)
+        assert index_edges(index) == edges and len(heads) == len(edges)
         assert [nodes[e] for e in index.ends.tolist()] == [w[1:] for w in words]
         arrays = [table.steps, table.inverses, table.norms,
                   index.powers, index.codes, index.ends, index.heads, index.tails, index.rows]

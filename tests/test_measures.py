@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.errors import EmptySetError, ShapeMismatchError, ValidationError
+from ergopt import measures
+from ergopt.errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -112,6 +113,25 @@ class TestExponentOfMeasure:
         lo8, hi8 = eo.exponent_of_measure(full2, fib_pair, mu, n_max=8)
         assert lo4 <= hi4 and lo8 <= hi8
         assert lo8 >= lo4 - 1e-12 and hi8 <= hi4 + 1e-12
+
+
+    def test_depth_over_the_budget_builds_no_words(self, monkeypatch):
+        """30 letters: depth 4 holds 810 000 words, over a 10^5 budget; the
+        depth is refused before any word list over the budget is built."""
+        space = eo.new_shift(30)
+        A = eo.from_potential(eo.constant_potential(space, Fraction(0)))
+        mu = eo.markov_measure(space, np.full((30, 30), 1 / 30))
+        lengths = []
+        real = measures.admissible_words
+
+        def recording(space, n):
+            lengths.append(n)
+            return real(space, n)
+
+        monkeypatch.setattr(measures, "admissible_words", recording)
+        with pytest.raises(BudgetExceededError, match="810000 words at depth 4"):
+            eo.exponent_of_measure(space, A, mu, n_max=5, word_budget=10**5)
+        assert lengths == [1, 2, 3]
 
 
 class TestRestrictedBeta:

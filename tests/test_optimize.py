@@ -7,12 +7,14 @@ import pytest
 
 import ergopt as eo
 from ergopt.errors import ShapeMismatchError, ValidationError
-from ergopt.optimize import build_word_graph
+from ergopt.shift import _word_index
 
 from conftest import (
     brute_force_beta,
+    index_edges,
     random_rational_potential,
     random_sft,
+    word_graph_edges,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -60,17 +62,38 @@ def layered_shift(L):
 
 class TestWordGraph:
     def test_memory_one_nodes_are_letters(self, golden):
-        nodes, edges = build_word_graph(golden, 1)
-        assert nodes == [(0,), (1,)]
+        index = _word_index(golden, 1)
+        assert index.nodes == ((0,), (1,))
+        edges = index_edges(index)
         assert set(edges) == {((0,), (0,)), ((0,), (1,)), ((1,), (0,))}
         # with memory 1 the weight of an edge depends on its source letter
         assert edges[((0,), (1,))] == (0,)
+        assert edges == word_graph_edges(golden, 1)
 
     def test_memory_two_edges_span_words(self, golden):
-        nodes, edges = build_word_graph(golden, 2)
-        assert nodes == [(0,), (1,)]
+        index = _word_index(golden, 2)
+        assert index.nodes == ((0,), (1,))
+        edges = index_edges(index)
         for (u, v), w in edges.items():
             assert w == u + v
+        assert edges == word_graph_edges(golden, 2)
+
+    @pytest.mark.parametrize("memory", [1, 2, 3, 4])
+    def test_edges_are_read_off_the_words(self, memory):
+        """On random SFTs: the nodes are the (memory-1)-words in order, the
+        edges those of `word_graph_edges`, one per array position, sorted
+        by head, and each word ends in its last node."""
+        rng = np.random.default_rng(40 + memory)
+        for _ in range(10):
+            space = random_sft(rng, int(rng.integers(2, 5)))
+            index = _word_index(space, memory)
+            s = max(memory - 1, 1)
+            assert list(index.nodes) == eo.admissible_words(space, s)
+            edges = word_graph_edges(space, memory)
+            assert index_edges(index) == edges and len(index.heads) == len(edges)
+            pairs = list(zip(index.heads.tolist(), index.tails.tolist()))
+            assert pairs == sorted(pairs)
+            assert [index.nodes[e] for e in index.ends.tolist()] == [w[-s:] for w in index.words]
 
 
 class TestKarp:
@@ -108,8 +131,7 @@ class TestCriticalGraph:
     def test_constant_keeps_whole_graph(self, golden):
         f = eo.constant_potential(golden, Fraction(2))
         G = eo.critical_graph(golden, f)
-        nodes, edges = build_word_graph(golden, 1)
-        assert G.edges == frozenset(edges)
+        assert G.edges == frozenset(word_graph_edges(golden, 1))
         assert not G.is_single_cycle()
 
     def test_two_loop_tie(self, full2):

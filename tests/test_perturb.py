@@ -123,6 +123,14 @@ class TestProbe:
                                    seed=1, n_max=12, p_max=4)
         assert freq == 1.0
 
+    def test_tiny_delta_still_perturbs(self, full2):
+        """f = 0 ties every cycle; a delta below the 1e-9 denominator limit
+        of the exact draws must still give nonzero draws, which break the
+        tie, not zero ones that leave it."""
+        f = eo.constant_potential(full2, Fraction(0))
+        A = eo.from_potential(f)
+        assert eo.uniqueness_probe(full2, A, n_samples=5, delta=1e-12, seed=3) == 1.0
+
     def test_argument_validation(self, full2, fib_pair):
         with pytest.raises(InvalidArgumentError):
             eo.uniqueness_probe(full2, fib_pair, n_samples=0, delta=0.1, seed=0)
@@ -164,6 +172,13 @@ def eta_row(eta):
     return [eta.table[w] for w in eo.admissible_words(eta.space, eta.memory)]
 
 
+def eta_potential(A, values):
+    """The potential of A's space and memory with the given values, in the
+    row order of a step table."""
+    words = eo.admissible_words(A.space, A.memory)
+    return eo.ScalarPotential(A.space, A.memory, dict(zip(words, values)))
+
+
 def argmax(values):
     return max(range(len(values)), key=lambda i: (values[i], -i))
 
@@ -192,13 +207,13 @@ class TestScalarShift:
 
     @staticmethod
     def record_draws(monkeypatch, radius=None):
-        """Record every eta the package draws, drawn within `radius` in
-        place of the requested delta when it is given."""
+        """Record the values of every eta the package draws, drawn within
+        `radius` in place of the requested delta when it is given."""
         drawn = []
         draw = perturb._scaled_perturbation
 
-        def recording(space, A, rng, delta, rational, norms):
-            drawn.append(draw(space, A, rng, radius or delta, rational, norms))
+        def recording(rng, delta, rational, norms):
+            drawn.append(draw(rng, radius or delta, rational, norms))
             return drawn[-1]
 
         monkeypatch.setattr(perturb, "_scaled_perturbation", recording)
@@ -215,7 +230,7 @@ class TestScalarShift:
         res = eo.stability_radius(family, A, trials=60, seed=8)
         values = eo.cycle_exponent(A, cycles)
         kept = 0
-        for eta in drawn:
+        for eta in (eta_potential(A, row) for row in drawn):
             want = eo.cycle_exponent(gamma_apply(eta, A), cycles)
             got = [v + mu.integrate(eta) for v, mu in zip(values, family)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -235,7 +250,7 @@ class TestScalarShift:
         drawn = self.record_draws(monkeypatch, radius=30.0)
         res = eo.stability_radius(family, A, trials=40, seed=1)
         kept = 0
-        for eta in drawn:
+        for eta in (eta_potential(A, row) for row in drawn):
             assert eta.is_rational
             want = eo.cycle_exponent(gamma_apply(eta, A), cycles)
             got = [v + mu.integrate(eta) for v, mu in zip(values, family)]
@@ -282,8 +297,8 @@ class TestScalarShift:
             eo.uniqueness_probe(full2, A, n_samples=12, delta=delta, seed=2, n_max=6, p_max=4)
             assert len(drawn) == 12
             assert len(distances) > 12 and max(distances) >= delta
-            for eta in drawn:
-                assert cocycle_distance(gamma_apply(eta, A), A) < delta
+            for row in drawn:
+                assert cocycle_distance(gamma_apply(eta_potential(A, row), A), A) < delta
 
     def test_family_on_another_space(self, full2, golden, fib_pair):
         family = [eo.periodic_measure(golden, eo.make_cycle(golden, (0,)))]

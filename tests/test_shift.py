@@ -186,6 +186,25 @@ class TestConnect:
         with pytest.raises(UnreachableError):
             eo.connect(space, 0, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lexicographically_least_shortest_word(self, seed):
+        """Oracle: the first admissible word from a to b, a == b included,
+        of the least length >= 2 that has one, read off `admissible_words`
+        (lexicographic order); no such word up to length k + 1 means b is
+        unreachable from a."""
+        rng = np.random.default_rng(seed)
+        space = _sparse_shift(int(rng.integers(2, 7)), float(rng.uniform(0.15, 0.6)), seed)
+        k = space.k
+        for a in range(k):
+            for b in range(k):
+                expected = next((w for n in range(2, k + 2) for w in eo.admissible_words(space, n)
+                                 if w[0] == a and w[-1] == b), None)
+                if expected is None:
+                    with pytest.raises(UnreachableError):
+                        eo.connect(space, a, b)
+                else:
+                    assert eo.connect(space, a, b) == expected
+
 
 class TestPoints:
     def test_point_distance_basics(self):
