@@ -39,6 +39,9 @@ class ScalarPotential:
     def __post_init__(self):
         if self.table.keys() != _word_index(self.space, self.memory).row_of.keys():
             raise ValidationError("potential table must cover exactly the admissible memory-words")
+        for w, v in self.table.items():  # `type` first: cheaper than the ABC check
+            if not (type(v) is Fraction or isinstance(v, Rational) or math.isfinite(v)):
+                raise ValidationError(f"non-finite value at {word_to_str(w)}")
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, int | None]:
@@ -106,6 +109,14 @@ def _well_conditioned(mat: np.ndarray) -> bool:
     return abs(float(np.linalg.det(mat))) > _DET_TOL * math.prod(row_norms.tolist())
 
 
+def _exp(s: Scalar) -> float:
+    """math.exp(s) in float64, inf past its range."""
+    try:
+        return math.exp(s)
+    except OverflowError:
+        return math.inf
+
+
 def constant_potential(space: ShiftSpace, value: Scalar, memory: int = 1) -> ScalarPotential:
     return ScalarPotential(space, memory, {w: value for w in admissible_words(space, memory)})
 
@@ -137,41 +148,40 @@ class MatrixCocycle:
         if self.weight is not None and self.weight.memory != self.memory:
             raise ShapeMismatchError("weight memory must match cocycle memory")
 
-    def log_weight(self, w: Sequence[int]) -> float:
-        return float(self.weight.value(w)) if self.weight is not None else 0.0
-
     def matrix(self, w: Sequence[int]) -> np.ndarray:
-        """Effective single-step matrix on the cylinder of w."""
-        return self._effective(w, 1)
+        """Effective single-step matrix on the cylinder of w: a read-only row
+        of the step table."""
+        return self._step_table.steps[self._row(w)]
 
     def inverse_matrix(self, w: Sequence[int]) -> np.ndarray:
-        return self._effective(w, -1)
+        return self._step_table.inverses[self._row(w)]
 
-    def _effective(self, w: Sequence[int], sign: int) -> np.ndarray:
-        """exp(sign * weight(w)) * table[w]^sign on the cylinder of w.  A
-        weight under which it is not finite in float64 is refused."""
-        key = tuple(w[: self.memory])
-        if key not in self.table:
+    def _row(self, w: Sequence[int]) -> int:
+        row = self._step_table.index.row_of.get(tuple(w[: self.memory]))
+        if row is None:
             raise InadmissibleWordError(word_to_str(w))
-        mat = self.table[key] if sign > 0 else np.linalg.inv(self.table[key])
-        s = sign * self.log_weight(key)
-        try:
-            with np.errstate(over="raise"):
-                return mat if s == 0.0 else math.exp(s) * mat
-        except (OverflowError, FloatingPointError):
-            raise ValidationError(f"the weight at {word_to_str(key)} overflows float64") from None
+        return row
 
     @cached_property
     def _step_table(self) -> "_StepTable":
-        """The step table, built on first use and kept for the cocycle's life."""
+        """The step table, built on first use and kept for the cocycle's life:
+        exp(+-weight(w)) * table[w]^(+-1) at each memory-word w.  A weight
+        under which a step or its inverse is not finite in float64 is
+        refused."""
         index = _word_index(self.space, self.memory)
-        steps = np.stack([self.matrix(w) for w in index.words])
-        return _StepTable(
-            index=index,
-            steps=steps,
-            inverses=np.stack([self.inverse_matrix(w) for w in index.words]),
-            norms=_op_norms(steps),
-        )
+        steps = np.stack([self.table[w] for w in index.words])
+        inverses = np.linalg.inv(steps)
+        if self.weight is not None:
+            weights = [self.weight.table[w] for w in index.words]
+            up, down = (np.array([_exp(sign * s) for s in weights])[:, None, None]
+                        for sign in (1, -1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps, inverses = up * steps, down * inverses
+            bad = ~(np.isfinite(steps) & np.isfinite(inverses)).all(axis=(1, 2))
+            if bad.any():
+                word = index.words[int(bad.argmax())]
+                raise ValidationError(f"the weight at {word_to_str(word)} overflows float64")
+        return _StepTable(index=index, steps=steps, inverses=inverses, norms=_op_norms(steps))
 
     def lift(self, memory: int) -> "MatrixCocycle":
         if memory < self.memory:
@@ -210,8 +220,8 @@ class _StepTable:
     and memory, which also holds the word graph."""
 
     index: _WordIndex
-    steps: np.ndarray  # (E, d, d): A.matrix of each memory-word
-    inverses: np.ndarray  # (E, d, d): A.inverse_matrix of each memory-word
+    steps: np.ndarray  # (E, d, d): the effective step at each memory-word
+    inverses: np.ndarray  # (E, d, d): their inverses
     norms: np.ndarray  # (E,): op norms of the steps
 
     def __post_init__(self):
@@ -345,8 +355,7 @@ def cocycles_equal(A: MatrixCocycle, B: MatrixCocycle) -> bool:
     if A.space != B.space or A.d != B.d:
         return False
     m = max(A.memory, B.memory)
-    A, B = A.lift(m), B.lift(m)
-    return all(np.array_equal(A.matrix(w), B.matrix(w)) for w in A.table)
+    return np.array_equal(A.lift(m)._step_table.steps, B.lift(m)._step_table.steps)
 
 
 def from_potential(f: ScalarPotential, d: int = 1) -> MatrixCocycle:

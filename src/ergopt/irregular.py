@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,32 +43,34 @@ class BlockSchedule:
         if any(a >= b for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValidationError("block lengths must be strictly increasing")
 
-    def symbols(self) -> Iterator[int]:
+    @cached_property
+    def _layout(self) -> tuple[tuple[Word, int, Word, int], ...]:
+        """Per block: its cycle's word, the repeats of it, the connector
+        interior that follows (none after the last block), and the 1-based
+        step index at which the block ends, before that connector."""
+        layout, pos = [], 0
         for j, L in enumerate(self.lengths):
-            c = self.cycles[j % 2]
-            reps = -(-L // c.period)
+            word = self.cycles[j % 2].word
+            reps = -(-L // len(word))
+            conn = self.connectors[j % 2][1:-1] if j + 1 < len(self.lengths) else ()
+            layout.append((word, reps, conn, pos + reps * len(word)))
+            pos = layout[-1][3] + len(conn)
+        return tuple(layout)
+
+    def symbols(self) -> Iterator[int]:
+        for word, reps, conn, _ in self._layout:
             for _ in range(reps):
-                yield from c.word
-            if j + 1 < len(self.lengths):
-                conn = self.connectors[j % 2]
-                yield from conn[1:-1]
+                yield from word
+            yield from conn
 
     def block_end_indices(self) -> list[int]:
-        """1-based step indices at which each block (plus its connector) ends."""
-        out = []
-        pos = 0
-        for j, L in enumerate(self.lengths):
-            c = self.cycles[j % 2]
-            reps = -(-L // c.period)
-            pos += reps * c.period
-            out.append(pos)
-            if j + 1 < len(self.lengths):
-                pos += len(self.connectors[j % 2]) - 2
-        return out
+        """1-based step indices at which each block ends, before the
+        connector that follows it."""
+        return [end for *_, end in self._layout]
 
     @property
     def total_length(self) -> int:
-        return self.block_end_indices()[-1]
+        return self._layout[-1][3]
 
 
 def build_irregular_point(
@@ -93,7 +96,10 @@ def build_irregular_point(
     conn21 = connect(space, c2.word[-1], c1.word[0])
     lengths = [c1.period]
     for _ in range(1, J):
-        lengths.append(math.ceil(r * sum(lengths)))
+        try:
+            lengths.append(math.ceil(r * sum(lengths)))
+        except (OverflowError, ValueError):  # past float64, or a NaN ratio
+            raise ValidationError("block lengths must be finite") from None
     return BlockSchedule(
         cycles=(c1, c2),
         connectors=(conn12, conn21),
@@ -105,9 +111,8 @@ def build_irregular_point(
 
 def _symbol_stream(x) -> Iterator[int]:
     if isinstance(x, BlockSchedule):
-        # pad with the final cycle if the schedule runs out
-        final = x.cycles[(len(x.lengths) - 1) % 2]
-        return itertools.chain(x.symbols(), itertools.cycle(final.word))
+        # pad with the last block's cycle if the schedule runs out
+        return itertools.chain(x.symbols(), itertools.cycle(x._layout[-1][0]))
     preamble, c = x
     return iter_point(preamble, c)
 

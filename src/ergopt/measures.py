@@ -58,14 +58,13 @@ class MarkovMeasure:
         pi = np.array(self.stationary)
         if P.shape != (k, k) or pi.shape != (k,):
             raise ShapeMismatchError("Markov data must match the alphabet size")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > _ROW_TOL:
+        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _ROW_TOL:
             raise ValidationError("stochastic rows must sum to 1")
-        if np.max(np.abs(pi @ P - pi)) > _FIX_TOL:
+        if not np.max(np.abs(pi @ P - pi)) <= _FIX_TOL:
             raise ValidationError("stationary vector is not a left fixed point")
-        for a in range(k):
-            for b in range(k):
-                if P[a][b] > 0 and not self.space.allowed[a][b]:
-                    raise ValidationError(f"transition {a}->{b} is not admissible")
+        bad = np.argwhere((P > 0) & ~np.array(self.space.allowed))
+        if len(bad):
+            raise ValidationError(f"transition {bad[0][0]}->{bad[0][1]} is not admissible")
 
     def cylinder_mass(self, w: Sequence[int]) -> float:
         if not self.space.is_admissible(w):
@@ -101,13 +100,8 @@ class OrbitAverageMeasure:
 
     def _window(self, start: int, length: int) -> Word:
         pre, c = self.preamble, self.cycle
-        out = []
-        for j in range(start, start + length):
-            if j < len(pre):
-                out.append(pre[j])
-            else:
-                out.append(c.word[(j - len(pre)) % c.period])
-        return tuple(out)
+        return tuple(pre[j] if j < len(pre) else c.word[(j - len(pre)) % c.period]
+                     for j in range(start, start + length))
 
     def cylinder_mass(self, w: Sequence[int]) -> Fraction:
         hits = sum(1 for i in range(self.n) if self._window(i, len(w)) == tuple(w))
@@ -131,6 +125,8 @@ def markov_measure(
     stationary: Sequence[float] | None = None,
 ) -> MarkovMeasure:
     P = np.array(stochastic, dtype=float)
+    if P.shape != (space.k, space.k):
+        raise ShapeMismatchError("Markov data must match the alphabet size")
     if stationary is None:
         stationary = _stationary_vector(P)
     return MarkovMeasure(
@@ -180,6 +176,8 @@ def exponent_of_measure(
     the inverse under-estimates it (superadditivity, via the bottom
     singular value).  Both sides are exact for additive (d = 1) cocycles.
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
     if isinstance(mu, PeriodicMeasure):
         val = float(cycle_exponent(A, mu.cycle))
         return (val, val)
@@ -205,8 +203,7 @@ def _markov_exponent(space, A, mu, n_max, word_budget):
         charged = [(w, mass) for w in words if (mass := mu.cylinder_mass(w)) > 0]
         logscale, P = cocycle_log_product(A, [w for w, _ in charged])
         fwd, bwd = _op_norms(P).tolist(), _op_norms(np.linalg.inv(P)).tolist()
-        up_total = 0.0
-        lo_total = 0.0
+        up_total = lo_total = 0.0
         for (_, mass), ls, f, b in zip(charged, logscale.tolist(), fwd, bwd):
             up_total += mass * (ls + math.log(f))
             lo_total += mass * (-ls + math.log(b))
@@ -262,13 +259,8 @@ class TestBasis:
     space: ShiftSpace
 
     def cylinders(self, count: int) -> list[Word]:
-        out: list[Word] = []
-        for length in itertools.count(1):
-            for w in admissible_words(self.space, length):
-                out.append(w)
-                if len(out) == count:
-                    return out
-        raise AssertionError("unreachable")
+        words = (w for n in itertools.count(1) for w in admissible_words(self.space, n))
+        return list(itertools.islice(words, count))
 
 
 def weakstar_distance(

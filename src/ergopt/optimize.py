@@ -284,7 +284,7 @@ def upper_bound(
     A: MatrixCocycle,
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
-    lower_hint: float | None = None,
+    lower_hint: float = -math.inf,
     maxima: Sequence[float] = (),
 ) -> float:
     """U_n: exact max over admissible depth-n products of (1/n) log norm.
@@ -293,20 +293,21 @@ def upper_bound(
     running products.  Pruning only discards words whose submultiplicative
     upper bound lies below n * lower_hint (less a rounding margin), a
     certified lower bound on the depth-n maximum, so the returned maximum
-    is exact and schedule-independent.  A depth-k prefix is dropped when
-    its log Frobenius norm plus the look-ahead min((n - k) * max_step,
-    N_{n-k}) lies below that floor: ||A_w|| <= ||A_tail|| * ||A_prefix||_F,
-    and the tail is itself an admissible (n - k)-step path, whose log norm
-    is at most (n - k) times the largest one-step log norm max_step, and at
-    most N_{n-k}.  `maxima[j - 1]`, when given, must bound N_j, the largest
-    log norm of an admissible j-step product (j * U_j).  A NaN or +inf hint
-    is refused, and so is a search whose maximum ends below the floor: the
-    hint or `maxima` were no bounds.  `budget` caps the number of words
-    (tree nodes) visited over all depths.
+    is exact and schedule-independent; the default hint -inf prunes
+    nothing.  A depth-k prefix is dropped when its log Frobenius norm plus
+    the look-ahead min((n - k) * max_step, N_{n-k}) lies below that floor:
+    ||A_w|| <= ||A_tail|| * ||A_prefix||_F, and the tail is itself an
+    admissible (n - k)-step path, whose log norm is at most (n - k) times
+    the largest one-step log norm max_step, and at most N_{n-k}.
+    `maxima[j - 1]`, when given, must bound N_j, the largest log norm of an
+    admissible j-step product (j * U_j).  A NaN or +inf hint is refused,
+    and so is a search whose maximum ends below the floor: the hint or
+    `maxima` were no bounds.  `budget` caps the number of words (tree
+    nodes) visited over all depths.
     """
     if n < 1:
         raise ValidationError("depth must be >= 1")
-    if lower_hint is not None and (math.isnan(lower_hint) or lower_hint == math.inf):
+    if math.isnan(lower_hint) or lower_hint == math.inf:
         raise ValidationError(f"lower_hint must be a lower bound, got {lower_hint}")
     table = A._step_table
     index = table.index
@@ -317,14 +318,12 @@ def upper_bound(
     edges = list(zip(index.heads.tolist(), index.tails.tolist(), reads.tolist()))
     first = np.argsort(index.ends, kind="stable")
     P = steps[first]
-    prune_floor = None
-    if lower_hint is not None:
-        prune_floor = n * lower_hint - 1e-9 * max(1, n)
-        # reach[j]: the largest log norm a j-step tail can add
-        max_step = float(np.log(table.norms).max())
-        reach = [j * max_step for j in range(n)]
-        for j, top in enumerate(maxima[:n - 1], 1):
-            reach[j] = min(reach[j], top)
+    prune_floor = n * lower_hint - 1e-9 * max(1, n)
+    # reach[j]: the largest log norm a j-step tail can add
+    max_step = float(np.log(table.norms).max())
+    reach = [j * max_step for j in range(n)]
+    for j, top in enumerate(maxima[:n - 1], 1):
+        reach[j] = min(reach[j], top)
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     # blocks (depth, states, log scales, products), each sorted by state
@@ -340,12 +339,11 @@ def upper_bound(
         if k == n:
             best = max(best, float(np.max(logscale + np.log(_op_norms(P)))))
             continue
-        if prune_floor is not None:
-            # cheap norm overbound (Frobenius) keeps pruning sound
-            frob = 0.5 * np.log(np.einsum("nij,nij->n", P, P))
-            keep = logscale + frob >= prune_floor - reach[n - k]
-            if not keep.all():
-                states, logscale, P = states[keep], logscale[keep], P[keep]
+        # cheap norm overbound (Frobenius) keeps pruning sound
+        frob = 0.5 * np.log(np.einsum("nij,nij->n", P, P))
+        keep = logscale + frob >= prune_floor - reach[n - k]
+        if not keep.all():
+            states, logscale, P = states[keep], logscale[keep], P[keep]
         starts = np.searchsorted(states, state_range).tolist()
         targets, sizes, child_ls, child_P = [], [], [], []
         for v, u, r in edges:
@@ -364,7 +362,7 @@ def upper_bound(
         for lo in range(0, len(states), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
             stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi]))
-    if prune_floor is not None and best < prune_floor:
+    if best < prune_floor:
         raise ValidationError(f"depth-{n} maximum {best / n} lies below the lower "
                               f"hint {lower_hint}: the hint or maxima are not bounds")
     return best / n
@@ -440,7 +438,7 @@ def beta_bracket(
 def _check_bracket_args(n_max: int, p_max: int, gap_tol: float) -> None:
     if n_max < 1 or p_max < 1:
         raise ValidationError("n_max and p_max must be >= 1")
-    if gap_tol <= 0:
+    if not gap_tol > 0:
         raise ValidationError("gap_tol must be positive")
 
 
@@ -501,14 +499,12 @@ def matrix_candidates(
     `unique_at_resolution` is a finite-search verdict, not an exact
     uniqueness statement for matrix cocycles.
     """
-    if slack < 0:
+    if not slack >= 0:
         raise ValidationError("slack must be >= 0")
     _check_bracket_args(n_max, p_max, gap_tol)
     exponents = _cycle_exponents(space, A, p_max)
-    if A.is_additive:
-        bracket = _additive_bracket(space, A)
-    else:
-        bracket = _matrix_bracket(space, A, exponents, n_max, p_max, gap_tol, budget)
+    bracket = (_additive_bracket(space, A) if A.is_additive
+               else _matrix_bracket(space, A, exponents, n_max, p_max, gap_tol, budget))
     cands = tuple(c for c, val in exponents if val >= bracket.lower - slack)
     unique = len(cands) == 1 and bracket.gap <= slack
     return OptReport(bracket=bracket, candidates=cands, unique_at_resolution=unique, slack=slack)

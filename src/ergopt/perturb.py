@@ -67,7 +67,7 @@ def perturbation_sweep(
     Exact (rational) when f, gamma and the grid are rational.
     """
     eps_grid = tuple(eps_grid)
-    if not eps_grid or any(e <= 0 for e in eps_grid):
+    if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValidationError("epsilon grid must be positive")
     if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValidationError("epsilon grid must be strictly decreasing")
@@ -153,8 +153,10 @@ def uniqueness_probe(
     matrix cocycles).  Seed-deterministic."""
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
-    if delta <= 0:
-        raise InvalidArgumentError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidArgumentError("delta must be positive and finite")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     f = A.additive_potential() if A.is_additive else None
     exact = f is not None and f.is_rational
@@ -195,6 +197,8 @@ def stability_radius(
     verified empirically on `trials` random perturbations."""
     if not measures or any(not isinstance(mu, PeriodicMeasure) for mu in measures):
         raise ValidationError("the family must consist of periodic measures")
+    if trials < 0 or seed < 0:
+        raise ValidationError("trials and seed must be >= 0")
     space = measures[0].space
     if space != A.space:
         raise ShapeMismatchError("the measures and the cocycle live on different shift spaces")
@@ -269,10 +273,7 @@ def flatten_top(sys: IdentitySystem, n: int) -> FlattenResult:
         raise ValidationError("n must be >= 1")
     nf = sys.sup_norm
     level = Fraction(2**n - 1, 2**n) * nf
-    g = tuple(
-        level if v >= level else (-level if v <= -level else v)
-        for v in sys.values
-    )
+    g = tuple(max(-level, min(level, v)) for v in sys.values)
     distance = max(abs(a - b) for a, b in zip(g, sys.values))
     top = max(g)
     argmax_count = sum(1 for v in g if v == top)

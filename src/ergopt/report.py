@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import time
 from fractions import Fraction
 from numbers import Rational
@@ -75,7 +76,7 @@ def _parse_scalar(x):
         raise ParseError("boolean is not a scalar")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and math.isfinite(x):
         return x
     raise ParseError(f"cannot parse scalar {x!r}")
 
@@ -96,43 +97,77 @@ def bracket_num(lo: float, hi: float) -> dict:
 # config parsing
 
 
-def _require(cfg: dict, key: str):
+_ABSENT = object()
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "an array",
+          dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, which must be of `kind` (int: an integer; float: a finite
+    number, returned as a float; a bool is neither), else a ParseError."""
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) < 1e308 else math.inf
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or (kind is float and not math.isfinite(value))):
+        raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _require(cfg: dict, key: str, kind: type | None = None, default=_ABSENT):
+    """cfg[key], checked by `_typed` when a kind is given, or `default` when
+    the key is absent; a missing key without a default is a ValidationError."""
     if key not in cfg:
-        raise ValidationError(f"missing config key {key!r}")
-    return cfg[key]
+        if default is _ABSENT:
+            raise ValidationError(f"missing config key {key!r}")
+        return default
+    return cfg[key] if kind is None else _typed(cfg[key], kind, f"config key {key!r}")
+
+
+def _array(value, what: str) -> np.ndarray:
+    """A JSON array of finite numbers, or of equal-length arrays of them,
+    as a float array; ParseError otherwise."""
+    try:
+        out = np.array(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        out = np.array(math.nan)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{what} must be an array of finite numbers")
+    return out
 
 
 def parse_system(spec: dict) -> ShiftSpace:
-    k = _require(spec, "alphabet")
-    trans = spec.get("transitions", "full")
+    k = _require(spec, "alphabet", int)
+    trans = _require(spec, "transitions", default="full")
     if trans == "full":
         return new_shift(k)
+    if not (isinstance(trans, list) and all(isinstance(row, list) for row in trans)):
+        raise ParseError("transitions must be 'full' or an array of arrays")
     return new_shift(k, trans)
 
 
 def parse_potential(space: ShiftSpace, spec: dict) -> ScalarPotential:
-    memory = _require(spec, "memory")
-    values = _require(spec, "values")
+    memory = _require(spec, "memory", int)
+    values = _require(spec, "values", dict)
     table = {str_to_word(w): _parse_scalar(v) for w, v in values.items()}
     return ScalarPotential(space, memory, table)
 
 
 def parse_cocycle(space: ShiftSpace, spec: dict) -> MatrixCocycle:
-    d = _require(spec, "d")
-    memory = _require(spec, "memory")
-    matrices = _require(spec, "matrices")
-    table = {
-        str_to_word(w): np.array(rows, dtype=float)
-        for w, rows in matrices.items()
-    }
+    d = _require(spec, "d", int)
+    memory = _require(spec, "memory", int)
+    matrices = _require(spec, "matrices", dict)
+    table = {str_to_word(w): _array(rows, f"matrix {w!r}") for w, rows in matrices.items()}
     return MatrixCocycle(space, d, memory, table)
 
 
 def parse_measure(space: ShiftSpace, spec: dict) -> MeasureSpec:
+    spec = _typed(spec, dict, "a measure")
     if "cycle" in spec:
-        return PeriodicMeasure(space, make_cycle(space, str_to_word(spec["cycle"])))
+        return PeriodicMeasure(space, _parse_cycle(space, _require(spec, "cycle", str)))
     if "stochastic" in spec:
-        return markov_measure(space, spec["stochastic"], spec.get("stationary"))
+        stationary = _require(spec, "stationary", default=None)
+        return markov_measure(space, _array(spec["stochastic"], "stochastic"),
+                              None if stationary is None else _array(stationary, "stationary"))
     raise ValidationError("measure spec needs 'cycle' or 'stochastic'")
 
 
@@ -151,26 +186,22 @@ def config_digest(cfg: dict) -> str:
 # experiments
 
 
-def _get_cocycle(space: ShiftSpace, cfg: dict) -> MatrixCocycle:
+def _get_cocycle(space: ShiftSpace, cfg: dict, params: dict) -> MatrixCocycle:
     if "cocycle" in cfg:
-        return parse_cocycle(space, cfg["cocycle"])
+        return parse_cocycle(space, _require(cfg, "cocycle", dict))
     if "potential" in cfg:
-        f = parse_potential(space, cfg["potential"])
-        return from_potential(f, d=int(cfg.get("params", {}).get("d", 1)))
+        f = parse_potential(space, _require(cfg, "potential", dict))
+        return from_potential(f, d=_require(params, "d", int, 1))
     raise ValidationError("config needs 'cocycle' or 'potential'")
 
 
 def _exp_beta(space, cfg, params):
-    A = _get_cocycle(space, cfg)
     report = matrix_candidates(
-        space,
-        A,
-        n_max=int(params.get("n_max", 24)),
-        p_max=int(params.get("p_max", 12)),
-        slack=float(params.get("slack", 1e-6)),
-        gap_tol=float(params.get("gap_tol", 1e-3)),
-        budget=int(params.get("word_budget", 10_000_000)),
-    )
+        space, _get_cocycle(space, cfg, params),
+        n_max=_require(params, "n_max", int, 24), p_max=_require(params, "p_max", int, 12),
+        slack=_require(params, "slack", float, 1e-6),
+        gap_tol=_require(params, "gap_tol", float, 1e-3),
+        budget=_require(params, "word_budget", int, 10_000_000))
     br = report.bracket
     results = {
         "bracket": bracket_num(br.lower, br.upper),
@@ -189,28 +220,27 @@ def _exp_beta(space, cfg, params):
 
 
 def _exp_birkhoff(space, cfg, params):
-    f = parse_potential(space, _require(cfg, "potential"))
+    f = parse_potential(space, _require(cfg, "potential", dict))
     beta = karp_beta(space, f)
     G = critical_graph(space, f)
-    p_max = int(params.get("p_max", max(2, len(G.nodes) or 2)))
+    p_max = _require(params, "p_max", int, max(2, len(G.nodes) or 2))
     cycles, unique = maximizing_cycles(space, f, p_max)
-    results = {
+    return {
         "beta": num(beta),
         "unique": unique,
         "critical_cycles": [str(c) for c in cycles],
         "critical_edge_count": len(G.edges),
         "component_count": len(G.components),
-    }
-    return results, None
+    }, None
 
 
 def _exp_perturb(space, cfg, params):
-    f = parse_potential(space, _require(cfg, "potential"))
-    gamma = parse_potential(space, _require(params, "gamma"))
+    f = parse_potential(space, _require(cfg, "potential", dict))
+    gamma = parse_potential(space, _require(params, "gamma", dict))
     if "eps" in params:
-        grid = [_parse_scalar(e) for e in params["eps"]]
+        grid = [_parse_scalar(e) for e in _require(params, "eps", list)]
     else:
-        pmax = int(params.get("eps_min_pow", 12))
+        pmax = _require(params, "eps_min_pow", int, 12)
         grid = [Fraction(1, 2**j) for j in range(1, pmax + 1)]
     sweep = perturbation_sweep(space, f, gamma, grid)
     results = {
@@ -228,51 +258,38 @@ def _exp_perturb(space, cfg, params):
 
 
 def _exp_probe(space, cfg, params):
-    A = _get_cocycle(space, cfg)
-    seed = _require(params, "seed")
+    seed = _require(params, "seed", int)
     freq = uniqueness_probe(
-        space,
-        A,
-        n_samples=int(_require(params, "n_samples")),
-        delta=float(_require(params, "delta")),
-        seed=int(seed),
-        n_max=int(params.get("n_max", 10)),
-        p_max=int(params.get("p_max", 8)),
-        slack=float(params.get("slack", 1e-6)),
-    )
-    return {"unique_frequency": num(freq), "seed": int(seed)}, None
+        space, _get_cocycle(space, cfg, params), n_samples=_require(params, "n_samples", int),
+        delta=_require(params, "delta", float), seed=seed,
+        n_max=_require(params, "n_max", int, 10), p_max=_require(params, "p_max", int, 8),
+        slack=_require(params, "slack", float, 1e-6))
+    return {"unique_frequency": num(freq), "seed": seed}, None
 
 
 def _exp_lambda(space, cfg, params):
-    A = _get_cocycle(space, cfg)
-    seed = _require(params, "seed")
-    measures = [
-        PeriodicMeasure(space, _parse_cycle(space, m["cycle"]))
-        for m in _require(params, "measures")
-    ]
-    res = stability_radius(measures, A, trials=int(params.get("trials", 100)),
-                           seed=int(seed))
-    results = {
+    A = _get_cocycle(space, cfg, params)
+    seed = _require(params, "seed", int)
+    measures = [parse_measure(space, m) for m in _require(params, "measures", list)]
+    res = stability_radius(measures, A, trials=_require(params, "trials", int, 100), seed=seed)
+    return {
         "delta": num(res.delta),
-        "gap": num(res.gap),
+        # a one-measure family has no gap
+        "gap": num(res.gap) if math.isfinite(res.gap) else None,
         "argmax_index": res.argmax_index,
         "trials": res.trials,
         "trials_invariant": res.trials_invariant,
-        "seed": int(seed),
-    }
-    return results, None
+        "seed": seed,
+    }, None
 
 
 def _exp_irregular(space, cfg, params):
-    A = _get_cocycle(space, cfg)
-    c1 = _parse_cycle(space, _require(params, "c1"))
-    c2 = _parse_cycle(space, _require(params, "c2"))
-    schedule = build_irregular_point(
-        space, A, c1, c2,
-        r=float(params.get("ratio", 3.0)),
-        J=int(params.get("depth", 8)),
-    )
-    N = int(params.get("N", schedule.total_length))
+    A = _get_cocycle(space, cfg, params)
+    c1 = _parse_cycle(space, _require(params, "c1", str))
+    c2 = _parse_cycle(space, _require(params, "c2", str))
+    schedule = build_irregular_point(space, A, c1, c2, r=_require(params, "ratio", float, 3.0),
+                                     J=_require(params, "depth", int, 8))
+    N = _require(params, "N", int, schedule.total_length)
     series = finite_time_exponents(space, A, schedule, N)
     lo, hi, gap = block_oscillation(series, schedule)
     tail_lo, tail_hi, tail_gap = oscillation(series)
@@ -299,52 +316,39 @@ def _exp_irregular(space, cfg, params):
 
 
 def _exp_flatten(space, cfg, params):
-    values = [_parse_scalar(v) for v in _require(params, "values")]
+    values = [_parse_scalar(v) for v in _require(params, "values", list)]
     sys = identity_system(values)
-    n = int(_require(params, "n"))
+    n = _require(params, "n", int)
     res = flatten_top(sys, n)
-    results = {
+    return {
         "flattened": [num(v) for v in res.flattened],
         "distance": num(res.distance),
         "bound": num(sys.sup_norm / 2**n),
         "argmax_count": res.argmax_count,
         "band_holds": res.band_holds,
-    }
-    return results, None
+    }, None
 
 
 def _exp_measure(space, cfg, params):
-    A = _get_cocycle(space, cfg)
-    measures = [parse_measure(space, m) for m in _require(params, "measures")]
-    n_max = int(params.get("n_max", 12))
+    A = _get_cocycle(space, cfg, params)
+    measures = [parse_measure(space, m) for m in _require(params, "measures", list)]
+    n_max = _require(params, "n_max", int, 12)
     res = restricted_beta(measures, A, n_max=n_max)
-    i_max = int(params.get("i_max", 8))
-    dists = []
-    for i in range(len(measures)):
-        for j in range(i + 1, len(measures)):
-            d, err = weakstar_distance(measures[i], measures[j], i_max)
-            dists.append({"pair": [i, j], "distance": num(d),
-                          "truncation_error": num(err)})
-    results = {
+    i_max = _require(params, "i_max", int, 8)
+    pairs = itertools.combinations(range(len(measures)), 2)
+    dists = [{"pair": [i, j], "distance": num(d), "truncation_error": num(err)}
+             for i, j in pairs for d, err in [weakstar_distance(measures[i], measures[j], i_max)]]
+    return {
         "restricted_beta": bracket_num(*res.interval),
         "argmax": list(res.argmax),
         "certified_singleton": res.certified_singleton,
         "enclosures": [bracket_num(lo, hi) for lo, hi in res.enclosures],
         "weakstar_distances": dists,
-    }
-    return results, None
+    }, None
 
 
-_DISPATCH = {
-    "beta": _exp_beta,
-    "birkhoff": _exp_birkhoff,
-    "perturb": _exp_perturb,
-    "probe": _exp_probe,
-    "lambda": _exp_lambda,
-    "irregular": _exp_irregular,
-    "flatten": _exp_flatten,
-    "measure": _exp_measure,
-}
+# experiment `name` runs `_exp_<name>`
+_DISPATCH = {name: globals()[f"_exp_{name}"] for name in EXPERIMENTS}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def cache_lookup(digest: str, cache_dir: str | Path) -> dict | None:
         return None
     try:
         stored = json.loads(path.read_text())
-        if stored.get("config_digest") != digest:
+        if not isinstance(stored, dict) or stored.get("config_digest") != digest:
             raise ValueError("digest mismatch")
         return stored
     except (ValueError, OSError) as exc:
@@ -366,14 +370,13 @@ def cache_lookup(digest: str, cache_dir: str | Path) -> dict | None:
         return None
 
 
-def _cache_store(digest: str, body: dict, cache_dir: str | Path) -> None:
-    path = Path(cache_dir) / f"{digest}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serialize_body(body))
-
-
 def serialize_body(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, indent=1)
+    """Byte-stable strict JSON of a body or report: a non-finite number is
+    refused, never written as NaN or Infinity."""
+    try:
+        return json.dumps(body, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        raise ValidationError("the report holds a non-finite number") from None
 
 
 def run_config(cfg: dict, cache_dir: str | Path | None = None, threads: int = 1):
@@ -385,26 +388,23 @@ def run_config(cfg: dict, cache_dir: str | Path | None = None, threads: int = 1)
     `threads` is accepted for callers that pass it and selects nothing:
     every experiment runs on one thread.
     """
-    experiment = _require(cfg, "experiment")
+    cfg = _typed(cfg, dict, "a config")
+    experiment = _require(cfg, "experiment", str)
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}")
-    params = cfg.get("params", {})
+    params = _require(cfg, "params", dict, {})
     digest = config_digest(cfg)
     if cache_dir is not None:
         hit = cache_lookup(digest, cache_dir)
         if hit is not None:
             return hit, None, True
-    space = parse_system(_require(cfg, "system"))
+    space = parse_system(_require(cfg, "system", dict))
     results, rows = _DISPATCH[experiment](space, cfg, params)
-    body = {
-        "config_digest": digest,
-        "tool_version": __version__,
-        "norm_tag": NORM_TAG,
-        "experiment": experiment,
-        "results": results,
-    }
+    body = {"config_digest": digest, "tool_version": __version__, "norm_tag": NORM_TAG,
+            "experiment": experiment, "results": results}
     if cache_dir is not None:
-        _cache_store(digest, body, cache_dir)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        (Path(cache_dir) / f"{digest}.json").write_text(serialize_body(body))
     return body, rows, False
 
 
@@ -419,16 +419,13 @@ def run(config_path: str | Path, out_path: str | Path,
         raise ParseError(f"cannot read config: {exc}") from exc
     t0 = time.monotonic()
     body, rows, cached = run_config(cfg, cache_dir=cache_dir, threads=threads)
-    report = {
-        "body": body,
-        "cached": cached,
-        "wall_time_s": time.monotonic() - t0,
-    }
+    report = {"body": body, "cached": cached, "wall_time_s": time.monotonic() - t0}
+    series_path = _require(_require(cfg, "out", dict, {}), "series", str, "")
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, sort_keys=True, indent=1))
-    series_path = cfg.get("out", {}).get("series")
+    out_path.write_text(serialize_body(report))
     if rows is not None and series_path:
+        Path(series_path).parent.mkdir(parents=True, exist_ok=True)
         with open(series_path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
     return report

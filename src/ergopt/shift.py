@@ -18,6 +18,7 @@ from .errors import (
     EmptyAlphabetError,
     InadmissibleWordError,
     NoCycleError,
+    ParseError,
     UnreachableError,
     ValidationError,
 )
@@ -26,16 +27,20 @@ Word = tuple[int, ...]
 
 
 def word_to_str(w: Sequence[int]) -> str:
-    """Render a word; single digits are concatenated, larger letters comma-joined."""
+    """Render a word: letters below 10 are concatenated, other words are
+    comma-joined, and a one-letter word ends in a comma ("10,"), so that
+    `str_to_word` reads every rendering back."""
     if all(a < 10 for a in w):
-        return "".join(str(a) for a in w)
-    return ",".join(str(a) for a in w)
+        return "".join(map(str, w))
+    return ",".join(map(str, w)) + "," * (len(w) == 1)
 
 
 def str_to_word(s: str) -> Word:
-    if "," in s:
-        return tuple(int(t) for t in s.split(","))
-    return tuple(int(c) for c in s)
+    """The word a `word_to_str` rendering names; a ParseError otherwise."""
+    try:
+        return tuple(map(int, s.removesuffix(",").split(",") if "," in s else s))
+    except ValueError:
+        raise ParseError(f"bad word {s!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,11 +79,7 @@ def point_distance(x: Sequence[int], y: Sequence[int]) -> float:
 
     Returns 0.0 when the compared prefixes agree everywhere.
     """
-    n = min(len(x), len(y))
-    for i in range(n):
-        if x[i] != y[i]:
-            return 2.0 ** (-i)
-    return 0.0
+    return next((2.0 ** (-i) for i, (a, b) in enumerate(zip(x, y)) if a != b), 0.0)
 
 
 def new_shift(k: int, allowed: Sequence[Sequence[bool]] | None = None) -> ShiftSpace:
@@ -197,10 +198,8 @@ def canonical_rotation(w: Sequence[int]) -> Word:
 
 def is_primitive(w: Sequence[int]) -> bool:
     p = len(w)
-    for q in range(1, p):
-        if p % q == 0 and tuple(w) == tuple(w[i % q] for i in range(p)):
-            return False
-    return True
+    return not any(p % q == 0 and tuple(w) == tuple(w[i % q] for i in range(p))
+                   for q in range(1, p))
 
 
 def make_cycle(space: ShiftSpace, w: Sequence[int]) -> Cycle:

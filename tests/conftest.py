@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,3 +89,11 @@ def sft3_memory2(seed):
     weight = eo.ScalarPotential(sft3, 2, {w: float(rng.uniform(-1, 1)) for w in words})
     table = {w: rng.standard_normal((2, 2)) for w in words}
     return sft3, eo.MatrixCocycle(sft3, 2, 2, table, weight)
+
+
+def read_report(path):
+    """A report or error payload, parsed as strict JSON: NaN and Infinity,
+    which are not JSON, are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in {path}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)

@@ -13,6 +13,8 @@ import pytest
 
 from ergopt import cli
 
+from conftest import read_report
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -48,7 +50,7 @@ def oracle_failures(case, tmp_path):
     path.write_text(json.dumps(config))
     out = tmp_path / "report.json"
     assert cli.main(["--config", str(path), "--out", str(out), "--threads", "1"]) == 0
-    body = json.loads(out.read_text())["body"]
+    body = read_report(out)["body"]
     return oracles.check(case, body, series.read_text() if series else None)
 
 

@@ -292,19 +292,20 @@ class TestGamma:
 
 
 class TestStepTable:
-    def test_steps_are_stacked_once(self, full2, monkeypatch):
-        """Every kernel reads the cocycle's one step table: after the first
-        build no call reaches `MatrixCocycle.matrix` again."""
+    def test_steps_are_stacked_once(self, full2):
+        """Every kernel reads the cocycle's one step table: it reads each
+        matrix of the cocycle's own table once, when it is built, and no
+        kernel reads that table again or builds another."""
         calls = []
-        original = eo.MatrixCocycle.matrix
 
-        def counting(self, w):
-            calls.append(tuple(w))
-            return original(self, w)
+        class CountingTable(dict):
+            def __getitem__(self, w):
+                calls.append(w)
+                return super().__getitem__(w)
 
-        monkeypatch.setattr(eo.MatrixCocycle, "matrix", counting)
-        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                          (1,): np.array([[1.0, 0.0], [1.0, 1.0]])})
+        A = eo.MatrixCocycle(full2, 2, 1, CountingTable({
+            (0,): np.array([[1.0, 1.0], [0.0, 1.0]]),
+            (1,): np.array([[1.0, 0.0], [1.0, 1.0]])}))
         mu = eo.markov_measure(full2, [[0.5, 0.5], [0.3, 0.7]])
 
         def run_kernels():
@@ -314,20 +315,37 @@ class TestStepTable:
             eo.finite_time_exponents(full2, A, ((0,), eo.make_cycle(full2, (0, 1))), 50)
             eo.exponent_of_measure(full2, A, mu, n_max=5)
 
+        assert calls == []
         run_kernels()
         assert sorted(calls) == [(0,), (1,)]
+        table = A._step_table
         run_kernels()
-        assert len(calls) == 2
+        assert len(calls) == 2 and A._step_table is table
 
     def test_table_matches_the_cocycle_and_is_read_only(self):
-        space, A = sft3_memory2(5)
+        """Row w of the table is exp(+-weight(w)) * table[w]^(+-1), formed
+        here word by word, with and without a weight; `matrix` and
+        `inverse_matrix` return read-only rows of it."""
+        space, weighted = sft3_memory2(5)
+        words = eo.admissible_words(space, 2)
+        for A in (weighted, eo.MatrixCocycle(space, 2, 2, weighted.table)):
+            table = A._step_table
+            s = [0.0 if A.weight is None else float(A.weight.table[w]) for w in words]
+            assert np.array_equal(table.steps, np.stack(
+                [math.exp(x) * A.table[w] for x, w in zip(s, words)]))
+            assert np.array_equal(table.inverses, np.stack(
+                [math.exp(-x) * np.linalg.inv(A.table[w]) for x, w in zip(s, words)]))
+            assert np.array_equal(table.norms, [eo.op_norm(M) for M in table.steps])
+            for i, w in enumerate(words):
+                assert np.array_equal(A.matrix(w + (0,)), table.steps[i])
+                assert np.array_equal(A.inverse_matrix(w), table.inverses[i])
+                for M in (A.matrix(w), A.inverse_matrix(w)):
+                    with pytest.raises(ValueError):
+                        M[0, 0] = 0.0
+        A = weighted
         table = A._step_table
         index = table.index
-        words = eo.admissible_words(space, 2)
         assert list(index.row_of) == list(index.words) == words
-        assert np.array_equal(table.steps, np.stack([A.matrix(w) for w in words]))
-        assert np.array_equal(table.inverses, np.stack([A.inverse_matrix(w) for w in words]))
-        assert np.array_equal(table.norms, [eo.op_norm(A.matrix(w)) for w in words])
         assert A._step_table is table
         # the word graph read off the words, one edge per position, sorted
         # by head

@@ -105,6 +105,26 @@ class TestSchedule:
         assert all(e1 < e2 for e1, e2 in zip(ends, ends[1:]))
 
 
+    def test_blocks_end_before_their_connectors(self):
+        """On 0 -> {0, 1}, 1 -> 2, 2 -> {0, 2} the splice 0 -> 2 passes
+        through 1: each block end is the last step of the block's own
+        repeats, and the connector's letters follow it."""
+        space = eo.new_shift(3, [[True, True, False], [False, False, True], [True, False, True]])
+        A = eo.MatrixCocycle(space, 2, 1, {(a,): (a + 1.0) * np.eye(2) for a in range(3)})
+        sched = eo.build_irregular_point(space, A, eo.make_cycle(space, (0,)),
+                                         eo.make_cycle(space, (2,)), r=2.0, J=5)
+        assert sched.connectors == ((0, 1, 2), (2, 0))
+        symbols = list(sched.symbols())
+        ends = sched.block_end_indices()
+        assert ends[-1] == sched.total_length == len(symbols)
+        start = 0
+        for j, (L, end) in enumerate(zip(sched.lengths, ends)):
+            assert symbols[start:end] == [2 * (j % 2)] * L
+            connector = [1] if j % 2 == 0 and j + 1 < len(ends) else []
+            start = end + len(connector)
+            assert symbols[end:start] == connector
+
+
 class TestFiniteTimeExponents:
     def test_identity_is_zero(self, full2):
         A = eo.identity_cocycle(full2, 2)

@@ -7,6 +7,7 @@ from ergopt.errors import (
     EmptyAlphabetError,
     InadmissibleWordError,
     NoCycleError,
+    ParseError,
     UnreachableError,
 )
 
@@ -59,6 +60,16 @@ class TestConstruction:
     def test_empty_word_always_admissible(self, golden):
         assert golden.is_admissible(())
 
+    def test_letter_outside_the_alphabet_is_inadmissible(self, golden):
+        assert not golden.is_admissible((0, 2))
+        assert not golden.is_admissible((-1,))
+
+    def test_relation_that_is_not_k_by_k_rejected(self):
+        with pytest.raises(NoCycleError):
+            eo.new_shift(2, [[True, True]])
+        with pytest.raises(NoCycleError):
+            eo.new_shift(2, [[True], [True]])
+
 
 class TestWords:
     def test_full_shift_word_count_matches_power(self, full2):
@@ -87,6 +98,24 @@ class TestWords:
         assert eo.word_to_str((0, 1, 1)) == "011"
         assert eo.str_to_word("011") == (0, 1, 1)
         assert eo.str_to_word(eo.word_to_str((2, 0, 1))) == (2, 0, 1)
+
+    def test_every_word_string_reads_back(self):
+        """One letter 10 or above renders with a trailing comma, so that
+        "10," (one letter) and "10" (two letters) name different words."""
+        assert eo.word_to_str((10,)) == "10,"
+        assert eo.word_to_str((1, 0)) == "10"
+        assert eo.str_to_word("10,") == (10,)
+        rng = np.random.default_rng(12)
+        for k in range(1, 13):
+            for length in range(0, 6):
+                for _ in range(20):
+                    w = tuple(rng.integers(0, k, length).tolist())
+                    assert eo.str_to_word(eo.word_to_str(w)) == w
+
+    @pytest.mark.parametrize("s", ["x", ",", "1,,2", "10,,", "-1"])
+    def test_malformed_word_string_is_a_parse_error(self, s):
+        with pytest.raises(ParseError):
+            eo.str_to_word(s)
 
 
 class TestCycles:

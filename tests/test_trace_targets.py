@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import read_report
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -64,5 +66,7 @@ def test_every_expected_layer_is_called(tmp_path, monkeypatch):
         finally:
             tracer.uninstall()
         assert set(codes) == {0}
+        for case in json.loads(manifest.read_text())["cases"]:
+            read_report(case["out_path"])
         layers = tracing.aggregate(tracer.spans, tracer.counts)
         assert [name for name in expected if layers[f"{name}.calls"] == 0] == [], workload
