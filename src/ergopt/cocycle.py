@@ -246,16 +246,18 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence):
     words = [tuple(x) for x in w] if batch else [tuple(w)]
     if len({len(x) for x in words}) > 1:
         raise ValidationError("the words of a list must have one length")
-    for x in words:
-        if len(x) < A.memory:
-            raise InadmissibleWordError("word shorter than the cocycle memory")
-        if not A.space.is_admissible(x):
-            raise InadmissibleWordError(word_to_str(x))
     if not words:
         return np.zeros(0), np.zeros((0, A.d, A.d))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.array(words, dtype=np.intp), A.memory, axis=1)
-    logscale, P = _row_products(A, _step_rows(A._step_table.index, windows))
+    if len(words[0]) < A.memory:
+        raise InadmissibleWordError("word shorter than the cocycle memory")
+    letters = np.array(words, dtype=np.intp)
+    windows = np.lib.stride_tricks.sliding_window_view(letters, A.memory, axis=1)
+    # `_step_rows` refuses bad letters and windows; one lookup checks each 2-word
+    rows = _step_rows(A._step_table.index, windows)
+    allowed = np.array(A.space.allowed)[letters[:, :-1], letters[:, 1:]].all(axis=1)
+    if not allowed.all():
+        raise InadmissibleWordError(word_to_str(words[int(allowed.argmin())]))
+    logscale, P = _row_products(A, rows)
     return (logscale, P) if batch else (float(logscale[0]), P[0])
 
 

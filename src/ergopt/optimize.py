@@ -77,7 +77,7 @@ class CriticalGraph:
 
     @property
     def nodes(self) -> frozenset[Node]:
-        return frozenset(u for u, _ in self.edges) | frozenset(v for _, v in self.edges)
+        return frozenset(self.index.nodes[i] for i in self._numbering[0].tolist())
 
     def contains_cycle(self, c: Cycle) -> bool:
         s = max(self.memory - 1, 1)
@@ -87,18 +87,28 @@ class CriticalGraph:
         """True iff the graph is exactly one primitive cycle."""
         # strongly connected with as many edges as nodes: every node has
         # exactly one edge out and one in
-        return len(self.components) == 1 and len(self.edges) == len(self.nodes)
+        return len(self.components) == 1 and len(self.edge_ids) == len(self._numbering[0])
+
+    @cached_property
+    def _numbering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's one node numbering: the word-graph ids of the nodes its
+        edges touch, ascending (so lexicographic), and each edge's tail and
+        head as positions in that list, where the edges stay sorted by head."""
+        tails, heads = self.index.tails[self.edge_ids], self.index.heads[self.edge_ids]
+        used = np.zeros(len(self.index.nodes), dtype=bool)
+        used[tails] = used[heads] = True
+        label = np.cumsum(used) - 1
+        return np.flatnonzero(used), label[tails], label[heads]
 
     @cached_property
     def _node_shift(self) -> tuple[list[Node], ShiftSpace]:
         """The graph as a shift whose letters are its nodes in lexicographic
         order.  Node sequences then compare as the symbol words they spell."""
-        nodes = sorted(self.nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        allowed = [[False] * len(nodes) for _ in nodes]
-        for u, v in self.edges:
-            allowed[index[u]][index[v]] = True
-        return nodes, ShiftSpace(len(nodes), tuple(map(tuple, allowed)))
+        ids, tails, heads = self._numbering
+        allowed = np.zeros((len(ids), len(ids)), dtype=bool)
+        allowed[tails, heads] = True
+        return ([self.index.nodes[i] for i in ids.tolist()],
+                ShiftSpace(len(ids), tuple(map(tuple, allowed.tolist()))))
 
     def cycles(self, p_max: int) -> list[Cycle]:
         """Primitive cycles of period <= p_max lying in the graph, in
@@ -121,15 +131,9 @@ class CriticalGraph:
         """Greatest mean of g over the cycles of the graph; g lives on the
         graph's space and memory."""
         w, L = _edge_weights(self.index, g)
-        tails, heads = self.index.tails[self.edge_ids], self.index.heads[self.edge_ids]
-        # number the nodes the edges touch 0..k-1, in order (so the edges
-        # stay sorted by head): Karp's walk table then has k columns and
-        # k + 1 rows, not one per node of the word graph
-        used = np.zeros(len(self.index.nodes), dtype=bool)
-        used[tails] = used[heads] = True
-        label = np.cumsum(used) - 1
-        return _graph.max_cycle_mean(int(label[-1]) + 1, label[tails], label[heads],
-                                     w[self.edge_ids], L)
+        # Karp on the graph's own nodes, not on every node of the word graph
+        ids, tails, heads = self._numbering
+        return _graph.max_cycle_mean(len(ids), tails, heads, w[self.edge_ids], L)
 
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
@@ -313,10 +317,13 @@ def upper_bound(
     index = table.index
     steps = table.steps
     # (target, source, step row) per edge, sorted by target, so that children
-    # come out sorted by state; with memory 1 an edge reads its target letter
-    reads = index.heads if A.memory == 1 else index.rows
-    edges = list(zip(index.heads.tolist(), index.tails.tolist(), reads.tolist()))
-    first = np.argsort(index.ends, kind="stable")
+    # come out sorted by state
+    edges = list(zip(index.heads.tolist(), index.tails.tolist(), index.rows.tolist()))
+    # depth 1: each word, sorted by the node it ends at, the head of the edges
+    # that read it (some edge reads every word: each letter lies on a cycle)
+    ends = np.empty(len(index.words), dtype=np.intp)
+    ends[index.rows] = index.heads
+    first = np.argsort(ends, kind="stable")
     P = steps[first]
     prune_floor = n * lower_hint - 1e-9 * max(1, n)
     # reach[j]: the largest log norm a j-step tail can add
@@ -327,7 +334,7 @@ def upper_bound(
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     # blocks (depth, states, log scales, products), each sorted by state
-    stack = [(1, index.ends[first], logscale, P)]
+    stack = [(1, ends[first], logscale, P)]
     state_range = np.arange(len(index.nodes) + 1)
     best = -math.inf
     count = 0
@@ -396,20 +403,15 @@ class BetaBracket:
 
 
 def _additive_bracket(space: ShiftSpace, A: MatrixCocycle) -> BetaBracket:
-    pot = A.additive_potential()
-    G = critical_graph(space, pot)
-    beta = G.beta
-    val = float(beta)
-    size = len(G.index.nodes)
+    G = critical_graph(space, A.additive_potential())
+    val, size = float(G.beta), len(G.index.nodes)
     return BetaBracket(
-        lower=val,
-        upper=val,
+        lower=val, upper=val,
         n_used=size,
         p_used=size,
         witness=G.shortest_cycle(),
-        exact=beta if isinstance(beta, Rational) else None,
-        upper_series=((size, val),),
-        lower_series=((size, val),),
+        exact=G.beta if isinstance(G.beta, Rational) else None,
+        upper_series=((size, val),), lower_series=((size, val),),
     )
 
 

@@ -125,14 +125,14 @@ def _require(cfg: dict, key: str, kind: type | None = None, default=_ABSENT):
 
 def _array(value, what: str) -> np.ndarray:
     """A JSON array of finite numbers, or of equal-length arrays of them,
-    as a float array; ParseError otherwise."""
+    as a float array; each number is checked by `_typed`, so a string or a
+    boolean entry is a ParseError, as is a ragged array."""
+    def leaves(x):
+        return [leaves(y) for y in x] if isinstance(x, list) else _typed(x, float, f"{what} entry")
     try:
-        out = np.array(value, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        out = np.array(math.nan)
-    if not np.isfinite(out).all():
-        raise ParseError(f"{what} must be an array of finite numbers")
-    return out
+        return np.array(leaves(_typed(value, list, what)), dtype=float)
+    except ValueError:
+        raise ParseError(f"{what} must be an array of finite numbers") from None
 
 
 def parse_system(spec: dict) -> ShiftSpace:

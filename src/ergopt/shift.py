@@ -125,9 +125,10 @@ class _WordIndex:
     word graph.  The arrays are read-only.
 
     The graph's nodes are the admissible (memory-1)-words, single letters
-    for memory 1.  With memory m >= 2 each word w is the edge
-    w[:-1] -> w[1:]; with memory 1 each allowed pair ab is the edge a -> b,
-    read at the row of a."""
+    for memory 1.  Each admissible word e of length max(memory, 2) is the
+    edge e[:-1] -> e[1:], read at the row of the memory-word it ends with:
+    e itself for memory m >= 2, the letter b of ab for memory 1.  So each
+    word ends at the head of every edge that reads it."""
 
     space: ShiftSpace
     memory: int
@@ -136,15 +137,13 @@ class _WordIndex:
     powers: np.ndarray  # k^(m-1), ..., k, 1: `windows @ powers` codes words
     codes: np.ndarray  # of the words, ascending
     nodes: tuple[Word, ...]  # of the word graph, in lexicographic order
-    ends: np.ndarray  # the node each word ends in
-    # per edge, sorted by head: head and tail node, and the row it is read
-    # at (its word, or the source letter for memory 1)
+    # per edge, sorted by head: head and tail node, and the row it is read at
     heads: np.ndarray
     tails: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
-        for value in (self.powers, self.codes, self.ends, self.heads, self.tails, self.rows):
+        for value in (self.powers, self.codes, self.heads, self.tails, self.rows):
             value.flags.writeable = False
 
 
@@ -154,17 +153,14 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
     words = admissible_words(space, memory)
     row_of = {w: i for i, w in enumerate(words)}
     k, s = space.k, max(memory - 1, 1)
-    nodes = words if memory == 1 else admissible_words(space, s)
+    nodes = admissible_words(space, s)
     node_of = {u: i for i, u in enumerate(nodes)}
-    if memory == 1:
-        edges = sorted((b, a, a) for a in range(k) for b in space.successors(a))
-    else:
-        edges = sorted((node_of[w[1:]], node_of[w[:-1]], i) for i, w in enumerate(words))
+    edges = sorted((node_of[e[1:]], node_of[e[:-1]], row_of[e[-memory:]])
+                   for e in admissible_words(space, s + 1))
     powers = np.array([k**i for i in reversed(range(memory))],
                       dtype=np.int64 if k**memory < 2**63 else object)
     return _WordIndex(space, memory, tuple(words), row_of, powers, np.array(words) @ powers,
-                      tuple(nodes), np.array([node_of[w[-s:]] for w in words]),
-                      *np.array(edges, dtype=np.intp).reshape(-1, 3).T)
+                      tuple(nodes), *np.array(edges, dtype=np.intp).reshape(-1, 3).T)
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,12 @@ def brute_force_beta(space, f):
 
 def word_graph_edges(space, memory):
     """Oracle word graph, read off `admissible_words` alone: (tail node,
-    head node) -> the word the edge is read at.  The nodes are the
-    (memory-1)-words; with memory m >= 2 each m-word w is the edge
-    w[:-1] -> w[1:], with memory 1 each 2-word ab is the edge a -> b, read
-    at the word a."""
+    head node) -> the word the edge is read at, the memory-word it ends
+    with.  The nodes are the (memory-1)-words; with memory m >= 2 each
+    m-word w is the edge w[:-1] -> w[1:], read at w, with memory 1 each
+    2-word ab is the edge a -> b, read at the word b."""
     if memory == 1:
-        return {((a,), (b,)): (a,) for a, b in eo.admissible_words(space, 2)}
+        return {((a,), (b,)): (b,) for a, b in eo.admissible_words(space, 2)}
     return {(w[:-1], w[1:]): w for w in eo.admissible_words(space, memory)}
 
 

@@ -355,9 +355,10 @@ class TestStepTable:
         assert list(zip(heads, tails)) == sorted(zip(heads, tails))
         edges = word_graph_edges(space, 2)
         assert index_edges(index) == edges and len(heads) == len(edges)
-        assert [nodes[e] for e in index.ends.tolist()] == [w[1:] for w in words]
+        # every edge reads a word that ends at its head
+        assert all(words[r][1:] == nodes[v] for v, r in zip(heads, index.rows.tolist()))
         arrays = [table.steps, table.inverses, table.norms,
-                  index.powers, index.codes, index.ends, index.heads, index.tails, index.rows]
+                  index.powers, index.codes, index.heads, index.tails, index.rows]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0
@@ -449,3 +450,15 @@ class TestListProduct:
             cocycle_log_product(A, [(0, 1), (1, 1)])
         with pytest.raises(ValidationError):
             cocycle_log_product(A, [(0, 1), (0, 1, 0)])
+
+    @pytest.mark.parametrize("form", ["single", "list"])
+    @pytest.mark.parametrize("word", [(0, 1, 1, 0), (0, 1, 0, 2), (-1, 0, 1, 0)],
+                             ids=["forbidden_inner_transition", "letter_out_of_range",
+                                  "negative_letter"])
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_refuses_inadmissible_words(self, golden, memory, word, form):
+        """A forbidden 2-letter transition or a letter outside the alphabet
+        is refused, in a word alone or after an admissible word of a list."""
+        A = eo.identity_cocycle(golden, 2, memory=memory)
+        with pytest.raises(InadmissibleWordError):
+            cocycle_log_product(A, word if form == "single" else [(0, 1, 0, 1), word])

@@ -66,8 +66,9 @@ class TestWordGraph:
         assert index.nodes == ((0,), (1,))
         edges = index_edges(index)
         assert set(edges) == {((0,), (0,)), ((0,), (1,)), ((1,), (0,))}
-        # with memory 1 the weight of an edge depends on its source letter
-        assert edges[((0,), (1,))] == (0,)
+        # with memory 1, as with any memory, an edge is read at the word it
+        # ends with: its head letter
+        assert edges[((0,), (1,))] == (1,)
         assert edges == word_graph_edges(golden, 1)
 
     def test_memory_two_edges_span_words(self, golden):
@@ -82,7 +83,8 @@ class TestWordGraph:
     def test_edges_are_read_off_the_words(self, memory):
         """On random SFTs: the nodes are the (memory-1)-words in order, the
         edges those of `word_graph_edges`, one per array position, sorted
-        by head, and each word ends in its last node."""
+        by head, every edge reads a word that ends at its head, and every
+        word is read by some edge."""
         rng = np.random.default_rng(40 + memory)
         for _ in range(10):
             space = random_sft(rng, int(rng.integers(2, 5)))
@@ -93,7 +95,10 @@ class TestWordGraph:
             assert index_edges(index) == edges and len(index.heads) == len(edges)
             pairs = list(zip(index.heads.tolist(), index.tails.tolist()))
             assert pairs == sorted(pairs)
-            assert [index.nodes[e] for e in index.ends.tolist()] == [w[-s:] for w in index.words]
+            rows = index.rows.tolist()
+            assert all(index.words[r][-s:] == index.nodes[v]
+                       for v, r in zip(index.heads.tolist(), rows))
+            assert set(rows) == set(range(len(index.words)))
 
 
 class TestKarp:

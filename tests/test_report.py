@@ -340,6 +340,16 @@ class TestCli:
         ({"cocycle": FIB_COCYCLE, "experiment": "beta", "params": {"slack": math.nan}},
          "ParseError"),
         ({"cocycle": FIB_COCYCLE, "experiment": "beta", "out": {"series": 3}}, "ParseError"),
+        # array entries go through the same typed check as scalar values
+        ({"cocycle": {**FIB_COCYCLE, "matrices": {"0": [["1", 1], [0, 1]], "1": [[1, 0], [1, 1]]}},
+          "experiment": "beta"}, "ParseError"),
+        ({"cocycle": {**FIB_COCYCLE, "matrices": {"0": [[1, True], [0, 1]], "1": [[1, 0], [1, 1]]}},
+          "experiment": "beta"}, "ParseError"),
+        ({"cocycle": FIB_COCYCLE, "experiment": "measure",
+          "params": {"measures": [{"stochastic": [[0.5, 0.5], [0.5, "0.5"]]}]}}, "ParseError"),
+        ({"cocycle": FIB_COCYCLE, "experiment": "measure",
+          "params": {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]],
+                                   "stationary": [True, 0]}]}}, "ParseError"),
         # values of the right type out of range
         ({"potential": STEP_POTENTIAL, "experiment": "probe",
           "params": {"n_samples": 2, "delta": 0.1, "seed": -1}}, "InvalidArgument"),
@@ -361,6 +371,8 @@ class TestCli:
             "params_array", "alphabet_string", "ragged_matrix", "matrix_key_not_a_word",
             "values_array", "potential_value_infinite", "eps_number", "delta_string_nan",
             "delta_infinite", "delta_nan", "gap_tol_nan", "slack_nan", "series_path_number",
+            "matrix_string_entry", "matrix_boolean_entry", "stochastic_string_entry",
+            "stationary_boolean_entry",
             "seed_negative", "lambda_markov_measure", "lambda_measure_without_cycle",
             "trials_negative", "stochastic_one_row", "measure_n_max_0"])
     def test_bad_config_exits_2_with_an_error_report(self, tmp_path, cfg, error):
