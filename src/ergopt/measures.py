@@ -190,6 +190,7 @@ def _markov_exponent(space, A, mu, n_max, word_budget):
     lower = -math.inf
     upper = math.inf
     m = A.memory
+    stationary, stochastic = np.array(mu.stationary), np.array(mu.stochastic)
     # the admissible words of the current length by last letter, counted in
     # Python ints, so that a depth over the budget builds none of its words
     ends = [1] * space.k
@@ -200,11 +201,17 @@ def _markov_exponent(space, A, mu, n_max, word_budget):
         if sum(ends) > word_budget:
             raise BudgetExceededError(f"{sum(ends)} words at depth {n} exceed the budget")
         words = admissible_words(space, length)
-        charged = [(w, mass) for w in words if (mass := mu.cylinder_mass(w)) > 0]
-        logscale, P = cocycle_log_product(A, [w for w, _ in charged])
+        # the cylinder masses of the words, multiplied left to right as in
+        # `cylinder_mass`; the words are admissible, so no check is needed
+        letters = np.array(words)
+        masses = stationary[letters[:, 0]]
+        for j in range(1, length):
+            masses = masses * stochastic[letters[:, j - 1], letters[:, j]]
+        charged = np.flatnonzero(masses > 0).tolist()
+        logscale, P = cocycle_log_product(A, [words[i] for i in charged])
         fwd, bwd = _op_norms(P).tolist(), _op_norms(np.linalg.inv(P)).tolist()
         up_total = lo_total = 0.0
-        for (_, mass), ls, f, b in zip(charged, logscale.tolist(), fwd, bwd):
+        for mass, ls, f, b in zip(masses[charged].tolist(), logscale.tolist(), fwd, bwd):
             up_total += mass * (ls + math.log(f))
             lo_total += mass * (-ls + math.log(b))
         upper = min(upper, up_total / n)

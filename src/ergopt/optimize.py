@@ -24,6 +24,7 @@ from .cocycle import (
     ScalarPotential,
     Scalar,
     _op_norms,
+    _StepTable,
     _renormalise_rows,
     _row_products,
     _step_rows,
@@ -35,6 +36,7 @@ from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, connect, en
 DEFAULT_N_MAX = 24
 DEFAULT_P_MAX = 12
 DEFAULT_WORD_BUDGET = 10_000_000
+DEFAULT_GAP_TOL = 1e-9
 _BLOCK_ROWS = 4096  # most running products the U_n search holds in one block
 NORM_TAG = "spectral-2"
 
@@ -314,6 +316,41 @@ def upper_bound(
     if math.isnan(lower_hint) or lower_hint == math.inf:
         raise ValidationError(f"lower_hint must be a lower bound, got {lower_hint}")
     table = A._step_table
+    floors = _floors(n, lower_hint, float(np.log(table.norms).max()), maxima[:n - 1]).tolist()
+    best = _search(table, n, budget, floors)
+    if best < floors[0]:
+        raise ValidationError(f"depth-{n} maximum {best / n} lies below the lower "
+                              f"hint {lower_hint}: the hint or maxima are not bounds")
+    return best / n
+
+
+def _floors(n: int, lower, max_step, maxima) -> np.ndarray:
+    """floors[j], j < n: the depth-n floor n * lower, less a rounding margin
+    and less the largest log norm a j-step tail can add, min(j * max_step,
+    maxima[j - 1]).  Scalars give shape (n,); lower and max_step of shape
+    (S,) with maxima of shape (n - 1, S) give one column per sample."""
+    reach = np.multiply.outer(np.arange(n), max_step)
+    reach[1:len(maxima) + 1] = np.minimum(reach[1:len(maxima) + 1], maxima)
+    return n * lower - 1e-9 * n - reach
+
+
+def _search(table: _StepTable, n: int, budget: int, floors,
+            eta: np.ndarray | None = None) -> float | np.ndarray:
+    """The block loop of the U_n search: the largest log norm of an
+    admissible n-step product of the step table, depth-first over blocks of
+    at most _BLOCK_ROWS running products, each sorted by state.  A depth-k
+    prefix is dropped when its log Frobenius norm lies below floors[n - k]
+    (`upper_bound` says when that is sound).  `budget` caps the words
+    visited over the whole search.
+
+    `eta` (S, E) makes it one search for the cocycles e^{eta_s} A of its
+    rows s, returning their (S,) maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w,
+    so each row carries the S eta-sums of its word next to its log scale.
+    Sample s drops a prefix below floors[n - k, s, 0], and an eta-sum of
+    -inf marks the prefixes it dropped, so that their extensions stay
+    dropped for it.  A row stays while any sample keeps it.  `budget` caps
+    the words of each sample, as in its own search.
+    """
     index = table.index
     steps = table.steps
     # (target, source, step row) per edge, sorted by target, so that children
@@ -325,34 +362,43 @@ def upper_bound(
     ends[index.rows] = index.heads
     first = np.argsort(ends, kind="stable")
     P = steps[first]
-    prune_floor = n * lower_hint - 1e-9 * max(1, n)
-    # reach[j]: the largest log norm a j-step tail can add
-    max_step = float(np.log(table.norms).max())
-    reach = [j * max_step for j in range(n)]
-    for j, top in enumerate(maxima[:n - 1], 1):
-        reach[j] = min(reach[j], top)
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
-    # blocks (depth, states, log scales, products), each sorted by state
-    stack = [(1, ends[first], logscale, P)]
+    if eta is None:
+        sums, best, count = None, -math.inf, 0
+    else:
+        sums = eta[:, first]
+        best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
+        shifts = eta.T[:, :, None]  # shifts[r]: the (S, 1) column of step row r
+    # blocks (depth, states, log scales, products, eta-sums), each sorted by state
+    stack = [(1, ends[first], logscale, P, sums)]
     state_range = np.arange(len(index.nodes) + 1)
-    best = -math.inf
-    count = 0
     while stack:
-        k, states, logscale, P = stack.pop()
-        count += len(states)
-        if count > budget:
+        k, states, logscale, P, sums = stack.pop()
+        count += len(states) if sums is None else np.isfinite(sums).sum(axis=1)
+        if (count if sums is None else count.max()) > budget:
             raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
         if k == n:
-            best = max(best, float(np.max(logscale + np.log(_op_norms(P)))))
+            top = logscale + np.log(_op_norms(P))
+            if sums is None:
+                best = max(best, float(np.max(top)))
+            else:
+                best = np.maximum(best, (top + sums).max(axis=1))
             continue
         # cheap norm overbound (Frobenius) keeps pruning sound
-        frob = 0.5 * np.log(np.einsum("nij,nij->n", P, P))
-        keep = logscale + frob >= prune_floor - reach[n - k]
+        bound = logscale + 0.5 * np.log(np.einsum("nij,nij->n", P, P))
+        if sums is None:
+            keep = bound >= floors[n - k]
+        else:
+            kept = bound + sums >= floors[n - k]
+            sums = np.where(kept, sums, -math.inf)
+            keep = kept.any(axis=0)
         if not keep.all():
             states, logscale, P = states[keep], logscale[keep], P[keep]
+            if sums is not None:
+                sums = sums[:, keep]
         starts = np.searchsorted(states, state_range).tolist()
-        targets, sizes, child_ls, child_P = [], [], [], []
+        targets, sizes, child_ls, child_P, child_sums = [], [], [], [], []
         for v, u, r in edges:
             lo, hi = starts[u], starts[u + 1]
             if lo < hi:
@@ -360,19 +406,21 @@ def upper_bound(
                 sizes.append(hi - lo)
                 child_ls.append(logscale[lo:hi])
                 child_P.append(steps[r] @ P[lo:hi])
+                if sums is not None:
+                    child_sums.append(sums[:, lo:hi] + shifts[r])
         if not targets:
             continue
         states = np.repeat(targets, sizes)
         logscale = np.concatenate(child_ls)
         P = np.concatenate(child_P)
         _renormalise_rows(P, logscale)
+        if sums is not None:
+            sums = np.concatenate(child_sums, axis=1)
         for lo in range(0, len(states), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi]))
-    if best < prune_floor:
-        raise ValidationError(f"depth-{n} maximum {best / n} lies below the lower "
-                              f"hint {lower_hint}: the hint or maxima are not bounds")
-    return best / n
+            stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi],
+                          None if sums is None else sums[:, lo:hi]))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +468,7 @@ def beta_bracket(
     A: MatrixCocycle,
     n_max: int = DEFAULT_N_MAX,
     p_max: int = DEFAULT_P_MAX,
-    gap_tol: float = 1e-9,
+    gap_tol: float = DEFAULT_GAP_TOL,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> BetaBracket:
     """Two-sided bracket [L, U] of the maximum ergodic average.
@@ -476,6 +524,36 @@ def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[C
     )
 
 
+def _shifted_uppers(A: MatrixCocycle, eta: np.ndarray, lowers: np.ndarray, n_max: int,
+                    gap_tol: float = DEFAULT_GAP_TOL,
+                    budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """The upper end of `_matrix_bracket` for each cocycle e^{eta_s} A, s
+    over the rows of eta (S, E), whose lower end is lowers[s]: one `_search`
+    per depth serves every sample still open, each with the floor and tails
+    of its own search, and a sample closes at its first depth whose gap is
+    at most gap_tol."""
+    table = A._step_table
+    # each sample's largest one-step log norm, and N_j = j * U_j padded for
+    # rounding, as its own bracket keeps them
+    max_step = (np.log(table.norms) + eta).max(axis=1)
+    maxima = np.empty((n_max, len(eta)))
+    best = np.full(len(eta), math.inf)
+    open_ = np.arange(len(eta))
+    for n in range(1, n_max + 1):
+        floors = _floors(n, lowers[open_], max_step[open_], maxima[:n - 1, open_])
+        top = _search(table, n, budget, floors[:, :, None], eta[open_])
+        if (top < floors[0]).any():
+            raise ValidationError(f"a depth-{n} maximum lies below its lower end")
+        u_n = top / n
+        top = n * u_n
+        maxima[n - 1, open_] = top + 1e-12 * np.maximum(1.0, np.abs(top))
+        best[open_] = np.minimum(best[open_], u_n)
+        open_ = open_[best[open_] - lowers[open_] > gap_tol]
+        if not len(open_):
+            break
+    return best
+
+
 @dataclass(frozen=True)
 class OptReport:
     """Bracket plus the periodic orbits that could support maximizing
@@ -493,7 +571,7 @@ def matrix_candidates(
     n_max: int = DEFAULT_N_MAX,
     p_max: int = DEFAULT_P_MAX,
     slack: float = 1e-6,
-    gap_tol: float = 1e-9,
+    gap_tol: float = DEFAULT_GAP_TOL,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> OptReport:
     """Candidate optimal cycles: exponent >= lower - slack.

@@ -18,18 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _graph
-from .cocycle import (
-    MatrixCocycle,
-    Scalar,
-    ScalarPotential,
-    _op_norms,
-    gamma_apply,
-)
+from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms
 from .errors import InvalidArgumentError, NoGapError, ShapeMismatchError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
     _cycle_rows,
     _means,
+    _shifted_uppers,
     critical_graph,
     cycle_exponent,
     matrix_candidates,
@@ -157,22 +152,56 @@ def uniqueness_probe(
         raise InvalidArgumentError("delta must be positive and finite")
     if seed < 0:
         raise InvalidArgumentError("seed must be >= 0")
+    if n_max < 1 or p_max < 1:
+        raise ValidationError("n_max and p_max must be >= 1")
+    if not slack >= 0:
+        raise ValidationError("slack must be >= 0")
     rng = np.random.default_rng(seed)
     f = A.additive_potential() if A.is_additive else None
     exact = f is not None and f.is_rational
     norms = _step_norms(A)
-    words = _word_index(space, A.memory).words
-    hits = 0
-    for _ in range(n_samples):
-        values = _scaled_perturbation(rng, delta, exact, norms)
-        eta = ScalarPotential(space, A.memory, dict(zip(words, values)))
-        if exact:
-            _, unique = maximizing_cycles(space, f + eta, p_max)
-        else:
-            unique = matrix_candidates(space, gamma_apply(eta, A), n_max=n_max, p_max=p_max,
-                                       slack=slack).unique_at_resolution
-        hits += bool(unique)
-    return hits / n_samples
+    etas = [_scaled_perturbation(rng, delta, exact, norms) for _ in range(n_samples)]
+    if exact:
+        words = _word_index(space, A.memory).words
+        unique = [maximizing_cycles(space, f + ScalarPotential(space, A.memory,
+                                                               dict(zip(words, values))), p_max)[1]
+                  for values in etas]
+    else:
+        unique = _matrix_verdicts(space, A, np.array(etas), n_max, p_max, slack)
+    return int(np.count_nonzero(unique)) / n_samples
+
+
+def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max: int,
+                     p_max: int, slack: float) -> np.ndarray:
+    """`matrix_candidates(space, gamma_apply(eta_s, A), n_max, p_max,
+    slack).unique_at_resolution` for each row eta_s of eta (S, E), to
+    rounding, without building a cocycle: e^{eta_s} commutes with every
+    step, so a cycle's exponent moves by the cycle's eta_s-mean and a
+    word's log norm by its eta_s-sum.
+
+    A sample's lower end L_s = max_c of its cycle exponents lies within
+    h = max |eta| of A's, so only the cycles within slack + 2h of A's lower
+    end can reach L_s - slack: A's own candidates at that slack.  The upper
+    ends come from one shared search per depth (`_shifted_uppers`).  For
+    d = 1 both ends are the Karp maximum of the shifted potential, as in
+    `matrix_candidates`."""
+    index = _word_index(space, A.memory)
+    # the margin covers the rounding of the eta-means
+    wide = slack + 2.0 * float(np.abs(eta).max()) + 1e-9
+    # A's upper end plays no part here, so its bracket stops at depth 1
+    cycles = matrix_candidates(space, A, n_max=1, p_max=p_max, slack=wide).candidates
+    exponents = np.array(cycle_exponent(A, cycles), dtype=float)
+    exponents = exponents + _means(eta, None, _cycle_rows(index, cycles), len(cycles))
+    if A.is_additive:
+        w = A.additive_potential()._weights[0][index.rows]
+        lowers = uppers = np.array([
+            _graph.max_cycle_mean(len(index.nodes), index.tails, index.heads,
+                                  w + row[index.rows], None) for row in eta])
+    else:
+        lowers = exponents.max(axis=1)
+        uppers = _shifted_uppers(A, eta, lowers, n_max)
+    candidates = np.count_nonzero(exponents >= (lowers - slack)[:, None], axis=1)
+    return (candidates == 1) & (uppers - lowers <= slack)
 
 
 @dataclass(frozen=True)

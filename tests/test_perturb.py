@@ -137,6 +137,17 @@ class TestProbe:
         with pytest.raises(InvalidArgumentError):
             eo.uniqueness_probe(full2, fib_pair, n_samples=1, delta=0.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [{"n_max": 0}, {"p_max": 0}, {"slack": -1.0},
+                                     {"slack": float("nan")}])
+    def test_search_arguments_refused_before_any_draw(self, full2, fib_pair, step_potential,
+                                                      monkeypatch, bad):
+        """Both routes refuse the same arguments, and draw nothing first."""
+        drawn = TestScalarShift.record_draws(monkeypatch)
+        for A in (fib_pair, eo.from_potential(step_potential)):
+            with pytest.raises(ValidationError):
+                eo.uniqueness_probe(full2, A, n_samples=2, delta=0.1, seed=1, **bad)
+        assert drawn == []
+
 
 class TestStability:
     def family(self, full2):
@@ -275,9 +286,8 @@ class TestScalarShift:
         for A in (fib_pair, exact):
             assert eo.stability_radius(family, A, trials=200, seed=4).trials_invariant == 200
         assert eo.uniqueness_probe(full2, exact, n_samples=10, delta=0.05, seed=1) == 1.0
-        assert built == []
         eo.uniqueness_probe(full2, fib_pair, n_samples=6, delta=0.01, seed=1, n_max=6, p_max=4)
-        assert len(built) == 6
+        assert built == []
 
     def test_large_delta_drives_the_halving_loop(self, full2, fib_pair, step_potential,
                                                  monkeypatch):
@@ -304,6 +314,138 @@ class TestScalarShift:
         family = [eo.periodic_measure(golden, eo.make_cycle(golden, (0,)))]
         with pytest.raises(ShapeMismatchError):
             eo.stability_radius(family, fib_pair, trials=1, seed=0)
+
+
+def admissible(allowed, length):
+    """The admissible words of a length over the transition matrix, in
+    lexicographic order."""
+    words = [(a,) for a in range(len(allowed))]
+    for _ in range(length - 1):
+        words = [w + (b,) for w in words for b in range(len(allowed)) if allowed[w[-1]][b]]
+    return words
+
+
+def brute_verdicts(A, rows, n_max, p_max, slack, gap_tol=1e-9):
+    """The probe's verdict for each perturbation e^{eta_w} A_w, eta in `rows`,
+    by brute force in numpy: every primitive cycle up to p_max for the lower
+    end; every admissible depth-n product, n <= n_max, for the upper end,
+    stopping at the first depth whose gap is at most gap_tol; and one
+    candidate within slack of a gap within slack."""
+    allowed, m = A.space.allowed, A.memory
+    memory_words = admissible(allowed, m)
+    row_of = {w: i for i, w in enumerate(memory_words)}
+    cycles = []  # the step rows around each cycle, as its least rotation
+    for p in range(1, p_max + 1):
+        for w in admissible(allowed, p):
+            turns = {w[i:] + w[:i] for i in range(p)}
+            if allowed[w[-1]][w[0]] and len(turns) == p and w == min(turns):
+                cycles.append([row_of[tuple(w[(i + j) % p] for j in range(m))] for i in range(p)])
+    # depth-n words as extensions of depth-(n - 1) words: (parent, step row)
+    words = memory_words
+    growth = []
+    for _ in range(n_max - 1):
+        ext = [(i, w + (b,)) for i, w in enumerate(words)
+               for b in range(len(allowed)) if allowed[w[-1]][b]]
+        words = [w for _, w in ext]
+        growth.append((np.array([i for i, _ in ext]), np.array([row_of[w[-m:]] for w in words])))
+    verdicts = []
+    for eta in rows:
+        steps = np.stack([A.matrix(w) for w in memory_words])
+        steps = np.exp(np.array(eta))[:, None, None] * steps
+        exponents = []
+        for cycle in cycles:
+            P = np.eye(A.d)
+            for r in cycle:
+                P = steps[r] @ P
+            exponents.append(np.log(np.abs(np.linalg.eigvals(P)).max()) / len(cycle))
+        lower = max(exponents)
+        P, upper = steps, np.inf
+        for n in range(1, n_max + 1):
+            if n > 1:
+                parents, reads = growth[n - 2]
+                P = steps[reads] @ P[parents]
+            upper = min(upper, np.log(np.linalg.norm(P, 2, axis=(1, 2)).max()) / n)
+            if upper - lower <= gap_tol:
+                break
+        candidates = sum(e >= lower - slack for e in exponents)
+        verdicts.append(candidates == 1 and upper - lower <= slack)
+    return verdicts
+
+
+def memory2_sft3():
+    """The benchmark's memory-2 cocycle on a 3-letter SFT."""
+    sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+    table = {(0, 0): [[2.04, -2.56], [0.42, -0.57]], (0, 1): [[-0.45, -0.22], [-2.02, -0.23]],
+             (1, 1): [[-0.87, 3.32], [0.23, -0.35]], (1, 2): [[-0.28, -0.67], [-1.06, -0.39]],
+             (2, 0): [[0.48, -0.24], [0.96, -0.2]], (2, 1): [[0.02, 1.55], [0.55, -0.51]],
+             (2, 2): [[-0.18, 0.54], [1.94, -0.27]]}
+    return eo.MatrixCocycle(sft3, 2, 2, {w: np.array(m) for w, m in table.items()})
+
+
+class TestProbeOracle:
+    """The matrix probe scores every sample from one search over A's word
+    tree; each verdict is checked against a brute force over the perturbed
+    matrices that shares no code with `ergopt.optimize`."""
+
+    def pair(self, full2):
+        return eo.MatrixCocycle(full2, 2, 1, {(0,): np.array([[0.19, -0.52], [-0.41, -2.44]]),
+                                              (1,): np.array([[1.8, 1.14], [-0.33, 0.77]])})
+
+    def check(self, monkeypatch, A, *, n_samples=12, seed=3, **kwargs):
+        drawn = TestScalarShift.record_draws(monkeypatch)
+        freq = eo.uniqueness_probe(A.space, A, n_samples=n_samples, seed=seed, **kwargs)
+        want = brute_verdicts(A, drawn, kwargs["n_max"], kwargs["p_max"], kwargs["slack"])
+        got = perturb._matrix_verdicts(A.space, A, np.array(drawn), kwargs["n_max"],
+                                       kwargs["p_max"], kwargs["slack"])
+        assert got.tolist() == want
+        assert freq == sum(want) / n_samples
+        return sum(want)
+
+    @pytest.mark.parametrize("case", ["d1_float", "weighted_memory2"])
+    def test_verdicts_match_a_cocycle_per_sample(self, monkeypatch, full2, case):
+        """The verdicts equal those of `matrix_candidates` on each perturbed
+        cocycle `gamma_apply(eta, A)`, which the probe no longer builds: at
+        d = 1 with float entries, where both ends are a Karp maximum over
+        every period (here the cycle 01, longer than p_max), and at memory 2
+        with a weight."""
+        if case == "d1_float":
+            A = eo.MatrixCocycle(full2, 1, 2, {w: np.array([[v]]) for w, v in zip(
+                eo.admissible_words(full2, 2), (2.0, 2.05, 2.05, 1.1))})
+            kwargs = {"delta": 0.1, "n_max": 6, "p_max": 1, "slack": 1e-2}
+        else:
+            A = sft3_memory2(41)[1]
+            kwargs = {"delta": 50.0, "n_max": 8, "p_max": 6, "slack": 1e-2}
+        drawn = TestScalarShift.record_draws(monkeypatch)
+        freq = eo.uniqueness_probe(A.space, A, n_samples=16, seed=6, **kwargs)
+        del kwargs["delta"]
+        want = [eo.matrix_candidates(A.space, gamma_apply(eta_potential(A, row), A),
+                                     **kwargs).unique_at_resolution for row in drawn]
+        assert 0 < sum(want) < 16
+        assert freq == sum(want) / 16
+
+    def test_frequency_strictly_between_0_and_1(self, monkeypatch, fib_pair):
+        hits = self.check(monkeypatch, fib_pair, delta=0.5, n_max=8, p_max=6, slack=1e-6)
+        assert 0 < hits < 12
+
+    def test_memory2_sft3(self, monkeypatch):
+        hits = self.check(monkeypatch, memory2_sft3(), delta=50.0, n_max=10, p_max=6, slack=0.1)
+        assert 0 < hits < 12
+
+    def test_halving_loop_at_depth_14(self, monkeypatch, full2):
+        """A large delta draws again until the distance is below it; depth
+        14 stays within the default word budget."""
+        distances = []
+        distance = perturb._distance
+
+        def counting(eta, norms):
+            distances.append(distance(eta, norms))
+            return distances[-1]
+
+        monkeypatch.setattr(perturb, "_distance", counting)
+        hits = self.check(monkeypatch, self.pair(full2), delta=50.0, n_max=14, p_max=6,
+                          slack=1e-4)
+        assert max(distances) >= 50.0 and len(distances) > 12
+        assert 0 < hits < 12
 
 
 class TestFlatten:

@@ -71,6 +71,18 @@ CASES = {
         lambda: eo.matrix_candidates(FULL2, PAIR, slack=-1e-9), ValidationError),
     "candidates_slack_nan": (
         lambda: eo.matrix_candidates(FULL2, PAIR, slack=math.nan), ValidationError),
+    # perturb.py: the probe's arguments, refused on both routes before any draw
+    "probe_n_max_0": (
+        lambda: eo.uniqueness_probe(FULL2, eo.from_potential(STEP), 2, 0.1, 1, n_max=0),
+        ValidationError),
+    "probe_p_max_0": (
+        lambda: eo.uniqueness_probe(FULL2, PAIR, 2, 0.1, 1, p_max=0), ValidationError),
+    "probe_slack_negative": (
+        lambda: eo.uniqueness_probe(FULL2, eo.from_potential(STEP), 2, 0.1, 1, slack=-1.0),
+        ValidationError),
+    "probe_slack_nan": (
+        lambda: eo.uniqueness_probe(FULL2, eo.from_potential(STEP), 2, 0.1, 1, slack=math.nan),
+        ValidationError),
     # measures.py
     "markov_shape": (
         lambda: eo.MarkovMeasure(FULL2, ((1.0,),), (1.0,)), ShapeMismatchError),
