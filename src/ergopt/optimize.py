@@ -317,11 +317,7 @@ def upper_bound(
         raise ValidationError(f"lower_hint must be a lower bound, got {lower_hint}")
     table = A._step_table
     floors = _floors(n, lower_hint, float(np.log(table.norms).max()), maxima[:n - 1]).tolist()
-    best = _search(table, n, budget, floors)
-    if best < floors[0]:
-        raise ValidationError(f"depth-{n} maximum {best / n} lies below the lower "
-                              f"hint {lower_hint}: the hint or maxima are not bounds")
-    return best / n
+    return _search(table, n, budget, floors) / n
 
 
 def _floors(n: int, lower, max_step, maxima) -> np.ndarray:
@@ -340,16 +336,19 @@ def _search(table: _StepTable, n: int, budget: int, floors,
     admissible n-step product of the step table, depth-first over blocks of
     at most _BLOCK_ROWS running products, each sorted by state.  A depth-k
     prefix is dropped when its log Frobenius norm lies below floors[n - k]
-    (`upper_bound` says when that is sound).  `budget` caps the words
-    visited over the whole search.
+    (`upper_bound` says when that is sound), and a maximum below floors[0]
+    is refused: the floors were no bounds.  `budget` caps the words visited
+    over the whole search.
 
     `eta` (S, E) makes it one search for the cocycles e^{eta_s} A of its
     rows s, returning their (S,) maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w,
     so each row carries the S eta-sums of its word next to its log scale.
-    Sample s drops a prefix below floors[n - k, s, 0], and an eta-sum of
-    -inf marks the prefixes it dropped, so that their extensions stay
-    dropped for it.  A row stays while any sample keeps it.  `budget` caps
-    the words of each sample, as in its own search.
+    Sample s drops a prefix below floors[n - k, s], and an eta-sum of -inf
+    marks the prefixes it dropped, so that their extensions stay dropped
+    for it.  A row stays while any sample keeps it.  `budget` caps the words
+    of each sample, as in its own search.  A block holds at most
+    _BLOCK_ROWS * d^2 // S rows (at least one), so that its S eta-sums per
+    row take no more room than a single search's block of d x d products.
     """
     index = table.index
     steps = table.steps
@@ -370,6 +369,7 @@ def _search(table: _StepTable, n: int, budget: int, floors,
         sums = eta[:, first]
         best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
         shifts = eta.T[:, :, None]  # shifts[r]: the (S, 1) column of step row r
+    rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * steps[0].size // len(eta))
     # blocks (depth, states, log scales, products, eta-sums), each sorted by state
     stack = [(1, ends[first], logscale, P, sums)]
     state_range = np.arange(len(index.nodes) + 1)
@@ -390,7 +390,7 @@ def _search(table: _StepTable, n: int, budget: int, floors,
         if sums is None:
             keep = bound >= floors[n - k]
         else:
-            kept = bound + sums >= floors[n - k]
+            kept = bound + sums >= floors[n - k][:, None]
             sums = np.where(kept, sums, -math.inf)
             keep = kept.any(axis=0)
         if not keep.all():
@@ -416,10 +416,13 @@ def _search(table: _StepTable, n: int, budget: int, floors,
         _renormalise_rows(P, logscale)
         if sums is not None:
             sums = np.concatenate(child_sums, axis=1)
-        for lo in range(0, len(states), _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
+        for lo in range(0, len(states), rows):
+            hi = lo + rows
             stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi],
                           None if sums is None else sums[:, lo:hi]))
+    if np.any(best < floors[0]):
+        raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "
+                              f"the lower hint or maxima are not bounds")
     return best
 
 
@@ -499,16 +502,14 @@ def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[C
     lower_series, witness = _lower_series(exponents)
     best_l = lower_series[-1][1]
     upper_series: list[tuple[int, float]] = []
-    # maxima[j - 1] = N_j = j * U_j, padded for rounding: the tail bounds of
-    # every deeper search
+    # maxima[j - 1] = N_j, the tail bounds of every deeper search
     maxima: list[float] = []
     best_u = math.inf
     n_used = 1
     for n in range(1, n_max + 1):
         u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l, maxima=maxima)
         upper_series.append((n, u_n))
-        top = n * u_n
-        maxima.append(top + 1e-12 * max(1.0, abs(top)))
+        maxima.append(_padded_maximum(n, u_n))
         if u_n < best_u:
             best_u, n_used = u_n, n
         if best_u - best_l <= gap_tol:
@@ -524,31 +525,33 @@ def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[C
     )
 
 
-def _shifted_uppers(A: MatrixCocycle, eta: np.ndarray, lowers: np.ndarray, n_max: int,
-                    gap_tol: float = DEFAULT_GAP_TOL,
-                    budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """The upper end of `_matrix_bracket` for each cocycle e^{eta_s} A, s
-    over the rows of eta (S, E), whose lower end is lowers[s]: one `_search`
-    per depth serves every sample still open, each with the floor and tails
-    of its own search, and a sample closes at its first depth whose gap is
-    at most gap_tol."""
+def _padded_maximum(n: int, u_n):
+    """N_n = n * U_n, padded by 1e-12 * max(1, |N_n|) for rounding: the
+    bound on a depth-n tail that every deeper search reads."""
+    top = n * u_n
+    return top + 1e-12 * np.maximum(1.0, np.abs(top))
+
+
+def _shifted_uppers(A: MatrixCocycle, eta: np.ndarray, lowers: np.ndarray,
+                    n_max: int) -> np.ndarray:
+    """The upper end of `_matrix_bracket` at the default gap_tol and budget
+    for each cocycle e^{eta_s} A, s over the rows of eta (S, E), whose lower
+    end is lowers[s]: one `_search` per depth serves every sample still
+    open, each with the floor and tails of its own search, and a sample
+    closes at its first depth whose gap is at most DEFAULT_GAP_TOL."""
     table = A._step_table
-    # each sample's largest one-step log norm, and N_j = j * U_j padded for
-    # rounding, as its own bracket keeps them
+    # each sample's largest one-step log norm and its N_j, as its own
+    # bracket keeps them
     max_step = (np.log(table.norms) + eta).max(axis=1)
     maxima = np.empty((n_max, len(eta)))
     best = np.full(len(eta), math.inf)
     open_ = np.arange(len(eta))
     for n in range(1, n_max + 1):
         floors = _floors(n, lowers[open_], max_step[open_], maxima[:n - 1, open_])
-        top = _search(table, n, budget, floors[:, :, None], eta[open_])
-        if (top < floors[0]).any():
-            raise ValidationError(f"a depth-{n} maximum lies below its lower end")
-        u_n = top / n
-        top = n * u_n
-        maxima[n - 1, open_] = top + 1e-12 * np.maximum(1.0, np.abs(top))
+        u_n = _search(table, n, DEFAULT_WORD_BUDGET, floors, eta[open_]) / n
+        maxima[n - 1, open_] = _padded_maximum(n, u_n)
         best[open_] = np.minimum(best[open_], u_n)
-        open_ = open_[best[open_] - lowers[open_] > gap_tol]
+        open_ = open_[best[open_] - lowers[open_] > DEFAULT_GAP_TOL]
         if not len(open_):
             break
     return best

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt import perturb
+from ergopt import optimize, perturb
 from ergopt.cocycle import MatrixCocycle, cocycle_distance, gamma_apply
 from ergopt.errors import (
     InvalidArgumentError,
@@ -147,6 +147,29 @@ class TestProbe:
             with pytest.raises(ValidationError):
                 eo.uniqueness_probe(full2, A, n_samples=2, delta=0.1, seed=1, **bad)
         assert drawn == []
+
+    def test_blocks_shrink_as_samples_grow(self, monkeypatch, full2, fib_pair):
+        """A shared search's blocks hold at most _BLOCK_ROWS * d^2 // S
+        rows, so its eta-sums stay within a single search's block, and the
+        smaller blocks change no upper end."""
+        A = fib_pair
+        rng = np.random.default_rng(5)
+        eta = rng.uniform(-0.3, 0.3, size=(12, 2))
+        # A's lower end less max |eta| is below every sample's lower end
+        lowers = np.full(12, optimize.lower_bound_cycles(full2, A, 6)[0] - 0.3)
+        want = optimize._shifted_uppers(A, eta, lowers, 9)
+        leaves = []
+        op_norms = optimize._op_norms
+
+        def counting(P):
+            leaves.append(len(P))
+            return op_norms(P)
+
+        monkeypatch.setattr(optimize, "_op_norms", counting)
+        monkeypatch.setattr(optimize, "_BLOCK_ROWS", 12)
+        got = optimize._shifted_uppers(A, eta, lowers, 9)
+        assert got.tolist() == want.tolist()
+        assert max(leaves) == 12 * 4 // 12 and len(leaves) > 20
 
 
 class TestStability:
