@@ -19,7 +19,7 @@ import numpy as np
 
 from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms, cocycle_log_product
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
-from .optimize import cycle_exponent
+from .optimize import _by_end, _grow, cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, admissible_words
 
 _ROW_TOL = 1e-12
@@ -175,47 +175,54 @@ def exponent_of_measure(
     over-estimates it (subadditivity), each averaged negative log norm of
     the inverse under-estimates it (superadditivity, via the bottom
     singular value).  Both sides are exact for additive (d = 1) cocycles.
+    A measure or `space` other than A's shift space is refused.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    if mu.space != A.space or space != A.space:
+        raise ShapeMismatchError("measure, cocycle and space must share one shift space")
     if isinstance(mu, PeriodicMeasure):
         val = float(cycle_exponent(A, mu.cycle))
         return (val, val)
     if isinstance(mu, MarkovMeasure):
-        return _markov_exponent(space, A, mu, n_max, word_budget)
+        return _markov_exponent(A, mu, n_max, word_budget)
     raise ValidationError("orbit averages are not invariant; no asymptotic exponent")
 
 
-def _markov_exponent(space, A, mu, n_max, word_budget):
+def _markov_exponent(A, mu, n_max, word_budget):
     lower = -math.inf
     upper = math.inf
-    m = A.memory
+    space, m, table = A.space, A.memory, A._step_table
     stationary, stochastic = np.array(mu.stationary), np.array(mu.stochastic)
+    # the transition each edge adds: last letter of its tail -> of its head
+    last = np.array(table.index.nodes)[:, -1]
+    factor = stochastic[last[table.index.tails], last[table.index.heads]]
     # the admissible words of the current length by last letter, counted in
     # Python ints, so that a depth over the budget builds none of its words
     ends = [1] * space.k
     for n in range(1, n_max + 1):
-        length = n + m - 1
-        for _ in range(length - 1 if n == 1 else 1):
+        for _ in range(m - 1 if n == 1 else 1):
             ends = [sum(c for c, row in zip(ends, space.allowed) if row[b]) for b in range(space.k)]
         if sum(ends) > word_budget:
             raise BudgetExceededError(f"{sum(ends)} words at depth {n} exceed the budget")
-        words = admissible_words(space, length)
-        # the cylinder masses of the words, multiplied left to right as in
-        # `cylinder_mass`; the words are admissible, so no check is needed
-        letters = np.array(words)
-        masses = stationary[letters[:, 0]]
-        for j in range(1, length):
-            masses = masses * stochastic[letters[:, j - 1], letters[:, j]]
-        charged = np.flatnonzero(masses > 0).tolist()
-        logscale, P = cocycle_log_product(A, [words[i] for i in charged])
-        fwd, bwd = _op_norms(P).tolist(), _op_norms(np.linalg.inv(P)).tolist()
-        up_total = lo_total = 0.0
-        for mass, ls, f, b in zip(masses[charged].tolist(), logscale.tolist(), fwd, bwd):
-            up_total += mass * (ls + math.log(f))
-            lo_total += mass * (-ls + math.log(b))
-        upper = min(upper, up_total / n)
-        lower = max(lower, -lo_total / n)
+        if n == 1:
+            # the memory-words by end node, with their cylinder masses
+            # multiplied left to right as in `cylinder_mass`
+            first, states = _by_end(table.index)
+            letters = np.array(table.index.words)[first]
+            masses = stationary[letters[:, 0]]
+            for j in range(1, m):
+                masses = masses * stochastic[letters[:, j - 1], letters[:, j]]
+            logscale, P = cocycle_log_product(A, letters)
+        else:
+            # each charged word of the depth before, one step longer
+            states, logscale, P, spans = _grow(table, states, logscale, P)
+            masses = np.concatenate([masses[lo:hi] * factor[e] for lo, hi, e in spans])
+        charged = masses > 0
+        states, logscale, P, masses = states[charged], logscale[charged], P[charged], masses[charged]
+        fwd, bwd = np.log(_op_norms(P)), np.log(_op_norms(np.linalg.inv(P)))
+        upper = min(upper, math.fsum((masses * (logscale + fwd)).tolist()) / n)
+        lower = max(lower, -math.fsum((masses * (bwd - logscale)).tolist()) / n)
     # rounding can push the two sides past each other by ~1 ulp in the
     # additive case where they agree exactly
     return min(lower, upper), upper

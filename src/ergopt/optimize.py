@@ -30,7 +30,7 @@ from .cocycle import (
     _step_rows,
     spectral_radius,
 )
-from .errors import BudgetExceededError, ShapeMismatchError, ValidationError
+from .errors import BudgetExceededError, InadmissibleWordError, ShapeMismatchError, ValidationError
 from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, connect, enumerate_cycles
 
 DEFAULT_N_MAX = 24
@@ -190,9 +190,17 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | lis
     the additive potential (rational when possible) for d = 1.  Cycles of
     equal period share one stacked product and one spectral-radius call.
     """
-    if isinstance(c, Cycle):
-        return _exponents(A, [c])[0]
-    return _exponents(A, list(c))
+    cycles = [c] if isinstance(c, Cycle) else list(c)
+    groups = _cycle_rows(_word_index(A.space, A.memory), cycles)
+    if A.is_additive:
+        values = _means(*A.additive_potential()._weights, groups, len(cycles)).tolist()
+    else:
+        values = [0.0] * len(cycles)
+        for which, R in groups:
+            logscale, P = _row_products(A, R)
+            for i, ls, r in zip(which, logscale.tolist(), spectral_radius(P).tolist()):
+                values[i] = (ls + math.log(r)) / R.shape[1]
+    return values[0] if isinstance(c, Cycle) else values
 
 
 def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> list[tuple[list[int], np.ndarray]]:
@@ -203,11 +211,18 @@ def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> list[tuple[list[i
         by_period.setdefault(c.period, []).append(i)
     if not by_period:
         return []
-    # the windows of every period, looked up in one call
+    # each step's memory-word and the letter after it, for every period in
+    # one call; at memory 1 `_step_rows` sees no transition, so the pairs,
+    # the wrap included, are checked here
+    width = index.memory + 1
     windows = [np.array([cycles[i].word for i in which])
-               [:, (np.arange(p)[:, None] + np.arange(index.memory)) % p].reshape(-1, index.memory)
+               [:, (np.arange(p)[:, None] + np.arange(width)) % p].reshape(-1, width)
                for p, which in by_period.items()]
-    rows = _step_rows(index, np.concatenate(windows))
+    steps = np.concatenate(windows)
+    rows = _step_rows(index, steps[:, :-1])
+    if not np.array(index.space.allowed)[steps[:, -2], steps[:, -1]].all():
+        bad = next(c for c in cycles if not index.space.is_cyclically_admissible(c.word))
+        raise InadmissibleWordError(f"word {bad} is not cyclically admissible")
     ends = np.cumsum([len(w) for w in windows])
     return [(which, R.reshape(len(which), p))
             for (p, which), R in zip(by_period.items(), np.split(rows, ends[:-1]))]
@@ -227,19 +242,6 @@ def _means(w: np.ndarray, L: int | None, groups: list, count: int) -> np.ndarray
             total += w[..., R[:, j]]
         out[..., which] = total / p if L is None else np.frompyfunc(Fraction, 2, 1)(total, L * p)
     return out
-
-
-def _exponents(A: MatrixCocycle, cycles: list[Cycle]) -> list[Scalar]:
-    """`cycle_exponent` of each cycle, in order."""
-    groups = _cycle_rows(_word_index(A.space, A.memory), cycles)
-    if A.is_additive:
-        return _means(*A.additive_potential()._weights, groups, len(cycles)).tolist()
-    values = [0.0] * len(cycles)
-    for which, R in groups:
-        logscale, P = _row_products(A, R)
-        for i, ls, r in zip(which, logscale.tolist(), spectral_radius(P).tolist()):
-            values[i] = (ls + math.log(r)) / R.shape[1]
-    return values
 
 
 def _cycle_exponents(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> list[tuple[Cycle, float]]:
@@ -275,8 +277,6 @@ def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple
 
     Ties broken by (shorter period, lexicographically least canonical word).
     """
-    if p_max < 1:
-        raise ValidationError("p_max must be >= 1")
     series, witness = _lower_series(_cycle_exponents(space, A, p_max))
     return series[-1][1], witness
 
@@ -350,17 +350,8 @@ def _search(table: _StepTable, n: int, budget: int, floors,
     _BLOCK_ROWS * d^2 // S rows (at least one), so that its S eta-sums per
     row take no more room than a single search's block of d x d products.
     """
-    index = table.index
-    steps = table.steps
-    # (target, source, step row) per edge, sorted by target, so that children
-    # come out sorted by state
-    edges = list(zip(index.heads.tolist(), index.tails.tolist(), index.rows.tolist()))
-    # depth 1: each word, sorted by the node it ends at, the head of the edges
-    # that read it (some edge reads every word: each letter lies on a cycle)
-    ends = np.empty(len(index.words), dtype=np.intp)
-    ends[index.rows] = index.heads
-    first = np.argsort(ends, kind="stable")
-    P = steps[first]
+    first, states = _by_end(table.index)
+    P = table.steps[first]
     logscale = np.zeros(len(first))
     _renormalise_rows(P, logscale)
     if eta is None:
@@ -368,11 +359,10 @@ def _search(table: _StepTable, n: int, budget: int, floors,
     else:
         sums = eta[:, first]
         best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
-        shifts = eta.T[:, :, None]  # shifts[r]: the (S, 1) column of step row r
-    rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * steps[0].size // len(eta))
+        shifts = eta[:, table.index.rows].T[:, :, None]  # shifts[e]: the (S, 1) column of edge e
+    rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * table.steps[0].size // len(eta))
     # blocks (depth, states, log scales, products, eta-sums), each sorted by state
-    stack = [(1, ends[first], logscale, P, sums)]
-    state_range = np.arange(len(index.nodes) + 1)
+    stack = [(1, states, logscale, P, sums)]
     while stack:
         k, states, logscale, P, sums = stack.pop()
         count += len(states) if sums is None else np.isfinite(sums).sum(axis=1)
@@ -397,25 +387,11 @@ def _search(table: _StepTable, n: int, budget: int, floors,
             states, logscale, P = states[keep], logscale[keep], P[keep]
             if sums is not None:
                 sums = sums[:, keep]
-        starts = np.searchsorted(states, state_range).tolist()
-        targets, sizes, child_ls, child_P, child_sums = [], [], [], [], []
-        for v, u, r in edges:
-            lo, hi = starts[u], starts[u + 1]
-            if lo < hi:
-                targets.append(v)
-                sizes.append(hi - lo)
-                child_ls.append(logscale[lo:hi])
-                child_P.append(steps[r] @ P[lo:hi])
-                if sums is not None:
-                    child_sums.append(sums[:, lo:hi] + shifts[r])
-        if not targets:
+        if not len(states):
             continue
-        states = np.repeat(targets, sizes)
-        logscale = np.concatenate(child_ls)
-        P = np.concatenate(child_P)
-        _renormalise_rows(P, logscale)
+        states, logscale, P, spans = _grow(table, states, logscale, P)
         if sums is not None:
-            sums = np.concatenate(child_sums, axis=1)
+            sums = np.concatenate([sums[:, lo:hi] + shifts[e] for lo, hi, e in spans], axis=1)
         for lo in range(0, len(states), rows):
             hi = lo + rows
             stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi],
@@ -424,6 +400,38 @@ def _search(table: _StepTable, n: int, budget: int, floors,
         raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "
                               f"the lower hint or maxima are not bounds")
     return best
+
+
+def _by_end(index: _WordIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the index's words sorted by the node each word ends at,
+    the head of the edges that read it (some edge reads every word: each
+    letter lies on a cycle), and those nodes."""
+    ends = np.empty(len(index.words), dtype=np.intp)
+    ends[index.rows] = index.heads
+    first = np.argsort(ends, kind="stable")
+    return first, ends[first]
+
+
+def _grow(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray):
+    """One growth step of a word tree: the products P (N >= 1, d, d) with log
+    scales (N,) of words sorted by their end node `states`, each extended
+    by the step of every edge out of its node, renormalised, and still
+    sorted by node (the edges are sorted by head).  Spans (lo, hi, e): the
+    children along edge e extend parents lo:hi, in order."""
+    index, steps = table.index, table.steps
+    starts = states.searchsorted(np.arange(len(index.nodes) + 1)).tolist()
+    heads, sizes, child_ls, child_P, spans = [], [], [], [], []
+    for e, (v, u, r) in enumerate(index.edge_list):
+        lo, hi = starts[u], starts[u + 1]
+        if lo < hi:
+            spans.append((lo, hi, e))
+            heads.append(v)
+            sizes.append(hi - lo)
+            child_ls.append(logscale[lo:hi])
+            child_P.append(steps[r] @ P[lo:hi])
+    logscale, P = np.concatenate(child_ls), np.concatenate(child_P)
+    _renormalise_rows(P, logscale)
+    return np.array(heads).repeat(sizes), logscale, P, spans
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +496,9 @@ def beta_bracket(
                            n_max, p_max, gap_tol, budget)
 
 
-def _check_bracket_args(n_max: int, p_max: int, gap_tol: float) -> None:
+def _check_bracket_args(n_max: int, p_max: int, gap_tol: float, slack: float = 0.0) -> None:
+    if not slack >= 0:
+        raise ValidationError("slack must be >= 0")
     if n_max < 1 or p_max < 1:
         raise ValidationError("n_max and p_max must be >= 1")
     if not gap_tol > 0:
@@ -582,9 +592,7 @@ def matrix_candidates(
     `unique_at_resolution` is a finite-search verdict, not an exact
     uniqueness statement for matrix cocycles.
     """
-    if not slack >= 0:
-        raise ValidationError("slack must be >= 0")
-    _check_bracket_args(n_max, p_max, gap_tol)
+    _check_bracket_args(n_max, p_max, gap_tol, slack)
     exponents = _cycle_exponents(space, A, p_max)
     bracket = (_additive_bracket(space, A) if A.is_additive
                else _matrix_bracket(space, A, exponents, n_max, p_max, gap_tol, budget))

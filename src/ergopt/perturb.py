@@ -22,6 +22,8 @@ from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms
 from .errors import InvalidArgumentError, NoGapError, ShapeMismatchError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
+    DEFAULT_GAP_TOL,
+    _check_bracket_args,
     _cycle_rows,
     _means,
     _shifted_uppers,
@@ -152,10 +154,7 @@ def uniqueness_probe(
         raise InvalidArgumentError("delta must be positive and finite")
     if seed < 0:
         raise InvalidArgumentError("seed must be >= 0")
-    if n_max < 1 or p_max < 1:
-        raise ValidationError("n_max and p_max must be >= 1")
-    if not slack >= 0:
-        raise ValidationError("slack must be >= 0")
+    _check_bracket_args(n_max, p_max, DEFAULT_GAP_TOL, slack)
     rng = np.random.default_rng(seed)
     f = A.additive_potential() if A.is_additive else None
     exact = f is not None and f.is_rational

@@ -141,6 +141,7 @@ class _WordIndex:
     heads: np.ndarray
     tails: np.ndarray
     rows: np.ndarray
+    edge_list: tuple[tuple[int, int, int], ...]  # (head, tail, row) per edge, as Python ints
 
     def __post_init__(self):
         for value in (self.powers, self.codes, self.heads, self.tails, self.rows):
@@ -160,7 +161,7 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
     powers = np.array([k**i for i in reversed(range(memory))],
                       dtype=np.int64 if k**memory < 2**63 else object)
     return _WordIndex(space, memory, tuple(words), row_of, powers, np.array(words) @ powers,
-                      tuple(nodes), *np.array(edges, dtype=np.intp).reshape(-1, 3).T)
+                      tuple(nodes), *np.array(edges, dtype=np.intp).reshape(-1, 3).T, tuple(edges))
 
 
 @dataclass(frozen=True)

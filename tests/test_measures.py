@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -117,21 +118,83 @@ class TestExponentOfMeasure:
 
     def test_depth_over_the_budget_builds_no_words(self, monkeypatch):
         """30 letters: depth 4 holds 810 000 words, over a 10^5 budget; the
-        depth is refused before any word list over the budget is built."""
+        depth is refused before any of its words is grown.  Each growth
+        step extends the words of the depth before: 30 words into depth 2
+        and 900 into depth 3, and none into depth 4."""
         space = eo.new_shift(30)
         A = eo.from_potential(eo.constant_potential(space, Fraction(0)))
         mu = eo.markov_measure(space, np.full((30, 30), 1 / 30))
-        lengths = []
-        real = measures.admissible_words
+        parents = []
+        real = measures._grow
 
-        def recording(space, n):
-            lengths.append(n)
-            return real(space, n)
+        def recording(table, states, logscale, P):
+            parents.append(len(states))
+            return real(table, states, logscale, P)
 
-        monkeypatch.setattr(measures, "admissible_words", recording)
+        monkeypatch.setattr(measures, "_grow", recording)
         with pytest.raises(BudgetExceededError, match="810000 words at depth 4"):
             eo.exponent_of_measure(space, A, mu, n_max=5, word_budget=10**5)
-        assert lengths == [1, 2, 3]
+        assert parents == [30, 900]
+
+
+# (transition relation, stochastic matrix): the full 2-shift, the golden
+# mean shift, and a 3-letter SFT whose Markov data put zero mass on its
+# admissible transition 1 -> 1
+_ORACLE_SPACES = {
+    "full2": ([[1, 1], [1, 1]], [[0.3, 0.7], [0.6, 0.4]]),
+    "golden": ([[1, 1], [1, 0]], [[0.55, 0.45], [1.0, 0.0]]),
+    "sft3_zero": ([[1, 1, 0], [1, 1, 1], [1, 0, 1]],
+                  [[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.3, 0.0, 0.7]]),
+}
+
+
+def _oracle_enclosures(allowed, table, memory, pi, P, n_max):
+    """(1/n) sums over the admissible words of length n + memory - 1 of
+    mass * log ||A_w|| and of mass * -log ||A_w^-1||, n = 1..n_max: words
+    listed in plain Python, masses pi[w0] P[w0][w1]..., the raw matrices
+    multiplied with numpy, first step rightmost."""
+    k = len(allowed)
+    uppers, lowers = [], []
+    for n in range(1, n_max + 1):
+        up = down = 0.0
+        for w in itertools.product(range(k), repeat=n + memory - 1):
+            if not all(allowed[a][b] for a, b in zip(w, w[1:])):
+                continue
+            mass = pi[w[0]] * math.prod(P[a][b] for a, b in zip(w, w[1:]))
+            if mass == 0:
+                continue
+            M = table[w[:memory]]
+            for j in range(1, n):
+                M = table[w[j:j + memory]] @ M
+            up += mass * math.log(np.linalg.norm(M, 2))
+            down += mass * math.log(np.linalg.norm(np.linalg.inv(M), 2))
+        uppers.append(up / n)
+        lowers.append(-down / n)
+    return uppers, lowers
+
+
+class TestMarkovEnclosureOracle:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_ORACLE_SPACES))
+    def test_both_ends_match_plain_enumeration(self, name, memory, d):
+        allowed, P = _ORACLE_SPACES[name]
+        space = eo.new_shift(len(allowed), allowed)
+        rng = np.random.default_rng(100 * memory + d)
+        table = {}
+        for w in itertools.product(range(len(allowed)), repeat=memory):
+            if all(allowed[a][b] for a, b in zip(w, w[1:])):
+                table[w] = rng.uniform(-1.0, 1.0, (d, d)) + 2.0 * np.eye(d)
+        A = eo.MatrixCocycle(space, d, memory, table)
+        mu = eo.markov_measure(space, P)
+        uppers, lowers = _oracle_enclosures(allowed, table, memory, mu.stationary,
+                                            mu.stochastic, 4)
+        for n_max in range(1, 5):
+            lo, hi = eo.exponent_of_measure(space, A, mu, n_max=n_max)
+            want_hi = min(uppers[:n_max])
+            want_lo = min(max(lowers[:n_max]), want_hi)
+            assert hi == pytest.approx(want_hi, abs=1e-12, rel=0)
+            assert lo == pytest.approx(want_lo, abs=1e-12, rel=0)
 
 
 class TestRestrictedBeta:

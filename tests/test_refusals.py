@@ -30,6 +30,11 @@ STEP = eo.ScalarPotential(FULL2, 1, {(0,): Fraction(0), (1,): Fraction(1)})
 STEP2 = STEP.lift(2)
 FIXED = eo.make_cycle(FULL2, (0,))
 MARKOV = eo.markov_measure(FULL2, [[0.5, 0.5], [0.5, 0.5]])
+# 1 -> 0 is the one forbidden transition
+UPPER = eo.new_shift(2, [[True, True], [False, True]])
+UPPER_PAIR = eo.MatrixCocycle(UPPER, 2, 1, PAIR.table)
+GOLDEN_PAIR = eo.MatrixCocycle(GOLDEN, 2, 1, PAIR.table)
+FULL3 = eo.new_shift(3)
 
 CASES = {
     # cocycle.py
@@ -61,6 +66,13 @@ CASES = {
     # optimize.py
     "lower_bound_no_cycle": (
         lambda: eo.lower_bound_cycles(RING3, eo.identity_cocycle(RING3, 2), 2), ValidationError),
+    # a cycle built without `make_cycle`: at memory 1 its wrap 1 -> 0, and
+    # the fixed point 1 of the golden shift, are still refused
+    "cycle_exponent_forbidden_wrap": (
+        lambda: eo.cycle_exponent(UPPER_PAIR, eo.Cycle((0, 1))), InadmissibleWordError),
+    "restricted_beta_forbidden_fixed_point": (
+        lambda: eo.restricted_beta([eo.periodic_measure(GOLDEN, eo.Cycle((1,)))], GOLDEN_PAIR),
+        InadmissibleWordError),
     "lower_bound_p_max_0": (lambda: eo.lower_bound_cycles(FULL2, PAIR, 0), ValidationError),
     "upper_bound_n_0": (lambda: eo.upper_bound(FULL2, PAIR, 0), ValidationError),
     "bracket_n_max_0": (lambda: eo.beta_bracket(FULL2, PAIR, n_max=0), ValidationError),
@@ -105,6 +117,17 @@ CASES = {
         ValidationError),
     "exponent_of_measure_n_max_0": (
         lambda: eo.exponent_of_measure(FULL2, PAIR, MARKOV, n_max=0), ValidationError),
+    "exponent_of_measure_more_letters": (
+        lambda: eo.exponent_of_measure(
+            FULL3, PAIR, eo.markov_measure(FULL3, np.full((3, 3), 1 / 3))), ShapeMismatchError),
+    "exponent_of_measure_full_markov_on_golden": (
+        lambda: eo.exponent_of_measure(GOLDEN, GOLDEN_PAIR, MARKOV), ShapeMismatchError),
+    "exponent_of_measure_periodic_other_space": (
+        lambda: eo.exponent_of_measure(GOLDEN, GOLDEN_PAIR, eo.periodic_measure(FULL2, FIXED)),
+        ShapeMismatchError),
+    "restricted_beta_other_space": (
+        lambda: eo.restricted_beta([eo.periodic_measure(FULL2, eo.Cycle((1,)))], GOLDEN_PAIR),
+        ShapeMismatchError),
     "weakstar_i_max_0": (
         lambda: eo.weakstar_distance(MARKOV, MARKOV, 0), ValidationError),
     "weakstar_other_space": (
