@@ -333,6 +333,12 @@ def spectral_radius(M: np.ndarray) -> float | np.ndarray:
     return float(rho) if M.ndim == 2 else rho
 
 
+def _check_space(space: ShiftSpace, A: MatrixCocycle) -> None:
+    """Refuse a shift space other than the cocycle's."""
+    if space != A.space:
+        raise ShapeMismatchError("the shift space differs from the cocycle's")
+
+
 def cocycle_distance(A: MatrixCocycle, B: MatrixCocycle) -> float:
     """max over cylinders of ||A_w - B_w|| + ||A_w^-1 - B_w^-1||."""
     if A.space != B.space or A.d != B.d:

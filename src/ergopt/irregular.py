@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, _op_norms, _renormalise_rows, _step_rows
+from .cocycle import MatrixCocycle, _check_space, _op_norms, _renormalise_rows, _step_rows
 from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, connect, iter_point
@@ -87,6 +87,7 @@ def build_irregular_point(
     the finite-time exponents oscillate between values separated by about
     (r - 1)/(r + 1) of the exponent gap.
     """
+    _check_space(space, A)
     if J < 2:
         raise ValidationError("need at least two blocks")
     e1, e2 = map(float, cycle_exponent(A, (c1, c2)))
@@ -131,6 +132,7 @@ def finite_time_exponents(
     before; products are renormalised after every step, accumulating their
     log scales, so the values stay exact to within rounding at any N.
     """
+    _check_space(space, A)
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
     count = N + A.memory - 1

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms, cocycle_log_product
+from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _check_space, _op_norms, cocycle_log_product
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
 from .optimize import _by_end, _grow, cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, admissible_words
@@ -179,8 +179,8 @@ def exponent_of_measure(
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    if mu.space != A.space or space != A.space:
-        raise ShapeMismatchError("measure, cocycle and space must share one shift space")
+    _check_space(space, A)
+    _check_space(mu.space, A)
     if isinstance(mu, PeriodicMeasure):
         val = float(cycle_exponent(A, mu.cycle))
         return (val, val)

@@ -23,6 +23,7 @@ from .cocycle import (
     MatrixCocycle,
     ScalarPotential,
     Scalar,
+    _check_space,
     _op_norms,
     _StepTable,
     _renormalise_rows,
@@ -277,6 +278,7 @@ def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple
 
     Ties broken by (shorter period, lexicographically least canonical word).
     """
+    _check_space(space, A)
     series, witness = _lower_series(_cycle_exponents(space, A, p_max))
     return series[-1][1], witness
 
@@ -311,6 +313,7 @@ def upper_bound(
     `maxima` were no bounds.  `budget` caps the number of words (tree
     nodes) visited over all depths.
     """
+    _check_space(space, A)
     if n < 1:
         raise ValidationError("depth must be >= 1")
     if math.isnan(lower_hint) or lower_hint == math.inf:
@@ -489,6 +492,7 @@ def beta_bracket(
     branch pruning against the certified lower bound.  Stops early once the
     gap is at most gap_tol.  d = 1 collapses to the exact additive solution.
     """
+    _check_space(space, A)
     _check_bracket_args(n_max, p_max, gap_tol)
     if A.is_additive:
         return _additive_bracket(space, A)
@@ -592,6 +596,7 @@ def matrix_candidates(
     `unique_at_resolution` is a finite-search verdict, not an exact
     uniqueness statement for matrix cocycles.
     """
+    _check_space(space, A)
     _check_bracket_args(n_max, p_max, gap_tol, slack)
     exponents = _cycle_exponents(space, A, p_max)
     bracket = (_additive_bracket(space, A) if A.is_additive

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _graph
-from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _op_norms
-from .errors import InvalidArgumentError, NoGapError, ShapeMismatchError, ValidationError
+from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _check_space, _op_norms
+from .errors import InvalidArgumentError, NoGapError, ValidationError
 from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
     DEFAULT_GAP_TOL,
@@ -104,34 +104,33 @@ def _step_norms(A: MatrixCocycle) -> np.ndarray:
     return np.stack([table.norms, _op_norms(table.inverses)])
 
 
-def _distance(eta: Sequence[Scalar], norms: np.ndarray) -> float:
-    """`cocycle_distance(gamma_apply(eta, A), A)` for `norms = _step_norms(A)`:
-    B_w - A_w = expm1(eta_w) A_w and B_w^-1 - A_w^-1 = expm1(-eta_w) A_w^-1."""
-    x = np.array(eta, dtype=float)
-    return float((np.abs(np.expm1(x)) * norms[0] + np.abs(np.expm1(-x)) * norms[1]).max())
+def _distance(eta, norms: np.ndarray) -> np.ndarray:
+    """`cocycle_distance(gamma_apply(eta_s, A), A)` for each row eta_s of
+    eta and `norms = _step_norms(A)`: B_w - A_w = expm1(eta_w) A_w and
+    B_w^-1 - A_w^-1 = expm1(-eta_w) A_w^-1.  An overflow reads as inf."""
+    x = np.asarray(eta, dtype=float)
+    with np.errstate(over="ignore"):
+        return (np.abs(np.expm1(x)) * norms[0] + np.abs(np.expm1(-x)) * norms[1]).max(axis=-1)
 
 
-def _scaled_perturbation(
-    rng: np.random.Generator,
-    delta: float,
-    rational: bool,
-    norms: np.ndarray,
-) -> list[Scalar]:
-    """Draw a scalar perturbation eta of A's memory with cocycle distance
-    below delta from A, for `norms = _step_norms(A)`: its values at the rows
-    of A's word index, in order."""
-    count = norms.shape[1]
+def _perturbations(rng: np.random.Generator, delta: float, exact: bool, norms: np.ndarray,
+                   count: int) -> np.ndarray:
+    """`count` scalar perturbations from one draw, a row each over the rows
+    of A's word index for `norms = _step_norms(A)`, `Fraction`s when exact;
+    rows at cocycle distance delta or more from A are halved until none is."""
     sens = float(norms.sum(axis=0).max())
-    if rational:
+    shape = (count, norms.shape[1])
+    if exact:
         # a delta too small for the denominator limit keeps its exact value
         size = Fraction(delta).limit_denominator(10**9) or Fraction(delta)
-        scale = size / Fraction(max(1, math.ceil(2 * sens)))
-        eta = [scale * Fraction(n, 2**30)
-               for n in rng.integers(-(2**30), 2**30 + 1, count).tolist()]
+        scale = size / Fraction(max(1, math.ceil(2 * sens)) * 2**30)
+        eta = rng.integers(-(2**30), 2**30 + 1, shape).astype(object) * scale
     else:
-        eta = (delta / (2.0 * sens) * rng.uniform(-1.0, 1.0, count)).tolist()
-    while _distance(eta, norms) >= delta:
-        eta = [(Fraction(1, 2) if rational else 0.5) * v for v in eta]
+        eta = delta / (2.0 * sens) * rng.uniform(-1.0, 1.0, shape)
+    far = _distance(eta, norms) >= delta
+    while far.any():
+        eta[far] *= Fraction(1, 2) if exact else 0.5
+        far[far] = _distance(eta[far], norms) >= delta
     return eta
 
 
@@ -148,6 +147,7 @@ def uniqueness_probe(
     """Fraction of random scalar perturbations within distance delta whose
     maximizing set is a singleton (exactly for d = 1, at resolution for
     matrix cocycles).  Seed-deterministic."""
+    _check_space(space, A)
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
     if not 0 < delta < math.inf:
@@ -159,14 +159,14 @@ def uniqueness_probe(
     f = A.additive_potential() if A.is_additive else None
     exact = f is not None and f.is_rational
     norms = _step_norms(A)
-    etas = [_scaled_perturbation(rng, delta, exact, norms) for _ in range(n_samples)]
+    eta = _perturbations(rng, delta, exact, norms, n_samples)
     if exact:
         words = _word_index(space, A.memory).words
         unique = [maximizing_cycles(space, f + ScalarPotential(space, A.memory,
-                                                               dict(zip(words, values))), p_max)[1]
-                  for values in etas]
+                                                               dict(zip(words, row))), p_max)[1]
+                  for row in eta]
     else:
-        unique = _matrix_verdicts(space, A, np.array(etas), n_max, p_max, slack)
+        unique = _matrix_verdicts(space, A, eta, n_max, p_max, slack)
     return int(np.count_nonzero(unique)) / n_samples
 
 
@@ -227,9 +227,8 @@ def stability_radius(
         raise ValidationError("the family must consist of periodic measures")
     if trials < 0 or seed < 0:
         raise ValidationError("trials and seed must be >= 0")
-    space = measures[0].space
-    if space != A.space:
-        raise ShapeMismatchError("the measures and the cocycle live on different shift spaces")
+    for mu in measures:
+        _check_space(mu.space, A)
     exact = A.is_additive and A.additive_potential().is_rational
     values = cycle_exponent(A, [mu.cycle for mu in measures])
     order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
@@ -244,13 +243,12 @@ def stability_radius(
     sens = float(norms.sum(axis=0).max())
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
-    index = _word_index(space, A.memory)
+    index = _word_index(A.space, A.memory)
     groups = _cycle_rows(index, [mu.cycle for mu in measures])
     ok = 0
     for lo in range(0, trials, _TRIAL_BLOCK):
-        etas = [_scaled_perturbation(rng, delta, exact, norms)
-                for _ in range(min(_TRIAL_BLOCK, trials - lo))]
-        W, L = _graph._weights([v for eta in etas for v in eta], len(index.nodes))
+        etas = _perturbations(rng, delta, exact, norms, min(_TRIAL_BLOCK, trials - lo))
+        W, L = _graph._weights(etas.ravel().tolist(), len(index.nodes))
         # exp(eta) commutes with every step: exponents shift by eta-averages
         new_values = _means(W.reshape(len(etas), -1), L, groups, len(values))
         new_values += np.array(values, dtype=new_values.dtype)

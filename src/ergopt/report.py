@@ -38,6 +38,9 @@ from .measures import (
     weakstar_distance,
 )
 from .optimize import (
+    DEFAULT_N_MAX,
+    DEFAULT_P_MAX,
+    DEFAULT_WORD_BUDGET,
     NORM_TAG,
     critical_graph,
     karp_beta,
@@ -198,10 +201,11 @@ def _get_cocycle(space: ShiftSpace, cfg: dict, params: dict) -> MatrixCocycle:
 def _exp_beta(space, cfg, params):
     report = matrix_candidates(
         space, _get_cocycle(space, cfg, params),
-        n_max=_require(params, "n_max", int, 24), p_max=_require(params, "p_max", int, 12),
+        n_max=_require(params, "n_max", int, DEFAULT_N_MAX),
+        p_max=_require(params, "p_max", int, DEFAULT_P_MAX),
         slack=_require(params, "slack", float, 1e-6),
         gap_tol=_require(params, "gap_tol", float, 1e-3),
-        budget=_require(params, "word_budget", int, 10_000_000))
+        budget=_require(params, "word_budget", int, DEFAULT_WORD_BUDGET))
     br = report.bracket
     results = {
         "bracket": bracket_num(br.lower, br.upper),
@@ -223,7 +227,7 @@ def _exp_birkhoff(space, cfg, params):
     f = parse_potential(space, _require(cfg, "potential", dict))
     beta = karp_beta(space, f)
     G = critical_graph(space, f)
-    p_max = _require(params, "p_max", int, max(2, len(G.nodes) or 2))
+    p_max = _require(params, "p_max", int, max(2, len(G.nodes)))
     cycles, unique = maximizing_cycles(space, f, p_max)
     return {
         "beta": num(beta),

@@ -148,6 +148,14 @@ class TestProbe:
                 eo.uniqueness_probe(full2, A, n_samples=2, delta=0.1, seed=1, **bad)
         assert drawn == []
 
+    def test_other_space_refused_before_any_draw(self, full2, golden, fib_pair, step_potential,
+                                                  monkeypatch):
+        drawn = TestScalarShift.record_draws(monkeypatch)
+        for A in (fib_pair, eo.from_potential(step_potential)):
+            with pytest.raises(ShapeMismatchError):
+                eo.uniqueness_probe(golden, A, n_samples=2, delta=0.1, seed=1)
+        assert drawn == []
+
     def test_blocks_shrink_as_samples_grow(self, monkeypatch, full2, fib_pair):
         """A shared search's blocks hold at most _BLOCK_ROWS * d^2 // S
         rows, so its eta-sums stay within a single search's block, and the
@@ -240,18 +248,77 @@ class TestScalarShift:
                 assert perturb._distance(eta_row(eta), norms) == pytest.approx(want, rel=1e-12)
 
     @staticmethod
-    def record_draws(monkeypatch, radius=None):
-        """Record the values of every eta the package draws, drawn within
-        `radius` in place of the requested delta when it is given."""
+    def record_draws(monkeypatch, radius=None, counts=None):
+        """Record the values of every eta the package draws, one list per
+        row, drawn within `radius` in place of the requested delta when it
+        is given; `counts`, when given, gets the row count of each draw."""
         drawn = []
-        draw = perturb._scaled_perturbation
+        draw = perturb._perturbations
 
-        def recording(rng, delta, rational, norms):
-            drawn.append(draw(rng, radius or delta, rational, norms))
-            return drawn[-1]
+        def recording(rng, delta, exact, norms, count):
+            eta = draw(rng, radius or delta, exact, norms, count)
+            drawn.extend(eta.tolist())
+            if counts is not None:
+                counts.append(count)
+            return eta
 
-        monkeypatch.setattr(perturb, "_scaled_perturbation", recording)
+        monkeypatch.setattr(perturb, "_perturbations", recording)
         return drawn
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_draw_is_successive_single_draws(self, fib_pair, step_potential, monkeypatch,
+                                                 exact):
+        """One draw of five rows makes one call to the generator and equals
+        five one-row draws in turn from the same seed, at a delta where only
+        some rows are halved: the reports depend on this stream."""
+        A = eo.from_potential(step_potential) if exact else fib_pair
+        norms, delta = perturb._step_norms(A), 40.0
+        calls = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        first = []
+        distance = perturb._distance
+
+        def recording(eta, norms):
+            first.append(distance(eta, norms))
+            return first[-1]
+
+        monkeypatch.setattr(perturb, "_distance", recording)
+        rows = perturb._perturbations(Counting(2), delta, exact, norms, 5)
+        assert len(calls) == 1 and 0 < np.count_nonzero(first[0] >= delta) < 5
+        monkeypatch.undo()
+        rng = np.random.default_rng(2)
+        single = [perturb._perturbations(rng, delta, exact, norms, 1)[0].tolist()
+                  for _ in range(5)]
+        assert rows.tolist() == single
+        assert all(isinstance(v, Fraction) for v in rows.ravel()) == exact
+        assert (perturb._distance(rows, norms) < delta).all()
+
+    def test_one_draw_per_trial_block(self, full2, step_potential, monkeypatch):
+        counts = []
+        self.record_draws(monkeypatch, counts=counts)
+        family = [eo.periodic_measure(full2, eo.make_cycle(full2, w)) for w in ((0,), (1,))]
+        trials = 2 * perturb._TRIAL_BLOCK + 7
+        res = eo.stability_radius(family, eo.from_potential(step_potential), trials, seed=3)
+        assert counts == [perturb._TRIAL_BLOCK, perturb._TRIAL_BLOCK, 7]
+        assert res.trials_invariant == trials
+
+    def test_large_delta_does_not_overflow(self, full2):
+        """A d = 1 float potential at delta 5000: the first draw's
+        expm1(eta) overflows, which reads as a distance beyond delta, so the
+        row is halved; no numpy warning is raised."""
+        A = eo.from_potential(eo.ScalarPotential(full2, 1, {(0,): 0.5, (1,): -0.25}))
+        assert eo.uniqueness_probe(full2, A, n_samples=8, delta=5000.0, seed=1) == 1.0
+        norms = perturb._step_norms(A)
+        eta = perturb._perturbations(np.random.default_rng(1), 5000.0, False, norms, 8)
+        assert np.isfinite(eta).all() and (perturb._distance(eta, norms) < 5000.0).all()
 
     def test_matrix_trial_values(self, monkeypatch):
         """Trial exponents are A's plus the eta-averages, to 1e-12.  Drawn
@@ -314,7 +381,8 @@ class TestScalarShift:
 
     def test_large_delta_drives_the_halving_loop(self, full2, fib_pair, step_potential,
                                                  monkeypatch):
-        drawn = self.record_draws(monkeypatch)
+        counts = []
+        drawn = self.record_draws(monkeypatch, counts=counts)
         distances = []
         distance = perturb._distance
 
@@ -326,10 +394,13 @@ class TestScalarShift:
         delta = 20.0
         for A in (fib_pair, eo.from_potential(step_potential)):
             drawn.clear()
+            counts.clear()
             distances.clear()
             eo.uniqueness_probe(full2, A, n_samples=12, delta=delta, seed=2, n_max=6, p_max=4)
-            assert len(drawn) == 12
-            assert len(distances) > 12 and max(distances) >= delta
+            # one draw of all 12 rows, then at least one halving
+            assert counts == [12] and len(drawn) == 12
+            assert distances[0].shape == (12,)
+            assert len(distances) > 1 and max(d.max() for d in distances) >= delta
             for row in drawn:
                 assert cocycle_distance(gamma_apply(eta_potential(A, row), A), A) < delta
 
@@ -467,7 +538,7 @@ class TestProbeOracle:
         monkeypatch.setattr(perturb, "_distance", counting)
         hits = self.check(monkeypatch, self.pair(full2), delta=50.0, n_max=14, p_max=6,
                           slack=1e-4)
-        assert max(distances) >= 50.0 and len(distances) > 12
+        assert max(d.max() for d in distances) >= 50.0 and len(distances) > 1
         assert 0 < hits < 12
 
 

@@ -83,6 +83,12 @@ CASES = {
         lambda: eo.matrix_candidates(FULL2, PAIR, slack=-1e-9), ValidationError),
     "candidates_slack_nan": (
         lambda: eo.matrix_candidates(FULL2, PAIR, slack=math.nan), ValidationError),
+    # a shift space other than the cocycle's, refused at entry
+    "lower_bound_other_space": (lambda: eo.lower_bound_cycles(GOLDEN, PAIR, 4), ShapeMismatchError),
+    "upper_bound_other_space": (lambda: eo.upper_bound(GOLDEN, PAIR, 4), ShapeMismatchError),
+    "bracket_other_space": (lambda: eo.beta_bracket(FULL2, GOLDEN_PAIR), ShapeMismatchError),
+    "candidates_other_space": (
+        lambda: eo.matrix_candidates(GOLDEN, PAIR, n_max=4, p_max=4), ShapeMismatchError),
     # perturb.py: the probe's arguments, refused on both routes before any draw
     "probe_n_max_0": (
         lambda: eo.uniqueness_probe(FULL2, eo.from_potential(STEP), 2, 0.1, 1, n_max=0),
@@ -95,6 +101,14 @@ CASES = {
     "probe_slack_nan": (
         lambda: eo.uniqueness_probe(FULL2, eo.from_potential(STEP), 2, 0.1, 1, slack=math.nan),
         ValidationError),
+    "probe_other_space": (
+        lambda: eo.uniqueness_probe(GOLDEN, PAIR, 2, 0.1, 1, n_max=4, p_max=4),
+        ShapeMismatchError),
+    # every measure's space is compared with the cocycle's, not only the first's
+    "stability_second_measure_other_space": (
+        lambda: eo.stability_radius([eo.periodic_measure(FULL2, FIXED),
+                                     eo.periodic_measure(GOLDEN, eo.make_cycle(GOLDEN, (0, 1)))],
+                                    PAIR, trials=1, seed=0), ShapeMismatchError),
     # measures.py
     "markov_shape": (
         lambda: eo.MarkovMeasure(FULL2, ((1.0,),), (1.0,)), ShapeMismatchError),
@@ -147,6 +161,11 @@ CASES = {
     "irregular_total_overflows": (
         lambda: eo.build_irregular_point(FULL2, PAIR, FIXED, eo.make_cycle(FULL2, (0, 1)),
                                          r=3.0, J=1000), ValidationError),
+    "irregular_other_space": (
+        lambda: eo.build_irregular_point(GOLDEN, PAIR, FIXED, eo.make_cycle(FULL2, (0, 1))),
+        ShapeMismatchError),
+    "series_other_space": (
+        lambda: eo.finite_time_exponents(GOLDEN, PAIR, ((), FIXED), 4), ShapeMismatchError),
     "shift_relation_shape": (lambda: eo.new_shift(3, [[True] * 3] * 2), NoCycleError),
     # report.py
     "parse_system_transitions": (
