@@ -39,3 +39,13 @@ print("least and greatest gamma-mean of the maximizers along eps -> 0:")
 for eps, values in zip(sweep.epsilons, sweep.value_sets):
     print(f"  eps = {str(eps):6s} {[str(v) for v in values]}")
 print("limit:", sweep.limit)
+# beta(eps) = 1 + eps/2 is one line: no breakpoint, so no threshold
+print("selection threshold eps*:", sweep.threshold)
+
+# f's maximizer 01 stays selected under f + eps * [x_0 = 0] until eps*,
+# the first breakpoint of beta(eps), where the cycles 0, 01 and 001 tie
+zero = eo.ScalarPotential(golden, 1, {(0,): Fraction(1), (1,): Fraction(0)})
+sweep = eo.perturbation_sweep(golden, f, zero, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+print("\nf + eps * [x_0 = 0]: selection threshold eps* =", sweep.threshold)
+for eps, values in zip(sweep.epsilons, sweep.value_sets):
+    print(f"  eps = {str(eps):6s} {[str(v) for v in values]}")

@@ -141,8 +141,13 @@ class CriticalGraph:
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
     index = _word_index(space, f.memory)
-    beta, keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads,
-                                                   *_edge_weights(index, f))
+    return _critical_graph(index, *_edge_weights(index, f))
+
+
+def _critical_graph(index: _WordIndex, w: np.ndarray, L: int | None) -> CriticalGraph:
+    """The critical graph of the potential with weights w, scaled by L as
+    `_graph._weights` makes them, on the index's edges."""
+    beta, keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads, w, L)
     if beta is None:
         raise ValidationError("word graph has no cycle")
     nodes, tails, heads = index.nodes, index.tails[keep], index.heads[keep]
@@ -150,7 +155,7 @@ def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
     labels = comp_of[tails]
     return CriticalGraph(
         beta=beta,
-        memory=f.memory,
+        memory=index.memory,
         edges=frozenset((nodes[u], nodes[v]) for u, v in zip(tails.tolist(), heads.tolist())),
         components=tuple(frozenset(nodes[u] for u in tails[labels == c].tolist())
                          for c in sorted(set(labels.tolist()))),

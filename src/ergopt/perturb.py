@@ -10,9 +10,11 @@ families, and the top-flattening construction on identity systems.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
     DEFAULT_GAP_TOL,
     _check_bracket_args,
+    _critical_graph,
     _cycle_rows,
     _means,
     _shifted_uppers,
@@ -31,7 +34,6 @@ from .optimize import (
     cycle_exponent,
     matrix_candidates,
     maximizing_cycles,
-    relative_beta,
 )
 from .shift import Cycle, ShiftSpace, _word_index, admissible_words
 
@@ -42,13 +44,18 @@ _TRIAL_BLOCK = 1024  # most stability trials scored as one array
 class SweepResult:
     """Per-epsilon selection of the perturbed maximizers: `value_sets[i]`
     holds the distinct values among the least and the greatest
-    gamma-average over them, so one value or two."""
+    gamma-average over them, so one value or two.  On the exact route
+    `breakpoints` holds each eps in (0, max grid] where beta(eps) bends and
+    `threshold` the first of them, None when there is none; both are None
+    on the float route."""
 
     epsilons: tuple[Scalar, ...]
     value_sets: tuple[tuple[Scalar, ...], ...]
     diameters: tuple[Scalar, ...]
     hausdorff: tuple[Scalar, ...]
     limit: Scalar
+    breakpoints: tuple[Fraction, ...] | None = None
+    threshold: Fraction | None = None
 
 
 def perturbation_sweep(
@@ -61,29 +68,89 @@ def perturbation_sweep(
     f + eps * gamma, with their diameter and distance to the limiting
     singleton.
 
-    Exact (rational) when f, gamma and the grid are rational.
+    Exact (rational) when f, gamma and the grid are rational.  Then
+    beta(eps) = max over cycles c of (f_c + eps gamma_c) is convex and
+    piecewise linear, and the two values at eps are its left and right
+    slopes there, so the critical graphs at eps = 0, at the largest eps and
+    at the breakpoints in between (Eisner-Severance) give every grid point.
+    Float inputs build one critical graph per grid point instead: their
+    tight edges are tight only to a tolerance.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValidationError("epsilon grid must be positive")
     if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValidationError("epsilon grid must be strictly decreasing")
-    limit = relative_beta(space, f, gamma)
+    m = max(f.memory, gamma.memory)
+    f, g = f.lift(m), gamma.lift(m)
+    neg = -g
+    G = critical_graph(space, f)
+    limit = G.max_mean(g)
+    exact = f.is_rational and g.is_rational and all(isinstance(e, Rational) for e in eps_grid)
+    breakpoints = threshold = None
+    if exact:
+        points = _breakpoint_path(space, f, g, neg, G.beta, limit, Fraction(eps_grid[0]))
+        evaluated = sorted(points)
+        breakpoints = tuple(e for e in evaluated[1:] if points[e][1] != points[e][2])
+        threshold = breakpoints[0] if breakpoints else None
     value_sets: list[tuple[Scalar, ...]] = []
     diameters: list[Scalar] = []
     dists: list[Scalar] = []
-    g = gamma.lift(max(f.memory, gamma.memory))
-    neg = -g
     for eps in eps_grid:
-        G = critical_graph(space, f + gamma.scale(eps))
+        if not exact:
+            G = critical_graph(space, f + g.scale(eps))
+            values = sorted({-G.max_mean(neg), G.max_mean(g)})
+        else:
+            # beta is affine from the last evaluated point up to eps
+            at = evaluated[bisect.bisect_right(evaluated, eps) - 1]
+            _, left, right = points[at]
+            values = sorted({left, right}) if at == eps else [right]
+        value_sets.append(tuple(values))
+        diameters.append(values[-1] - values[0])
         # every maximizer of f + eps * gamma has gamma-average >= limit
         # (compare it with a maximizer of f of gamma-average limit), so the
         # distance to [limit] depends only on the two extremes
-        values = sorted({-G.max_mean(neg), G.max_mean(g)})
-        value_sets.append(tuple(values))
-        diameters.append(values[-1] - values[0])
         dists.append(hausdorff_distance(values, [limit]))
-    return SweepResult(eps_grid, tuple(value_sets), tuple(diameters), tuple(dists), limit)
+    return SweepResult(eps_grid, tuple(value_sets), tuple(diameters), tuple(dists), limit,
+                       breakpoints, threshold)
+
+
+def _breakpoint_path(space: ShiftSpace, f: ScalarPotential, g: ScalarPotential,
+                     neg: ScalarPotential, beta: Fraction, limit: Fraction,
+                     top: Fraction) -> dict[Fraction, tuple[Fraction, Fraction | None, Fraction]]:
+    """beta(eps) and its left and right slopes at eps = 0 (beta and limit
+    given, no left slope), at top and wherever Eisner-Severance evaluates
+    in between: every breakpoint in (0, top] is among these points.  f and
+    g are rational and share their memory; neg is -g."""
+    index = _word_index(space, f.memory)
+    (wf, Lf), (wg, Lg) = f._weights, g._weights
+    big_f, big_g = (max(map(abs, w.tolist()), default=0) for w in (wf, wg))
+
+    def evaluate(eps: Fraction):
+        # f + eps gamma in integers over D, straight from the rows of f and gamma
+        p, q = eps.numerator, eps.denominator
+        D = math.lcm(Lf, q * Lg)
+        a, b = D // Lf, p * (D // (q * Lg))
+        # a and b bound themselves too, for rows that are all 0
+        dtype = _graph._int_dtype(len(index.nodes), max(big_f * a + abs(b) * big_g, a, abs(b)))
+        row = wf.astype(dtype) * a + wg.astype(dtype) * b
+        G = _critical_graph(index, row[index.rows], D)
+        return G.beta, -G.max_mean(neg), G.max_mean(g)
+
+    points = {Fraction(0): (beta, None, limit), top: evaluate(top)}
+    todo = [(Fraction(0), top)]
+    while todo:
+        a, c = todo.pop()
+        (beta_a, _, right), (beta_c, left, _) = points[a], points[c]
+        if right == left:  # convex: beta is affine on [a, c]
+            continue
+        # the supporting lines at a and at c meet inside (a, c); beta lies
+        # on them there only when x is the one breakpoint of (a, c)
+        x = (beta_c - beta_a + a * right - c * left) / (right - left)
+        points[x] = evaluate(x)
+        if points[x][0] > beta_a + (x - a) * right:
+            todo += [(a, x), (x, c)]
+    return points
 
 
 def pinning_potential(space: ShiftSpace, c: Cycle) -> ScalarPotential:

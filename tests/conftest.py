@@ -63,6 +63,42 @@ def brute_force_beta(space, f):
     return best
 
 
+def cycle_means(space, f, gamma):
+    """Oracle for sweeps: (cycle, f-mean, gamma-mean) over every primitive
+    cycle up to the node count of the word graph at the larger memory,
+    which covers its simple cycles, summed directly."""
+    m = max(f.memory, gamma.memory)
+    node_count = len(eo.admissible_words(space, max(m - 1, 1)))
+
+    def mean(g, c):
+        return sum(g.value(w) for w in c.windows(g.memory)) / c.period
+
+    return [(c, mean(f, c), mean(gamma, c)) for c in eo.enumerate_cycles(space, node_count)]
+
+
+def selected_means(means, eps):
+    """The gamma-means of the cycles maximizing f + eps * gamma."""
+    top = max(fm + eps * gm for _, fm, gm in means)
+    return [gm for _, fm, gm in means if fm + eps * gm == top]
+
+
+def brute_breakpoints(means, top):
+    """Oracle: the eps in (0, top] where max_c (f_c + eps gamma_c) bends,
+    found by walking the upper envelope of the cycles' lines from eps = 0:
+    from a point on the steepest maximizing line, the next breakpoint is
+    the first crossing of a steeper line."""
+    eps, found = Fraction(0), []
+    while True:
+        beta = max(fm + eps * gm for _, fm, gm in means)
+        slope = max(selected_means(means, eps))
+        ahead = [eps + (beta - fm - eps * gm) / (gm - slope)
+                 for _, fm, gm in means if gm > slope]
+        if not ahead or min(ahead) > top:
+            return found
+        eps = min(ahead)
+        found.append(eps)
+
+
 def word_graph_edges(space, memory):
     """Oracle word graph, read off `admissible_words` alone: (tail node,
     head node) -> the word the edge is read at, the memory-word it ends

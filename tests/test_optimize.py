@@ -10,10 +10,13 @@ from ergopt.errors import ShapeMismatchError, ValidationError
 from ergopt.shift import _word_index
 
 from conftest import (
+    brute_breakpoints,
     brute_force_beta,
+    cycle_means,
     index_edges,
     random_rational_potential,
     random_sft,
+    selected_means,
     word_graph_edges,
 )
 
@@ -173,10 +176,6 @@ class TestCriticalGraph:
         have two distinct gamma-means."""
         rng = np.random.default_rng(40 + memory)
         grid = [Fraction(1, 2 ** j) for j in range(6)]
-
-        def mean(g, c):
-            return Fraction(sum(g.value(w) for w in c.windows(g.memory)), c.period)
-
         for _ in range(10):
             space = random_sft(rng, int(rng.integers(2, 4)))
             f = random_rational_potential(rng, space, memory, denom_max=1, num_max=1)
@@ -186,10 +185,7 @@ class TestCriticalGraph:
             for p in (1, 3, 6):
                 assert G.cycles(p) == [c for c in eo.enumerate_cycles(space, p)
                                        if G.contains_cycle(c)]
-            m = max(memory, gamma.memory)
-            node_count = len(eo.admissible_words(space, max(m - 1, 1)))
-            means = [(c, mean(f, c), mean(gamma, c))
-                     for c in eo.enumerate_cycles(space, node_count)]
+            means = cycle_means(space, f, gamma)
             beta = max(fm for _, fm, _ in means)
             critical = [(c, gm) for c, fm, gm in means if fm == beta]
             br = eo.beta_bracket(space, eo.from_potential(f))
@@ -199,10 +195,10 @@ class TestCriticalGraph:
             limit = max(gm for _, gm in critical)
             res = eo.perturbation_sweep(space, f, gamma, grid)
             assert res.limit == limit
+            assert res.breakpoints == tuple(brute_breakpoints(means, grid[0]))
             for eps, vs, diam, dist in zip(grid, res.value_sets, res.diameters,
                                            res.hausdorff):
-                top = max(fm + eps * gm for _, fm, gm in means)
-                values = [gm for _, fm, gm in means if fm + eps * gm == top]
+                values = selected_means(means, eps)
                 assert vs == tuple(sorted({min(values), max(values)}))
                 assert diam == max(values) - min(values)
                 deviations = [abs(v - limit) for v in values]
@@ -253,6 +249,11 @@ class TestMismatch:
         gamma = eo.constant_potential(eo.new_shift(3), Fraction(1))
         with pytest.raises(ShapeMismatchError):
             eo.relative_beta(full2, step_potential, gamma)
+        # on the exact route and on the float route of the sweep
+        for f, grid in ((step_potential, [Fraction(1, 2)]), (step_potential, [0.5]),
+                        (step_potential.scale(0.5), [Fraction(1, 2)])):
+            with pytest.raises(ShapeMismatchError):
+                eo.perturbation_sweep(full2, f, gamma, grid)
 
     def test_max_mean_of_another_memory(self, full2, step_potential):
         G = eo.critical_graph(full2, step_potential)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt import optimize, perturb
+from ergopt import _graph, optimize, perturb
 from ergopt.cocycle import MatrixCocycle, cocycle_distance, gamma_apply
 from ergopt.errors import (
     InvalidArgumentError,
@@ -13,7 +13,13 @@ from ergopt.errors import (
     ValidationError,
 )
 
-from conftest import random_rational_potential, sft3_memory2
+from conftest import (
+    brute_breakpoints,
+    cycle_means,
+    random_rational_potential,
+    selected_means,
+    sft3_memory2,
+)
 
 
 def two_loop_tie(full2):
@@ -79,6 +85,151 @@ class TestSweep:
         res = eo.perturbation_sweep(full2, f, gamma, grid)
         assert res.limit == Fraction(2)
         assert res.hausdorff[-1] == 0
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The critical graphs built from here on, one entry per Karp
+    evaluation of a potential (`_graph.critical_subgraph` calls)."""
+    calls = []
+    inner = _graph.critical_subgraph
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(_graph, "critical_subgraph", counted)
+    return calls
+
+
+SPACES = {
+    "full2": eo.new_shift(2),
+    "golden": eo.new_shift(2, [[True, True], [True, False]]),
+    "sft3": eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]]),
+}
+
+
+class TestBreakpointPath:
+    """Rational sweeps read beta(eps) = max_c (f_c + eps gamma_c) at its
+    breakpoints only; the oracles sum f and gamma over the primitive
+    cycles and walk the upper envelope of their lines."""
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_against_brute_force(self, name, memory, evaluations):
+        """Grids hold every breakpoint in range, the points between them and
+        one point below the first."""
+        space = SPACES[name]
+        rng = np.random.default_rng([memory, len(name)])
+        top = Fraction(32)
+        found = 0
+        for _ in range(8):
+            f = random_rational_potential(rng, space, memory, denom_max=4, num_max=8)
+            gamma = random_rational_potential(rng, space, int(rng.integers(1, 4)),
+                                              denom_max=4, num_max=8)
+            means = cycle_means(space, f, gamma)
+            bps = brute_breakpoints(means, top)
+            ends = [Fraction(0), *bps, top]
+            grid = sorted({*ends[1:], *((a + b) / 2 for a, b in zip(ends, ends[1:])),
+                           ends[1] / 1024}, reverse=True)
+            evaluations.clear()
+            res = eo.perturbation_sweep(space, f, gamma, grid)
+            beta = max(fm for _, fm, _ in means)
+            assert res.limit == max(gm for _, fm, gm in means if fm == beta)
+            assert res.breakpoints == tuple(bps)
+            assert res.threshold == (bps[0] if bps else None)
+            for eps, vs, diam in zip(grid, res.value_sets, res.diameters):
+                values = selected_means(means, eps)
+                assert vs == tuple(sorted({min(values), max(values)}))
+                assert diam == max(values) - min(values)
+            # Eisner-Severance: the 2 ends, then at most 2k - 1 intersections
+            # for k breakpoints
+            assert len(evaluations) <= (2 * len(bps) + 1 if bps else 2)
+            found += len(bps)
+        assert found
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_threshold_is_the_first_crossing(self, name):
+        """eps* = min over cycles c with gamma_c > limit of
+        (beta - f_c) / (gamma_c - limit), when it lies in the grid's range."""
+        space = SPACES[name]
+        rng = np.random.default_rng(len(name))
+        grid = [Fraction(1, 2 ** j) for j in range(8)]
+        for _ in range(6):
+            f = random_rational_potential(rng, space, int(rng.integers(1, 4)),
+                                          denom_max=3, num_max=6)
+            gamma = random_rational_potential(rng, space, int(rng.integers(1, 4)),
+                                              denom_max=3, num_max=6)
+            means = cycle_means(space, f, gamma)
+            res = eo.perturbation_sweep(space, f, gamma, grid)
+            beta = max(fm for _, fm, _ in means)
+            crossings = [(beta - fm) / (gm - res.limit) for _, fm, gm in means if gm > res.limit]
+            first = min(crossings, default=None)
+            assert res.threshold == (first if first is not None and first <= grid[0] else None)
+
+    def test_three_way_tie_is_a_breakpoint(self, full2):
+        """f and gamma on two fixed points and the 2-cycle: the lines 1,
+        4 eps and 1/2 + 2 eps all meet at eps = 1/4."""
+        f = eo.ScalarPotential(full2, 1, {(0,): Fraction(1), (1,): Fraction(0)})
+        gamma = eo.ScalarPotential(full2, 1, {(0,): Fraction(0), (1,): Fraction(4)})
+        res = eo.perturbation_sweep(full2, f, gamma, [Fraction(1, 2), Fraction(1, 4),
+                                                      Fraction(1, 8)])
+        assert res.limit == 0
+        assert res.value_sets == ((4,), (0, 4), (0,))
+        assert res.diameters == (0, 4, 0)
+        assert res.hausdorff == (8, 4, 0)
+        assert res.breakpoints == (Fraction(1, 4),) and res.threshold == Fraction(1, 4)
+        below = eo.perturbation_sweep(full2, f, gamma, [Fraction(1, 8), Fraction(1, 16)])
+        assert below.breakpoints == () and below.threshold is None
+
+    def test_no_breakpoint_takes_two_evaluations(self, evaluations):
+        """The coboundary tie of `test_every_cycle_tied_at_memory_four`:
+        beta(eps) = c eps is one line, read at eps = 0 and the largest eps."""
+        space = eo.new_shift(3)
+        rng = np.random.default_rng(5)
+        g = {w: Fraction(int(rng.integers(-9, 10)), 4) for w in eo.admissible_words(space, 3)}
+        gamma = eo.ScalarPotential(space, 4, {
+            w: g[w[1:]] - g[w[:3]] + Fraction(7, 3) for w in eo.admissible_words(space, 4)})
+        f = eo.constant_potential(space, Fraction(0), memory=4)
+        res = eo.perturbation_sweep(space, f, gamma, [Fraction(1, 2 ** j) for j in range(1, 11)])
+        assert len(evaluations) == 2
+        assert res.breakpoints == () and res.threshold is None
+
+    def test_large_rows_stay_exact(self, full2):
+        """Values whose integer rows leave int64 run on Python ints."""
+        big = Fraction(2**70 + 1, 3)
+        f = eo.ScalarPotential(full2, 1, {(0,): big, (1,): Fraction(0)})
+        gamma = eo.ScalarPotential(full2, 1, {(0,): Fraction(0), (1,): Fraction(1)})
+        res = eo.perturbation_sweep(full2, f, gamma, [2 * big, big, big / 2])
+        assert res.breakpoints == (big,)
+        assert res.value_sets == ((1,), (0, 1), (0,))
+
+
+class TestFloatSweep:
+    """A float potential or grid keeps one critical graph per grid point:
+    a tight edge there is tight to a tolerance, so breakpoints are not exact."""
+
+    @pytest.mark.parametrize("floats", ["f", "grid"])
+    def test_one_critical_graph_per_grid_point(self, full2, floats, evaluations):
+        rng = np.random.default_rng(17)
+        f = random_rational_potential(rng, full2, 2, denom_max=4, num_max=8)
+        gamma = random_rational_potential(rng, full2, 1, denom_max=4, num_max=8)
+        grid = [Fraction(3, 2 ** j) for j in range(8)]
+        if floats == "f":
+            f = f.scale(1.0)
+        else:
+            grid = [float(e) for e in grid]
+        res = eo.perturbation_sweep(full2, f, gamma, grid)
+        assert len(evaluations) == len(grid) + 1
+        assert res.breakpoints is None and res.threshold is None
+        means = cycle_means(full2, f, gamma)
+        g = gamma.lift(2)
+        for eps, vs in zip(grid, res.value_sets):
+            G = eo.critical_graph(full2, f + gamma.scale(eps))
+            assert vs == tuple(sorted({-G.max_mean(-g), G.max_mean(g)}))
+            top = max(fm + eps * gm for _, fm, gm in means)
+            values = [gm for _, fm, gm in means if fm + eps * gm >= top - 1e-9]
+            assert vs == pytest.approx(sorted({min(values), max(values)}))
 
 
 class TestPinning:
