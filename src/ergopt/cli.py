@@ -21,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", required=True, help="path for the JSON report")
     parser.add_argument("--cache-dir", default=os.environ.get("EOPT_CACHE_DIR"),
-                        help="report cache directory (env: EOPT_CACHE_DIR)")
+                        help="report cache directory (env: EOPT_CACHE_DIR); empty: no cache")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and ignored")
     parser.add_argument("--verbose", action="store_true")
@@ -29,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
 
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
-        report = run(args.config, args.out, cache_dir=args.cache_dir,
+        report = run(args.config, args.out, cache_dir=args.cache_dir or None,
                      threads=args.threads)
     except BudgetExceededError as exc:
         _emit_error(args.out, exc)

@@ -230,9 +230,18 @@ class _StepTable:
 
 
 def cocycle_product(A: MatrixCocycle, w: Sequence[int]) -> np.ndarray:
-    """The n-step product over w (n = len(w) - m + 1), first factor rightmost."""
+    """The n-step product over w (n = len(w) - m + 1), first factor rightmost.
+    A product past the range of float64 is refused; `cocycle_log_product`
+    gives it as (log scale, matrix)."""
     logscale, P = cocycle_log_product(A, w)
-    return math.exp(logscale) * P
+    # in two halves: e^logscale alone can overflow where the product does not
+    half = _exp(logscale / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = half * P * half
+    if not np.isfinite(M).all():
+        raise ValidationError(f"the product over {len(w)} letters overflows float64: "
+                              f"its log scale is {logscale:.6g}")
+    return M
 
 
 def cocycle_log_product(A: MatrixCocycle, w: Sequence):

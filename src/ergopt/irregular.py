@@ -220,9 +220,9 @@ def oscillation(series: Sequence[float]) -> tuple[float, float, float]:
 def block_oscillation(
     series: Sequence[float],
     schedule: BlockSchedule,
-    last_blocks: int = 4,
 ) -> tuple[float, float, float]:
-    """(min, max, gap) of the series sampled at block-end steps.
+    """(min, max, gap) of the series at the last four block-end steps it
+    reaches, or all of them when fewer.
 
     Block boundaries are where the finite-time exponents approach their
     extreme mixtures, so this is the tail liminf/limsup estimate.
@@ -230,7 +230,6 @@ def block_oscillation(
     ends = [i for i in schedule.block_end_indices() if i <= len(series)]
     if len(ends) < 2:
         raise TooShortError("series too short to cover two block boundaries")
-    picked = ends[-last_blocks:]
-    vals = [series[i - 1] for i in picked]
+    vals = [series[i - 1] for i in ends[-4:]]
     lo, hi = min(vals), max(vals)
     return float(lo), float(hi), float(hi - lo)

@@ -162,7 +162,6 @@ def integrate(mu: MeasureSpec, g: ScalarPotential) -> Scalar:
 
 
 def exponent_of_measure(
-    space: ShiftSpace,
     A: MatrixCocycle,
     mu: MeasureSpec,
     n_max: int = 12,
@@ -175,11 +174,10 @@ def exponent_of_measure(
     over-estimates it (subadditivity), each averaged negative log norm of
     the inverse under-estimates it (superadditivity, via the bottom
     singular value).  Both sides are exact for additive (d = 1) cocycles.
-    A measure or `space` other than A's shift space is refused.
+    A measure on another shift space than A's is refused.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    _check_space(space, A)
     _check_space(mu.space, A)
     if isinstance(mu, PeriodicMeasure):
         val = float(cycle_exponent(A, mu.cycle))
@@ -220,7 +218,12 @@ def _markov_exponent(A, mu, n_max, word_budget):
             masses = np.concatenate([masses[lo:hi] * factor[e] for lo, hi, e in spans])
         charged = masses > 0
         states, logscale, P, masses = states[charged], logscale[charged], P[charged], masses[charged]
-        fwd, bwd = np.log(_op_norms(P)), np.log(_op_norms(np.linalg.inv(P)))
+        try:
+            inverses = np.linalg.inv(P)
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"a depth-{n} product rounds to a singular matrix in "
+                                  "float64, so its inverse is lost") from None
+        fwd, bwd = np.log(_op_norms(P)), np.log(_op_norms(inverses))
         upper = min(upper, math.fsum((masses * (logscale + fwd)).tolist()) / n)
         lower = max(lower, -math.fsum((masses * (bwd - logscale)).tolist()) / n)
     # rounding can push the two sides past each other by ~1 ulp in the
@@ -251,8 +254,7 @@ def restricted_beta(
     """
     if not measures:
         raise EmptySetError("the measure family must be nonempty")
-    space = measures[0].space
-    encl = tuple(exponent_of_measure(space, A, mu, n_max=n_max) for mu in measures)
+    encl = tuple(exponent_of_measure(A, mu, n_max=n_max) for mu in measures)
     best_lo = max(lo for lo, _ in encl)
     best_hi = max(hi for _, hi in encl)
     argmax = tuple(i for i, (lo, hi) in enumerate(encl) if hi >= best_lo)

@@ -204,7 +204,13 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | lis
         values = [0.0] * len(cycles)
         for which, R in groups:
             logscale, P = _row_products(A, R)
-            for i, ls, r in zip(which, logscale.tolist(), spectral_radius(P).tolist()):
+            radii = spectral_radius(P)
+            if not radii.all():
+                # the steps are invertible: rounding took the radius to 0
+                bad = cycles[which[int(radii.argmin())]]
+                raise ValidationError(f"the product around cycle {bad} rounds to a nilpotent "
+                                      "matrix in float64, so its spectral radius is lost")
+            for i, ls, r in zip(which, logscale.tolist(), radii.tolist()):
                 values[i] = (ls + math.log(r)) / R.shape[1]
     return values[0] if isinstance(c, Cycle) else values
 

@@ -68,13 +68,13 @@ def perturbation_sweep(
     f + eps * gamma, with their diameter and distance to the limiting
     singleton.
 
-    Exact (rational) when f, gamma and the grid are rational.  Then
     beta(eps) = max over cycles c of (f_c + eps gamma_c) is convex and
     piecewise linear, and the two values at eps are its left and right
-    slopes there, so the critical graphs at eps = 0, at the largest eps and
-    at the breakpoints in between (Eisner-Severance) give every grid point.
-    Float inputs build one critical graph per grid point instead: their
-    tight edges are tight only to a tolerance.
+    slopes there, read off the critical graph of f + eps * gamma.  Exact
+    (rational) when f, gamma and the grid are rational: then the graphs at
+    eps = 0, at the largest eps and at the breakpoints in between
+    (Eisner-Severance) give every grid point.  Float inputs evaluate every
+    grid point instead: their tight edges are tight only to a tolerance.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or not all(e > 0 for e in eps_grid):
@@ -87,24 +87,42 @@ def perturbation_sweep(
     G = critical_graph(space, f)
     limit = G.max_mean(g)
     exact = f.is_rational and g.is_rational and all(isinstance(e, Rational) for e in eps_grid)
-    breakpoints = threshold = None
     if exact:
-        points = _breakpoint_path(space, f, g, neg, G.beta, limit, Fraction(eps_grid[0]))
-        evaluated = sorted(points)
-        breakpoints = tuple(e for e in evaluated[1:] if points[e][1] != points[e][2])
-        threshold = breakpoints[0] if breakpoints else None
+        index = _word_index(space, m)
+        (wf, Lf), (wg, Lg) = f._weights, g._weights
+        big_f, big_g = (max(map(abs, w.tolist()), default=0) for w in (wf, wg))
+
+    def evaluate(eps: Scalar) -> tuple[Scalar, Scalar, Scalar]:
+        """beta(eps) and its left and right slopes at eps."""
+        if exact:
+            # f + eps gamma in integers over D, straight from the rows of f and gamma
+            p, q = eps.numerator, eps.denominator
+            D = math.lcm(Lf, q * Lg)
+            a, b = D // Lf, p * (D // (q * Lg))
+            # a and b bound themselves too, for rows that are all 0
+            dtype = _graph._int_dtype(len(index.nodes), max(big_f * a + abs(b) * big_g, a, abs(b)))
+            row = wf.astype(dtype) * a + wg.astype(dtype) * b
+            G = _critical_graph(index, row[index.rows], D)
+        else:
+            G = critical_graph(space, f + g.scale(eps))
+        return G.beta, -G.max_mean(neg), G.max_mean(g)
+
+    points = {0: (G.beta, None, limit)}
+    if exact:
+        _breakpoint_path(evaluate, points, Fraction(eps_grid[0]))
+    else:
+        points.update((eps, evaluate(eps)) for eps in eps_grid)
+    evaluated = sorted(points)
+    breakpoints = tuple(e for e in evaluated[1:] if points[e][1] != points[e][2]) if exact else None
+    threshold = breakpoints[0] if breakpoints else None
     value_sets: list[tuple[Scalar, ...]] = []
     diameters: list[Scalar] = []
     dists: list[Scalar] = []
     for eps in eps_grid:
-        if not exact:
-            G = critical_graph(space, f + g.scale(eps))
-            values = sorted({-G.max_mean(neg), G.max_mean(g)})
-        else:
-            # beta is affine from the last evaluated point up to eps
-            at = evaluated[bisect.bisect_right(evaluated, eps) - 1]
-            _, left, right = points[at]
-            values = sorted({left, right}) if at == eps else [right]
+        # beta is affine from the last evaluated point up to eps
+        at = evaluated[bisect.bisect_right(evaluated, eps) - 1]
+        _, left, right = points[at]
+        values = sorted({left, right}) if at == eps else [right]
         value_sets.append(tuple(values))
         diameters.append(values[-1] - values[0])
         # every maximizer of f + eps * gamma has gamma-average >= limit
@@ -115,30 +133,12 @@ def perturbation_sweep(
                        breakpoints, threshold)
 
 
-def _breakpoint_path(space: ShiftSpace, f: ScalarPotential, g: ScalarPotential,
-                     neg: ScalarPotential, beta: Fraction, limit: Fraction,
-                     top: Fraction) -> dict[Fraction, tuple[Fraction, Fraction | None, Fraction]]:
-    """beta(eps) and its left and right slopes at eps = 0 (beta and limit
-    given, no left slope), at top and wherever Eisner-Severance evaluates
-    in between: every breakpoint in (0, top] is among these points.  f and
-    g are rational and share their memory; neg is -g."""
-    index = _word_index(space, f.memory)
-    (wf, Lf), (wg, Lg) = f._weights, g._weights
-    big_f, big_g = (max(map(abs, w.tolist()), default=0) for w in (wf, wg))
-
-    def evaluate(eps: Fraction):
-        # f + eps gamma in integers over D, straight from the rows of f and gamma
-        p, q = eps.numerator, eps.denominator
-        D = math.lcm(Lf, q * Lg)
-        a, b = D // Lf, p * (D // (q * Lg))
-        # a and b bound themselves too, for rows that are all 0
-        dtype = _graph._int_dtype(len(index.nodes), max(big_f * a + abs(b) * big_g, a, abs(b)))
-        row = wf.astype(dtype) * a + wg.astype(dtype) * b
-        G = _critical_graph(index, row[index.rows], D)
-        return G.beta, -G.max_mean(neg), G.max_mean(g)
-
-    points = {Fraction(0): (beta, None, limit), top: evaluate(top)}
-    todo = [(Fraction(0), top)]
+def _breakpoint_path(evaluate, points: dict, top: Fraction) -> None:
+    """Add to `points` (eps -> `evaluate(eps)`, holding eps = 0 with no left
+    slope) top and every eps where Eisner-Severance evaluates in between:
+    every breakpoint of beta in (0, top] is among them."""
+    points[top] = evaluate(top)
+    todo = [(0, top)]
     while todo:
         a, c = todo.pop()
         (beta_a, _, right), (beta_c, left, _) = points[a], points[c]
@@ -150,7 +150,6 @@ def _breakpoint_path(space: ShiftSpace, f: ScalarPotential, g: ScalarPotential,
         points[x] = evaluate(x)
         if points[x][0] > beta_a + (x - a) * right:
             todo += [(a, x), (x, c)]
-    return points
 
 
 def pinning_potential(space: ShiftSpace, c: Cycle) -> ScalarPotential:

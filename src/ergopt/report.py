@@ -421,10 +421,13 @@ def run(config_path: str | Path, out_path: str | Path,
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
+    outputs = _require(_typed(cfg, dict, "a config"), "out", dict, {})
+    series_path = _require(outputs, "series", str, "")
     t0 = time.monotonic()
-    body, rows, cached = run_config(cfg, cache_dir=cache_dir, threads=threads)
+    # the cache keeps no series, so a config that asks for one skips it
+    body, rows, cached = run_config(cfg, cache_dir=None if series_path else cache_dir,
+                                    threads=threads)
     report = {"body": body, "cached": cached, "wall_time_s": time.monotonic() - t0}
-    series_path = _require(_require(cfg, "out", dict, {}), "series", str, "")
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(serialize_body(report))

@@ -103,6 +103,18 @@ class TestCocycleBasics:
         assert P.shape == (1, 1)
         assert P[0, 0] == pytest.approx(math.exp(2), rel=1e-14)
 
+    def test_product_past_exp_range_with_finite_entries(self, full2):
+        """A log scale past 709.78 with small entries still gives the finite
+        product: diag(1e100, 1e-100)^8 then diag(1e-50, 1e50)^10 has top
+        entry 1e300."""
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.diag([1e100, 1e-100]),
+                                          (1,): np.diag([1e-50, 1e50])})
+        w = (0,) * 8 + (1,) * 10
+        assert cocycle_log_product(A, w)[0] > 709.8
+        P = eo.cocycle_product(A, w)
+        assert P[0, 0] == pytest.approx(1e300, rel=1e-12)
+        assert P[0, 1] == P[1, 0] == 0
+
     def test_one_step_product_is_owned_by_the_caller(self, full2):
         """Rescaling a one-step product in place must not reach the table."""
         A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.diag([2.0, 1.0]),
@@ -313,7 +325,7 @@ class TestStepTable:
                 eo.upper_bound(full2, A, n)
             eo.cycle_exponent(A, eo.enumerate_cycles(full2, 6))
             eo.finite_time_exponents(full2, A, ((0,), eo.make_cycle(full2, (0, 1))), 50)
-            eo.exponent_of_measure(full2, A, mu, n_max=5)
+            eo.exponent_of_measure(A, mu, n_max=5)
 
         assert calls == []
         run_kernels()

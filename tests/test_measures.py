@@ -97,21 +97,21 @@ class TestCesaroPush:
 class TestExponentOfMeasure:
     def test_periodic_exact(self, full2, fib_pair):
         mu = eo.periodic_measure(full2, eo.make_cycle(full2, (0, 1)))
-        lo, hi = eo.exponent_of_measure(full2, fib_pair, mu)
+        lo, hi = eo.exponent_of_measure(fib_pair, mu)
         assert lo == pytest.approx(math.log(PHI), rel=1e-10)
         assert hi == pytest.approx(math.log(PHI), rel=1e-10)
 
     def test_bernoulli_scalar_exact_mean(self, full2, step_potential):
         A = eo.from_potential(step_potential)
         mu = eo.markov_measure(full2, [[0.5, 0.5], [0.5, 0.5]])
-        lo, hi = eo.exponent_of_measure(full2, A, mu, n_max=8)
+        lo, hi = eo.exponent_of_measure(A, mu, n_max=8)
         assert lo == pytest.approx(0.5, abs=1e-9)
         assert hi == pytest.approx(0.5, abs=1e-9)
 
     def test_enclosure_ordered_and_shrinking(self, full2, fib_pair):
         mu = eo.markov_measure(full2, [[0.5, 0.5], [0.5, 0.5]])
-        lo4, hi4 = eo.exponent_of_measure(full2, fib_pair, mu, n_max=4)
-        lo8, hi8 = eo.exponent_of_measure(full2, fib_pair, mu, n_max=8)
+        lo4, hi4 = eo.exponent_of_measure(fib_pair, mu, n_max=4)
+        lo8, hi8 = eo.exponent_of_measure(fib_pair, mu, n_max=8)
         assert lo4 <= hi4 and lo8 <= hi8
         assert lo8 >= lo4 - 1e-12 and hi8 <= hi4 + 1e-12
 
@@ -133,7 +133,7 @@ class TestExponentOfMeasure:
 
         monkeypatch.setattr(measures, "_grow", recording)
         with pytest.raises(BudgetExceededError, match="810000 words at depth 4"):
-            eo.exponent_of_measure(space, A, mu, n_max=5, word_budget=10**5)
+            eo.exponent_of_measure(A, mu, n_max=5, word_budget=10**5)
         assert parents == [30, 900]
 
 
@@ -190,7 +190,7 @@ class TestMarkovEnclosureOracle:
         uppers, lowers = _oracle_enclosures(allowed, table, memory, mu.stationary,
                                             mu.stochastic, 4)
         for n_max in range(1, 5):
-            lo, hi = eo.exponent_of_measure(space, A, mu, n_max=n_max)
+            lo, hi = eo.exponent_of_measure(A, mu, n_max=n_max)
             want_hi = min(uppers[:n_max])
             want_lo = min(max(lowers[:n_max]), want_hi)
             assert hi == pytest.approx(want_hi, abs=1e-12, rel=0)

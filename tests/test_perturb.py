@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestFloatSweep:
     """A float potential or grid keeps one critical graph per grid point:
     a tight edge there is tight to a tolerance, so breakpoints are not exact."""
 
-    @pytest.mark.parametrize("floats", ["f", "grid"])
+    @pytest.mark.parametrize("floats", ["f", "grid", "mixed"])
     def test_one_critical_graph_per_grid_point(self, full2, floats, evaluations):
         rng = np.random.default_rng(17)
         f = random_rational_potential(rng, full2, 2, denom_max=4, num_max=8)
@@ -217,8 +218,11 @@ class TestFloatSweep:
         grid = [Fraction(3, 2 ** j) for j in range(8)]
         if floats == "f":
             f = f.scale(1.0)
-        else:
+        elif floats == "grid":
             grid = [float(e) for e in grid]
+        else:
+            # one float in the grid sends it all down the float route
+            grid = [float(e) if j % 2 else e for j, e in enumerate(grid)]
         res = eo.perturbation_sweep(full2, f, gamma, grid)
         assert len(evaluations) == len(grid) + 1
         assert res.breakpoints is None and res.threshold is None
@@ -230,6 +234,16 @@ class TestFloatSweep:
             top = max(fm + eps * gm for _, fm, gm in means)
             values = [gm for _, fm, gm in means if fm + eps * gm >= top - 1e-9]
             assert vs == pytest.approx(sorted({min(values), max(values)}))
+
+    def test_overflowing_perturbation_is_refused(self, full2):
+        """f + eps gamma past float64 is refused as the potential is formed,
+        with no numpy warning on the way."""
+        f = eo.constant_potential(full2, 0.0)
+        gamma = eo.ScalarPotential(full2, 1, {(0,): 1e300, (1,): -1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                eo.perturbation_sweep(full2, f, gamma, [1e10])
 
 
 class TestPinning:

@@ -1,5 +1,6 @@
 """Every refusal of the package, reached once: each case calls one public
-or private entry point with one bad argument and expects its error."""
+or private entry point with one bad argument and expects its error, and
+where given, a message that names the cause."""
 
 import math
 from fractions import Fraction
@@ -35,6 +36,18 @@ UPPER = eo.new_shift(2, [[True, True], [False, True]])
 UPPER_PAIR = eo.MatrixCocycle(UPPER, 2, 1, PAIR.table)
 GOLDEN_PAIR = eo.MatrixCocycle(GOLDEN, 2, 1, PAIR.table)
 FULL3 = eo.new_shift(3)
+# valid steps whose products leave float64: around the cycle 01 the
+# renormalised product underflows to [[0, 1], [0, 0]]; diag(1e200, 1e-200)
+# renormalises to a singular matrix
+BIG = {"0": [[0, 1e120], [1e-120, 0]], "1": [[1e120, 0], [0, 1e-120]]}
+SPREAD = [[1e100, 0], [0, 1e-100]]
+DOUBLING = eo.MatrixCocycle(FULL2, 2, 1, {(0,): np.diag([2.0, 1.0]), (1,): EYE})
+
+
+def matrix_config(experiment: str, params: dict, matrices: dict) -> dict:
+    return {"system": {"alphabet": 2}, "experiment": experiment, "params": params,
+            "cocycle": {"d": 2, "memory": 1, "matrices": matrices}}
+
 
 CASES = {
     # cocycle.py
@@ -63,6 +76,9 @@ CASES = {
     "gamma_apply_other_space": (
         lambda: eo.gamma_apply(eo.constant_potential(GOLDEN, 0), PAIR), ShapeMismatchError),
     "from_potential_d0": (lambda: eo.from_potential(STEP, d=0), ValidationError),
+    "cocycle_product_overflows": (
+        lambda: eo.cocycle_product(DOUBLING, (0,) * 2000), ValidationError,
+        "2000 letters overflows float64"),
     # optimize.py
     "lower_bound_no_cycle": (
         lambda: eo.lower_bound_cycles(RING3, eo.identity_cocycle(RING3, 2), 2), ValidationError),
@@ -127,17 +143,17 @@ CASES = {
     "orbit_average_preamble": (
         lambda: eo.cesaro_push(RING3, (0,), eo.make_cycle(RING3, (0, 1, 2)), 4), ValidationError),
     "exponent_of_orbit_average": (
-        lambda: eo.exponent_of_measure(FULL2, PAIR, eo.cesaro_push(FULL2, (1,), FIXED, 4)),
+        lambda: eo.exponent_of_measure(PAIR, eo.cesaro_push(FULL2, (1,), FIXED, 4)),
         ValidationError),
     "exponent_of_measure_n_max_0": (
-        lambda: eo.exponent_of_measure(FULL2, PAIR, MARKOV, n_max=0), ValidationError),
+        lambda: eo.exponent_of_measure(PAIR, MARKOV, n_max=0), ValidationError),
     "exponent_of_measure_more_letters": (
-        lambda: eo.exponent_of_measure(
-            FULL3, PAIR, eo.markov_measure(FULL3, np.full((3, 3), 1 / 3))), ShapeMismatchError),
+        lambda: eo.exponent_of_measure(PAIR, eo.markov_measure(FULL3, np.full((3, 3), 1 / 3))),
+        ShapeMismatchError),
     "exponent_of_measure_full_markov_on_golden": (
-        lambda: eo.exponent_of_measure(GOLDEN, GOLDEN_PAIR, MARKOV), ShapeMismatchError),
+        lambda: eo.exponent_of_measure(GOLDEN_PAIR, MARKOV), ShapeMismatchError),
     "exponent_of_measure_periodic_other_space": (
-        lambda: eo.exponent_of_measure(GOLDEN, GOLDEN_PAIR, eo.periodic_measure(FULL2, FIXED)),
+        lambda: eo.exponent_of_measure(GOLDEN_PAIR, eo.periodic_measure(FULL2, FIXED)),
         ShapeMismatchError),
     "restricted_beta_other_space": (
         lambda: eo.restricted_beta([eo.periodic_measure(FULL2, eo.Cycle((1,)))], GOLDEN_PAIR),
@@ -176,13 +192,21 @@ CASES = {
     "parse_measure_not_object": (lambda: report.parse_measure(FULL2, "0"), ParseError),
     "get_cocycle_neither": (
         lambda: report._get_cocycle(FULL2, {"experiment": "beta"}, {}), ValidationError),
+    "beta_cycle_product_nilpotent": (
+        lambda: report.run_config(matrix_config("beta", {"n_max": 2, "p_max": 2}, BIG)),
+        ValidationError, "cycle 01 rounds to a nilpotent matrix"),
+    "measure_product_singular": (
+        lambda: report.run_config(matrix_config(
+            "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]]}], "n_max": 4},
+            {"0": SPREAD, "1": SPREAD})),
+        ValidationError, "depth-2 product rounds to a singular matrix"),
 }
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_refused(case):
-    call, error = case
-    with pytest.raises(error):
+    call, error, *match = case
+    with pytest.raises(error, match=match[0] if match else None):
         call()
 
 

@@ -450,3 +450,37 @@ class TestCli:
                          "--cache-dir", str(cache)]) == 0
         assert read_report(out1)["cached"] is False
         assert read_report(out2)["cached"] is True
+
+    def test_empty_cache_env_writes_no_cache(self, tmp_path, monkeypatch):
+        """`EOPT_CACHE_DIR=` means no cache, not the working directory."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("EOPT_CACHE_DIR", "")
+        cfg_path = write_config(tmp_path, {
+            "system": {"alphabet": 2},
+            "potential": STEP_POTENTIAL,
+            "experiment": "birkhoff",
+            "params": {},
+        })
+        for out in ("r1.json", "r2.json"):
+            assert cli.main(["--config", str(cfg_path), "--out", out]) == 0
+            assert read_report(tmp_path / out)["cached"] is False
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "r1.json", "r2.json"]
+
+    def test_cache_keeps_writing_the_series(self, tmp_path, monkeypatch):
+        """A config with `out.series` gets its CSV on every run, cache or not."""
+        monkeypatch.setenv("EOPT_CACHE_DIR", str(tmp_path / "cache"))
+        series = tmp_path / "series.csv"
+        cfg_path = write_config(tmp_path, {
+            "system": {"alphabet": 2},
+            "cocycle": FIB_COCYCLE,
+            "experiment": "beta",
+            "params": {"n_max": 4, "p_max": 4},
+            "out": {"series": str(series)},
+        })
+        bodies = []
+        for out in (tmp_path / "r1.json", tmp_path / "r2.json"):
+            series.unlink(missing_ok=True)
+            assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 0
+            assert series.read_text().startswith("kind,n_or_p,value")
+            bodies.append(read_report(out)["body"])
+        assert bodies[0] == bodies[1]
