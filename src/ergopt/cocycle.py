@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
@@ -272,18 +272,25 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence):
 
 # window for the largest entry of a running product
 _WINDOW_LO, _WINDOW_HI = 1e-100, 1e100
+_ones = lru_cache(maxsize=16)(np.ones)  # a ones vector per length, made once
 
 
 def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
     """Move the largest entry of each running product in the stack P of
     shape (N, d, d) back into the window when it has left, in place,
-    adding the log of the divisor to the log scales of shape (N,)."""
-    nrm = np.abs(P).reshape(len(P), -1).max(axis=1)
-    if nrm.max() <= _WINDOW_HI and nrm.min() >= _WINDOW_LO:
-        return
-    out = (nrm > _WINDOW_HI) | ((0.0 < nrm) & (nrm < _WINDOW_LO))
-    P[out] /= nrm[out, None, None]
-    logscale[out] += np.log(nrm[out])
+    adding the log of the divisor to the log scales of shape (N,).  A row's
+    entry sum, one matvec, lies in [max, 2 d^2 max] after rounding, so only
+    a row whose sum is outside [2 d^2 lo, hi] can have left."""
+    k = P.shape[1] * P.shape[2]
+    flat = np.abs(P).reshape(-1, k)
+    s = flat @ _ones(k)
+    rows = np.flatnonzero((s > _WINDOW_HI) | (s < 2 * k * _WINDOW_LO))
+    if len(rows):
+        nrm = flat[rows].max(axis=1)
+        out = (nrm > _WINDOW_HI) | ((0.0 < nrm) & (nrm < _WINDOW_LO))
+        with np.errstate(invalid="ignore"):  # an infinite row becomes NaN, silently
+            P[rows[out]] /= nrm[out, None, None]
+        logscale[rows[out]] += np.log(nrm[out])
 
 
 def _row_products(A: MatrixCocycle, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ Divergence is evidenced at finite depth, never proven.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,9 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import MatrixCocycle, _check_space, _op_norms, _renormalise_rows, _step_rows
-from .errors import EqualExponentsError, TooShortError, ValidationError
+from .errors import EqualExponentsError, InadmissibleWordError, TooShortError, ValidationError
 from .optimize import cycle_exponent
-from .shift import Cycle, ShiftSpace, Word, connect, iter_point
+from .shift import Cycle, ShiftSpace, Word, connect, word_to_str
 
 MAX_SERIES_LENGTH = 10**6
 _SCAN_ROWS = 1 << 14  # most prefix products one chunk of the series holds
@@ -110,12 +109,19 @@ def build_irregular_point(
     )
 
 
-def _symbol_stream(x) -> Iterator[int]:
+def _symbols(x, count: int) -> np.ndarray:
+    """The first `count` symbols of x, a (preamble, Cycle) point or a
+    BlockSchedule padded with its last block's cycle, one np.tile per block."""
     if isinstance(x, BlockSchedule):
-        # pad with the last block's cycle if the schedule runs out
-        return itertools.chain(x.symbols(), itertools.cycle(x._layout[-1][0]))
-    preamble, c = x
-    return iter_point(preamble, c)
+        pieces, tail = [], x._layout[-1][0]
+        for word, reps, conn, end in x._layout:
+            pieces += [np.tile(word, min(reps, count // len(word) + 1)), conn]
+            if end >= count:
+                break
+    else:
+        pieces, tail = [x[0]], x[1].word
+    pieces.append(np.tile(tail, max(0, count - sum(map(len, pieces))) // len(tail) + 1))
+    return np.concatenate([np.asarray(p, dtype=np.intp) for p in pieces])[:count]
 
 
 def finite_time_exponents(
@@ -126,85 +132,72 @@ def finite_time_exponents(
 ) -> np.ndarray:
     """The series (1/n) log norm of the n-step product along x, n = 1..N.
 
-    x is either (preamble, Cycle) or a BlockSchedule.  The prefix products
-    P_n = M_n ... M_1 come from a two-level scan over chunks of at most
-    _SCAN_ROWS steps, each chunk continuing from the last product of the one
-    before; products are renormalised after every step, accumulating their
-    log scales, so the values stay exact to within rounding at any N.
-    """
+    x is either (preamble, Cycle) or a BlockSchedule; a point with a
+    forbidden 2-word is refused.  The prefix products P_n = M_n ... M_1 come
+    from a doubling scan over chunks of at most _SCAN_ROWS steps
+    (`_scan_chunk`), each chunk continuing from the last product of the one
+    before, so the values stay exact to within rounding at any N."""
     _check_space(space, A)
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
-    count = N + A.memory - 1
-    symbols = np.fromiter(itertools.islice(_symbol_stream(x), count), dtype=np.intp, count=count)
+    symbols = _symbols(x, N + A.memory - 1)
     windows = np.lib.stride_tricks.sliding_window_view(symbols, A.memory)
     out = np.empty(N)
-    carry = (0.0, 0.0, np.eye(A.d))
+    carry = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
     for lo in range(0, N, _SCAN_ROWS):
         rows = _step_rows(A._step_table.index, windows[lo:lo + _SCAN_ROWS])
+        # its letters checked, one lookup checks each 2-word into the chunk
+        seg = symbols[max(lo - 1, 0):lo + _SCAN_ROWS + A.memory - 1]
+        ok = np.ravel(A.space.allowed)[seg[:-1] * A.space.k + seg[1:]]
+        if not ok.all():
+            raise InadmissibleWordError(word_to_str(seg[ok.argmin():][:2].tolist()))
         carry = _scan_chunk(A._step_table.steps, rows, carry, lo, out)
     return out
 
 
-def _running_sums(total: float, comp: float, terms: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The running sums of `terms` after total + comp as two arrays hi and
-    lo, compensated (Neumaier): hi + lo is each sum to within about one
-    rounding of its own size, however many terms came before."""
-    hi, lo = [], []
-    for x in terms:
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-        hi.append(total)
-        lo.append(comp)
-    return np.array(hi), np.array(lo)
+def _join(later, earlier):
+    """The products later @ earlier of two stacks [hi, lo, P], renormalised,
+    the log scales hi + lo added as compensated pairs (Knuth's TwoSum)."""
+    P = later[2] @ earlier[2]
+    g = np.zeros(len(P))
+    _renormalise_rows(P, g)
+    hi, lo = later[0], later[1] + earlier[1]
+    for x in (earlier[0], g):  # hi + x rounded, and its rounding error into lo
+        s = hi + x
+        t = s - hi
+        hi, lo = s, lo + ((hi - (s - t)) + (x - t))
+    return [hi, lo, P]
+
+
+def _prefix(stack) -> None:
+    """Replace the stack [hi, lo, P] by its prefix products, first factor
+    rightmost, in place: join neighbouring pairs, scan the pairs, then
+    join each even position to the pair product before it (Blelloch)."""
+    n = len(stack[2])
+    if n > 1:
+        pairs = _join([a[1::2] for a in stack], [a[:n - 1:2] for a in stack])
+        _prefix(pairs)
+        evens = _join([a[2::2] for a in stack], [b[:(n - 1) // 2] for b in pairs])
+        for a, b, c in zip(stack, pairs, evens):
+            a[1::2], a[2::2] = b, c
 
 
 def _scan_chunk(steps: np.ndarray, rows: np.ndarray, carry, start: int, out: np.ndarray):
     """Write the series at steps start + 1 .. start + n of the n step rows
-    `rows` into out, continuing from carry = (hi, lo, product) of the first
-    start steps, whose log scale is hi + lo; return the carry of the first
-    start + n steps.
-
-    The n steps are cut into b = isqrt(n) blocks of s = ceil(n / b), the
-    last one padded by repeating its final step.  One batched product per
-    position scans all blocks at once, a sequential scan of the b block
-    totals gives the product before each block, and one more batched
-    product joins the two: about 2n products in 2s + b numpy steps.  The
-    log scales before each block, which grow with n, are summed
-    compensated and added last, so each value is rounded about once at
-    its own size.
-    """
-    n, d = len(rows), steps.shape[1]
-    b = math.isqrt(n)
-    s = -(-n // b)
-    # Q[j, i] and L[j, i]: the product of steps i s .. i s + j of the chunk
-    Q = steps[np.pad(rows, (0, b * s - n), mode="edge").reshape(b, s).T.reshape(-1)]
-    L = np.zeros(len(Q))
-    _renormalise_rows(Q, L)
-    Q, L = Q.reshape(s, b, d, d), L.reshape(s, b)
-    for j in range(1, s):
-        Q[j] = Q[j] @ Q[j - 1]
-        L[j] += L[j - 1]
-        _renormalise_rows(Q[j], L[j])
-    # C[i]: the product of every step before block i, with log scale
-    # hi[i] + lo[i]; g[i] is the log scale of C[i] over C[i - 1]
-    C = np.empty((b, d, d))
-    C[0] = carry[2]
-    g = np.zeros(b)
-    g[1:] = L[-1, :-1]
-    for i in range(1, b):
-        C[i] = Q[-1, i - 1] @ C[i - 1]
-        _renormalise_rows(C[i:i + 1], g[i:i + 1])
-    hi, lo = _running_sums(carry[0], carry[1], g.tolist())
-    P = (Q @ C).reshape(-1, d, d)
-    small = (L + lo).reshape(-1)
-    _renormalise_rows(P, small)
-    # back from (position, block) to step order
-    values = ((small + np.log(_op_norms(P))).reshape(s, b) + hi).T.reshape(-1)[:n]
-    out[start:start + n] = values / np.arange(start + 1, start + n + 1)
-    last = (n - 1) % s * b + (n - 1) // s
-    return hi[last % b], small[last], P[last]
+    `rows` into out, continuing from carry = [hi, lo, P] of the first start
+    steps, the product P[0] with log scale hi[0] + lo[0]; return the carry
+    of the first start + n steps.  The carry and the renormalised steps
+    make one stack, scanned by `_prefix`: about 2n products in about
+    2 log2 n batched calls, each value rounded about once at its own size."""
+    zero = np.zeros(len(steps))
+    idx = np.r_[0, rows + 1]  # the carry, then the steps
+    stack = [np.concatenate(pair)[idx] for pair in zip(carry, (zero, zero, steps))]
+    _renormalise_rows(stack[2][1:], stack[0][1:])
+    _prefix(stack)
+    hi, lo, P = (a[1:] for a in stack)
+    values = (lo + np.log(_op_norms(P))) + hi
+    out[start:start + len(P)] = values / np.arange(start + 1, start + len(P) + 1)
+    return [a[-1:] for a in stack]
 
 
 def oscillation(series: Sequence[float]) -> tuple[float, float, float]:

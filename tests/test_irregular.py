@@ -1,14 +1,14 @@
 import functools
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, cycle, islice
 
 import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.errors import EqualExponentsError, TooShortError, ValidationError
-from ergopt.irregular import _SCAN_ROWS
+from ergopt.errors import EqualExponentsError, InadmissibleWordError, TooShortError, ValidationError
+from ergopt.irregular import _SCAN_ROWS, _symbols
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -124,6 +124,31 @@ class TestSchedule:
             start = end + len(connector)
             assert symbols[end:start] == connector
 
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_symbol_array_matches_the_symbol_stream(self, memory):
+        """`_symbols` gives the first N + m - 1 symbols of a schedule, padded
+        with its last block's cycle past its end, and of a (preamble, cycle)
+        point, empty preamble included, as the per-symbol generators do."""
+        space = eo.new_shift(3, [[True, True, False], [False, False, True], [True, False, True]])
+        A = eo.MatrixCocycle(space, 2, 1, {(a,): (a + 1.0) * np.eye(2) for a in range(3)})
+        sched = eo.build_irregular_point(space, A, eo.make_cycle(space, (0,)),
+                                         eo.make_cycle(space, (2,)), r=2.0, J=5)
+        assert sched.connectors[0] == (0, 1, 2)
+        last = sched.cycles[(sched.depth - 1) % 2].word
+        c = eo.make_cycle(space, (0, 1, 2))
+        points = [(sched, chain(sched.symbols(), cycle(last))),
+                  (((), c), eo.iter_point((), c)),
+                  (((2, 2, 0, 1, 2), c), eo.iter_point((2, 2, 0, 1, 2), c))]
+        for x, stream in points:
+            want = list(islice(stream, 3 * sched.total_length))
+            # within the first block, inside a connector, to the schedule's
+            # end, and past it
+            for N in (1, 2, 5, sched.block_end_indices()[2] + 1, sched.total_length,
+                      sched.total_length + 7, 3 * sched.total_length - memory + 1):
+                got = _symbols(x, N + memory - 1)
+                assert got.dtype == np.intp
+                assert got.tolist() == want[:N + memory - 1], (x, N)
+
 
 class TestFiniteTimeExponents:
     def test_identity_is_zero(self, full2):
@@ -203,15 +228,33 @@ class TestFiniteTimeExponents:
     @pytest.mark.parametrize("memory", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scan_matches_the_sequential_oracle(self, d, memory, kind):
-        """Every N where the blocks or chunks of the scan change shape:
-        one block, a square, a square and one, one chunk, a chunk and one,
-        and four chunks, the last one short."""
+        """Every N where the doubling or the chunks of the scan change
+        shape: the first levels, odd lengths whose last step has no pair
+        at every level (2^k - 1), one chunk, a chunk and one, two chunks
+        less one, and four chunks, the last one short; and a square and a
+        square and one."""
         space, A, x, want = scan_case(d, memory, kind)
         b = 12
-        for N in (1, 2, 3, b * b, b * b + 1, _SCAN_ROWS, _SCAN_ROWS + 1, SCAN_N_MAX):
+        for N in (1, 2, 3, 5, 7, b * b, b * b + 1, 2**13 - 1, _SCAN_ROWS - 1, _SCAN_ROWS,
+                  _SCAN_ROWS + 1, 2 * _SCAN_ROWS - 1, SCAN_N_MAX):
             series = eo.finite_time_exponents(space, A, x, N)
             assert series.shape == (N,)
             np.testing.assert_allclose(series, want[:N], rtol=0, atol=1e-13, err_msg=f"N = {N}")
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    @pytest.mark.parametrize("preamble, word, pair", [
+        ((1, 1, 1), (0,), "11"),  # inside the preamble
+        ((1,), (1, 0), "11"),  # at the junction of preamble and cycle
+        ((), (1,), "11"),  # at the cycle's wrap
+        ((0,) * (_SCAN_ROWS - 1) + (1,), (1, 0), "11"),  # across the first chunk's end
+    ], ids=["preamble", "junction", "wrap", "chunk_boundary"])
+    def test_forbidden_two_word_refused(self, golden, memory, preamble, word, pair):
+        """On the golden-mean shift a point that reads the forbidden 11 is
+        refused at every memory, also when its cycle was built without
+        `make_cycle`."""
+        A = eo.MatrixCocycle(golden, 2, 1, {(0,): np.eye(2), (1,): 2 * np.eye(2)}).lift(memory)
+        with pytest.raises(InadmissibleWordError, match=pair):
+            eo.finite_time_exponents(golden, A, (preamble, eo.Cycle(word)), len(preamble) + 8)
 
     def test_length_validation(self, full2, fib_pair):
         x = ((), eo.make_cycle(full2, (0,)))
