@@ -228,6 +228,145 @@ class _StepTable:
         for value in (self.steps, self.inverses, self.norms):
             value.flags.writeable = False
 
+    @cached_property
+    def tree(self) -> "_WordTree":
+        """The word tree of the steps, built on first use and grown by every
+        search that reaches past it, for the table's life."""
+        return _WordTree(self)
+
+
+# most words a word tree holds over all its depths: four blocks of the U_n
+# search, about 1.2 MB of 2 x 2 products with their bounds and links
+_TREE_ROWS = 1 << 14
+
+
+class _Level:
+    """Words of one depth of a word tree, in the order they were grown: the
+    node each ends at, its log scale and renormalised product, and, when
+    asked for, the index of its parent among the words it was grown from
+    (its position in the depth before, in a level the tree holds) and the
+    step row that extends it.  A level the tree holds also has each word's
+    log Frobenius norm and marks the words whose children it holds."""
+
+    def __init__(self, states, logscale, P, parent=None, step=None):
+        self.states, self.logscale, self.P = states, logscale, P
+        self.parent, self.step = parent, step
+
+    def extend(self, other: "_Level") -> None:
+        """Append the words of `other`, in place: the positions of the
+        words held so far stay valid."""
+        for name in ("states", "logscale", "P", "bound", "parent", "step", "expanded"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+
+def _log_frobenius(logscale: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Log Frobenius norms of the products e^logscale P: a cheap overbound
+    of their log spectral norms, which keeps pruning sound."""
+    return logscale + 0.5 * np.log(np.einsum("nij,nij->n", P, P))
+
+
+class _WordTree:
+    """A step table's word tree: levels[k - 1] holds the depth-k words grown
+    so far, with their bounds.  Depth 1 is every memory-word, sorted by end
+    node; a deeper word is its parent times one step, renormalised, made
+    by `_grow` in the same operations whichever search grows it.  So a
+    search reads the products that earlier ones grew, and grows only the
+    words no search reached before it.  No growth takes the words held
+    over all depths past _TREE_ROWS (depth 1 is always held); a search
+    grows the rest in blocks of its own."""
+
+    def __init__(self, table: _StepTable):
+        self.table = table
+        first, states = _by_end(table.index)
+        P = table.steps[first]
+        logscale = np.zeros(len(first))
+        _renormalise_rows(P, logscale)
+        self.levels: list[_Level] = []
+        self.size = 0
+        self._hold(1, _Level(states, logscale, P, step=first))
+        self._out = np.bincount(table.index.tails, minlength=len(table.index.nodes))
+
+    def _hold(self, k: int, level: _Level) -> None:
+        """Store the words of `level` at depth k, a new depth or the next."""
+        level.bound = _log_frobenius(level.logscale, level.P)
+        level.expanded = np.zeros(len(level.states), dtype=bool)
+        if len(self.levels) < k:
+            self.levels.append(level)
+        else:
+            self.levels[k - 1].extend(level)
+        self.size += len(level.states)
+
+    def holds(self, k: int, level: _Level) -> bool:
+        """True when `level` is the tree's depth-k level."""
+        return k <= len(self.levels) and self.levels[k - 1] is level
+
+    def children(self, k: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children held of the depth-k words at positions `pos`, first
+        growing those of the words no search expanded while the tree has
+        room: (their positions at depth k + 1, ascending, and the indices
+        in pos of the words whose children are not held)."""
+        level = self.levels[k - 1]
+        rest = (~level.expanded[pos]).nonzero()[0]
+        if len(rest):
+            new = pos[rest]
+            if self.size + int(self._out[level.states[new]].sum()) <= _TREE_ROWS:
+                new = new[np.argsort(level.states[new], kind="stable")]
+                grown = _grown(self.table, level.states[new], level.logscale[new], level.P[new],
+                               lineage=True)
+                grown.parent = new[grown.parent]
+                self._hold(k + 1, grown)
+                level.expanded[new] = True
+                rest = rest[:0]
+        if len(self.levels) == k:
+            return rest[:0], rest
+        mark = np.zeros(len(level.states), dtype=bool)
+        mark[pos] = True
+        return mark[self.levels[k].parent].nonzero()[0], rest
+
+
+def _by_end(index: _WordIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the index's words sorted by the node each word ends at,
+    the head of the edges that read it (some edge reads every word: each
+    letter lies on a cycle), and those nodes."""
+    ends = np.empty(len(index.words), dtype=np.intp)
+    ends[index.rows] = index.heads
+    first = np.argsort(ends, kind="stable")
+    return first, ends[first]
+
+
+def _grow(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray):
+    """One growth step of a word tree: the products P (N >= 1, d, d) with log
+    scales (N,) of words sorted by their end node `states`, each extended
+    by the step of every edge out of its node, renormalised, and still
+    sorted by node (the edges are sorted by head).  Spans (lo, hi, e): the
+    children along edge e extend parents lo:hi, in order."""
+    index, steps = table.index, table.steps
+    starts = states.searchsorted(np.arange(len(index.nodes) + 1)).tolist()
+    heads, sizes, child_ls, child_P, spans = [], [], [], [], []
+    for e, (v, u, r) in enumerate(index.edge_list):
+        lo, hi = starts[u], starts[u + 1]
+        if lo < hi:
+            spans.append((lo, hi, e))
+            heads.append(v)
+            sizes.append(hi - lo)
+            child_ls.append(logscale[lo:hi])
+            child_P.append(steps[r] @ P[lo:hi])
+    logscale, P = np.concatenate(child_ls), np.concatenate(child_P)
+    _renormalise_rows(P, logscale)
+    return np.array(heads).repeat(sizes), logscale, P, spans
+
+
+def _grown(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray,
+           lineage: bool) -> _Level:
+    """`_grow` as a level; with `lineage`, each child's parent is given as
+    its index in the words grown."""
+    states, logscale, P, spans = _grow(table, states, logscale, P)
+    if not lineage:
+        return _Level(states, logscale, P)
+    parent = np.concatenate([np.arange(lo, hi) for lo, hi, _ in spans])
+    step = table.index.rows[[e for _, _, e in spans]].repeat([hi - lo for lo, hi, _ in spans])
+    return _Level(states, logscale, P, parent, step)
+
 
 def cocycle_product(A: MatrixCocycle, w: Sequence[int]) -> np.ndarray:
     """The n-step product over w (n = len(w) - m + 1), first factor rightmost.

@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import MatrixCocycle, Scalar, ScalarPotential, _check_space, _op_norms, cocycle_log_product
+from .cocycle import (MatrixCocycle, Scalar, ScalarPotential, _by_end, _check_space, _grow,
+                      _op_norms, cocycle_log_product)
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
-from .optimize import _by_end, _grow, cycle_exponent
+from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, admissible_words
 
 _ROW_TOL = 1e-12

@@ -26,7 +26,8 @@ from .cocycle import (
     _check_space,
     _op_norms,
     _StepTable,
-    _renormalise_rows,
+    _grown,
+    _log_frobenius,
     _row_products,
     _step_rows,
     spectral_radius,
@@ -308,16 +309,21 @@ def upper_bound(
 ) -> float:
     """U_n: exact max over admissible depth-n products of (1/n) log norm.
 
-    Depth-first branch-and-bound over blocks of at most _BLOCK_ROWS
-    running products.  Pruning only discards words whose submultiplicative
-    upper bound lies below n * lower_hint (less a rounding margin), a
-    certified lower bound on the depth-n maximum, so the returned maximum
-    is exact and schedule-independent; the default hint -inf prunes
-    nothing.  A depth-k prefix is dropped when its log Frobenius norm plus
-    the look-ahead min((n - k) * max_step, N_{n-k}) lies below that floor:
-    ||A_w|| <= ||A_tail|| * ||A_prefix||_F, and the tail is itself an
-    admissible (n - k)-step path, whose log norm is at most (n - k) times
-    the largest one-step log norm max_step, and at most N_{n-k}.
+    Depth-first branch-and-bound over the word tree of A's step table, in
+    blocks of at most _BLOCK_ROWS words.  The tree keeps the products that
+    earlier searches on A grew, up to a fixed number of words, so a run of
+    depths or hints on one cocycle forms each product once.  Each search
+    prunes with its own floor and counts its own words, and its value is
+    bit for bit that of a search on a new cocycle.  Pruning only discards
+    words whose submultiplicative upper bound lies below n * lower_hint
+    (less a rounding margin), a certified lower bound on the depth-n
+    maximum, so the returned maximum is exact and schedule-independent;
+    the default hint -inf prunes nothing.  A depth-k prefix is dropped
+    when its log Frobenius norm plus the look-ahead min((n - k) * max_step,
+    N_{n-k}) lies below that floor: ||A_w|| <= ||A_tail|| * ||A_prefix||_F,
+    and the tail is itself an admissible (n - k)-step path, whose log norm
+    is at most (n - k) times the largest one-step log norm max_step, and at
+    most N_{n-k}.
     `maxima[j - 1]`, when given, must bound N_j, the largest log norm of an
     admissible j-step product (j * U_j).  A NaN or +inf hint is refused,
     and so is a search whose maximum ends below the floor: the hint or
@@ -346,51 +352,62 @@ def _floors(n: int, lower, max_step, maxima) -> np.ndarray:
 
 def _search(table: _StepTable, n: int, budget: int, floors,
             eta: np.ndarray | None = None) -> float | np.ndarray:
-    """The block loop of the U_n search: the largest log norm of an
-    admissible n-step product of the step table, depth-first over blocks of
-    at most _BLOCK_ROWS running products, each sorted by state.  A depth-k
-    prefix is dropped when its log Frobenius norm lies below floors[n - k]
-    (`upper_bound` says when that is sound), and a maximum below floors[0]
-    is refused: the floors were no bounds.  `budget` caps the words visited
-    over the whole search.
+    """The U_n search: the largest log norm of an admissible n-step product
+    of the step table, depth-first over blocks of at most _BLOCK_ROWS words
+    of its word tree.  A depth-k word is dropped when its log Frobenius
+    norm lies below floors[n - k] (`upper_bound` says when that is sound),
+    and a maximum below floors[0] is refused: the floors were no bounds.
+    `budget` caps the words visited over the whole search, whether they
+    were grown in it or read from the tree.
+
+    The table's tree holds the words that earlier searches grew, with their
+    bounds: a block of held words is pruned against this search's own
+    floors, and its kept words take the children held for them.  Only the
+    kept words that no search expanded are grown, into the tree while it
+    has room, and otherwise into a block of this search alone, whose
+    descendants are grown the same way.  Every product comes from the same
+    operations in the same order, so the maximum does not depend on which
+    searches ran before.
 
     `eta` (S, E) makes it one search for the cocycles e^{eta_s} A of its
     rows s, returning their (S,) maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w,
-    so each row carries the S eta-sums of its word next to its log scale.
-    Sample s drops a prefix below floors[n - k, s], and an eta-sum of -inf
-    marks the prefixes it dropped, so that their extensions stay dropped
-    for it.  A row stays while any sample keeps it.  `budget` caps the words
-    of each sample, as in its own search.  A block holds at most
-    _BLOCK_ROWS * d^2 // S rows (at least one), so that its S eta-sums per
-    row take no more room than a single search's block of d x d products.
+    so each word of a block carries the S eta-sums of its word, its
+    parent's sums plus the eta of its last step.  Sample s drops a word
+    below floors[n - k, s], and an eta-sum of -inf marks the words it
+    dropped, so that their extensions stay dropped for it.  A word stays
+    while any sample keeps it.  `budget` caps the words of each sample, as
+    in its own search.  A block holds at most _BLOCK_ROWS * d^2 // S words
+    (at least one), so that its S eta-sums per word take no more room than
+    a single search's block of d x d products.
     """
-    first, states = _by_end(table.index)
-    P = table.steps[first]
-    logscale = np.zeros(len(first))
-    _renormalise_rows(P, logscale)
+    tree = table.tree
+    first = tree.levels[0]
     if eta is None:
         sums, best, count = None, -math.inf, 0
     else:
-        sums = eta[:, first]
+        sums = eta[:, first.step]
         best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
-        shifts = eta[:, table.index.rows].T[:, :, None]  # shifts[e]: the (S, 1) column of edge e
     rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * table.steps[0].size // len(eta))
-    # blocks (depth, states, log scales, products, eta-sums), each sorted by state
-    stack = [(1, states, logscale, P, sums)]
+    # blocks (depth, level, the block's words in it, eta-sums): positions in
+    # a level of the tree, or a slice of a level grown for this search alone
+    stack = [(1, first, np.arange(len(first.states)), sums)]
     while stack:
-        k, states, logscale, P, sums = stack.pop()
-        count += len(states) if sums is None else np.isfinite(sums).sum(axis=1)
+        k, level, pos, sums = stack.pop()
+        held = tree.holds(k, level)
+        if sums is not None:
+            count += np.isfinite(sums).sum(axis=1)
+        else:
+            count += len(pos) if held else pos.stop - pos.start
         if (count if sums is None else count.max()) > budget:
             raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
         if k == n:
-            top = logscale + np.log(_op_norms(P))
+            top = level.logscale[pos] + np.log(_op_norms(level.P[pos]))
             if sums is None:
                 best = max(best, float(np.max(top)))
             else:
                 best = np.maximum(best, (top + sums).max(axis=1))
             continue
-        # cheap norm overbound (Frobenius) keeps pruning sound
-        bound = logscale + 0.5 * np.log(np.einsum("nij,nij->n", P, P))
+        bound = level.bound[pos] if held else _log_frobenius(level.logscale[pos], level.P[pos])
         if sums is None:
             keep = bound >= floors[n - k]
         else:
@@ -398,54 +415,45 @@ def _search(table: _StepTable, n: int, budget: int, floors,
             sums = np.where(kept, sums, -math.inf)
             keep = kept.any(axis=0)
         if not keep.all():
-            states, logscale, P = states[keep], logscale[keep], P[keep]
+            pos = pos[keep] if held else pos.start + np.flatnonzero(keep)
             if sums is not None:
                 sums = sums[:, keep]
-        if not len(states):
-            continue
-        states, logscale, P, spans = _grow(table, states, logscale, P)
-        if sums is not None:
-            sums = np.concatenate([sums[:, lo:hi] + shifts[e] for lo, hi, e in spans], axis=1)
-        for lo in range(0, len(states), rows):
-            hi = lo + rows
-            stack.append((k + 1, states[lo:hi], logscale[lo:hi], P[lo:hi],
-                          None if sums is None else sums[:, lo:hi]))
+            if not len(pos):
+                continue
+        if held:
+            child, rest = tree.children(k, pos)
+            if len(child):
+                # a held block's positions ascend, so each child's parent is found in pos
+                parent = None if sums is None else pos.searchsorted(tree.levels[k].parent[child])
+                _push(stack, k + 1, tree.levels[k], child, parent, sums, eta, rows)
+            if not len(rest):
+                continue
+            # the words whose children this search grows alone, sorted by
+            # end node as `_grow` takes them
+            rest = rest[np.argsort(level.states[pos[rest]], kind="stable")]
+            pos = pos[rest]
+            if sums is not None:
+                sums = sums[:, rest]
+        grown = _grown(table, level.states[pos], level.logscale[pos], level.P[pos],
+                       lineage=sums is not None)
+        _push(stack, k + 1, grown, None, grown.parent, sums, eta, rows)
     if np.any(best < floors[0]):
         raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "
                               f"the lower hint or maxima are not bounds")
     return best
 
 
-def _by_end(index: _WordIndex) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the index's words sorted by the node each word ends at,
-    the head of the edges that read it (some edge reads every word: each
-    letter lies on a cycle), and those nodes."""
-    ends = np.empty(len(index.words), dtype=np.intp)
-    ends[index.rows] = index.heads
-    first = np.argsort(ends, kind="stable")
-    return first, ends[first]
-
-
-def _grow(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray):
-    """One growth step of a word tree: the products P (N >= 1, d, d) with log
-    scales (N,) of words sorted by their end node `states`, each extended
-    by the step of every edge out of its node, renormalised, and still
-    sorted by node (the edges are sorted by head).  Spans (lo, hi, e): the
-    children along edge e extend parents lo:hi, in order."""
-    index, steps = table.index, table.steps
-    starts = states.searchsorted(np.arange(len(index.nodes) + 1)).tolist()
-    heads, sizes, child_ls, child_P, spans = [], [], [], [], []
-    for e, (v, u, r) in enumerate(index.edge_list):
-        lo, hi = starts[u], starts[u + 1]
-        if lo < hi:
-            spans.append((lo, hi, e))
-            heads.append(v)
-            sizes.append(hi - lo)
-            child_ls.append(logscale[lo:hi])
-            child_P.append(steps[r] @ P[lo:hi])
-    logscale, P = np.concatenate(child_ls), np.concatenate(child_P)
-    _renormalise_rows(P, logscale)
-    return np.array(heads).repeat(sizes), logscale, P, spans
+def _push(stack: list, k: int, level, pos, parent, sums, eta, rows: int) -> None:
+    """Push the depth-k words of the level at positions `pos`, or all of
+    them as slices when pos is None, in blocks of at most `rows`, with
+    their eta-sums: their parents', the columns `parent` of `sums`, plus
+    the eta of their last step."""
+    count = len(level.states) if pos is None else len(pos)
+    if sums is not None:
+        sums = sums[:, parent] + eta[:, level.step if pos is None else level.step[pos]]
+    for lo in range(0, count, rows):
+        block = slice(lo, min(lo + rows, count)) if pos is None else pos[lo:lo + rows]
+        stack.append((k, level, block, None if sums is None else sums[:, lo:lo + rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,9 @@ class ShiftSpace:
         return all(self.allowed[a][b] for a, b in zip(w, w[1:]))
 
     def is_cyclically_admissible(self, w: Sequence[int]) -> bool:
-        return self.is_admissible(w) and bool(self.allowed[w[-1]][w[0]])
+        """True iff w is admissible and its last letter may precede its
+        first; the empty word is no cycle."""
+        return len(w) > 0 and self.is_admissible(w) and bool(self.allowed[w[-1]][w[0]])
 
     def successors(self, a: int) -> tuple[int, ...]:
         return self._successors[a]
@@ -200,6 +202,8 @@ def is_primitive(w: Sequence[int]) -> bool:
 
 
 def make_cycle(space: ShiftSpace, w: Sequence[int]) -> Cycle:
+    if not len(w):
+        raise ValidationError("a cycle needs a nonempty word")
     if not space.is_cyclically_admissible(w):
         raise InadmissibleWordError(
             f"word {word_to_str(w)} is not cyclically admissible")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ergopt as eo
+from ergopt import cocycle, optimize
 from ergopt.errors import ShapeMismatchError, ValidationError
 from ergopt.shift import _word_index
 
@@ -386,6 +387,88 @@ class TestBounds:
             for m in U:
                 if n + m in U:
                     assert (n + m) * U[n + m] <= n * U[n] + m * U[m] + 1e-9
+
+
+def visited(space, A, n, hint):
+    """The words a search visits, from a new copy of A each time: the least
+    budget it runs under, by bisection."""
+    def runs(budget):
+        try:
+            eo.upper_bound(space, eo.MatrixCocycle(space, A.d, A.memory, A.table), n,
+                           budget=budget, lower_hint=hint)
+        except eo.errors.BudgetExceededError:
+            return False
+        return True
+
+    lo, hi = 0, len(eo.admissible_words(space, n + A.memory - 1)) * n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if runs(mid) else (mid, hi)
+    return hi
+
+
+class TestWordTree:
+    """A cocycle's word tree keeps the products earlier searches grew, and
+    nothing else: no search's value or word count depends on which
+    searches ran before it on the same cocycle."""
+
+    @pytest.mark.parametrize("shift", ["full2", "golden"])
+    def test_warm_tree_gives_the_fresh_search(self, request, shift):
+        """U_1..U_10 at the hints L (the fib pair keeps 38 of the 2046 words
+        to depth 10, the golden 3x3 cocycle 195 of 374), L - 0.5 and -inf,
+        then all again in reverse order, each on the same cocycle."""
+        space = request.getfixturevalue(shift)
+        A = (eo.MatrixCocycle(space, 2, 1, request.getfixturevalue("fib_pair").table)
+             if shift == "full2" else golden_3x3(space))
+        L, _ = eo.lower_bound_cycles(space, A, 6)
+        runs = [(n, hint) for hint in (L, L - 0.5, -math.inf) for n in range(1, 11)]
+        for n, hint in runs + runs[::-1]:
+            fresh = eo.MatrixCocycle(space, A.d, 1, A.table)
+            want = eo.upper_bound(space, fresh, n, lower_hint=hint)
+            assert eo.upper_bound(space, A, n, lower_hint=hint) == want
+        # the budget counts the words of this search, none of an earlier one
+        for n, hint in runs[::3]:
+            count = visited(space, A, n, hint)
+            eo.upper_bound(space, A, n, budget=count, lower_hint=hint)
+            with pytest.raises(eo.errors.BudgetExceededError):
+                eo.upper_bound(space, A, n, budget=count - 1, lower_hint=hint)
+
+    def test_warm_tree_gives_the_fresh_shared_search(self, full2, fib_pair):
+        """The shared search of two draws of six samples, each pruning at its
+        own best cycle exponent, then of both again in reverse order."""
+        A = eo.MatrixCocycle(full2, 2, 1, fib_pair.table)
+        rng = np.random.default_rng(3)
+        for eta in [rng.uniform(-0.3, 0.3, size=(6, 2)), rng.uniform(-1.0, 1.0, size=(6, 2))] * 2:
+            lowers = np.array([
+                eo.lower_bound_cycles(full2, eo.gamma_apply(
+                    eo.ScalarPotential(full2, 1, {(0,): a, (1,): b}), A), 6)[0]
+                for a, b in eta.tolist()])
+            fresh = eo.MatrixCocycle(full2, 2, 1, A.table)
+            want = optimize._shifted_uppers(fresh, eta, lowers, 10)
+            assert optimize._shifted_uppers(A, eta, lowers, 10).tolist() == want.tolist()
+
+    def test_words_past_the_cap_are_grown_by_the_search(self, monkeypatch, full2):
+        """With a small cap the unpruned {I, swap} search to depth 16 grows
+        most words in blocks of its own: it still returns 0, the budget
+        still counts every word visited, and the tree never holds more
+        words than the cap."""
+        cap = 100
+        monkeypatch.setattr(cocycle, "_TREE_ROWS", cap)
+        hold = cocycle._WordTree._hold
+
+        def checked(tree, k, level):
+            hold(tree, k, level)
+            assert tree.size == sum(len(held.states) for held in tree.levels) <= cap
+
+        monkeypatch.setattr(cocycle._WordTree, "_hold", checked)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.eye(2), (1,): swap})
+        for n in (3, 16, 9, 16):
+            words = 2 ** (n + 1) - 2
+            assert eo.upper_bound(full2, A, n, budget=words) == 0.0
+            with pytest.raises(eo.errors.BudgetExceededError):
+                eo.upper_bound(full2, A, n, budget=words - 1)
+        assert 0 < A._step_table.tree.size <= cap
 
 
 class TestBracket:

@@ -183,6 +183,7 @@ CASES = {
     "series_other_space": (
         lambda: eo.finite_time_exponents(GOLDEN, PAIR, ((), FIXED), 4), ShapeMismatchError),
     "shift_relation_shape": (lambda: eo.new_shift(3, [[True] * 3] * 2), NoCycleError),
+    "make_cycle_empty": (lambda: eo.make_cycle(FULL2, ()), ValidationError, "nonempty word"),
     # report.py
     "parse_system_transitions": (
         lambda: report.parse_system({"alphabet": 2, "transitions": [1, 2]}), ParseError),
@@ -200,6 +201,16 @@ CASES = {
             "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]]}], "n_max": 4},
             {"0": SPREAD, "1": SPREAD})),
         ValidationError, "depth-2 product rounds to a singular matrix"),
+    "lambda_empty_cycle": (
+        lambda: report.run_config(matrix_config(
+            "lambda", {"measures": [{"cycle": "0"}, {"cycle": ""}], "trials": 2, "seed": 1},
+            {"0": EYE.tolist(), "1": EYE.tolist()})),
+        ValidationError, "nonempty word"),
+    "irregular_empty_cycle": (
+        lambda: report.run_config(matrix_config(
+            "irregular", {"c1": "", "c2": "1", "ratio": 3.0, "depth": 4, "N": 10},
+            {"0": EYE.tolist(), "1": EYE.tolist()})),
+        ValidationError, "nonempty word"),
 }
 
 
