@@ -251,12 +251,23 @@ class _Level:
     def __init__(self, states, logscale, P, parent=None, step=None):
         self.states, self.logscale, self.P = states, logscale, P
         self.parent, self.step = parent, step
+        self._capacity = len(states)
 
-    def extend(self, other: "_Level") -> None:
-        """Append the words of `other`, in place: the positions of the
-        words held so far stay valid."""
-        for name in ("states", "logscale", "P", "bound", "parent", "step", "expanded"):
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+    def extend(self, other: "_Level", room: int) -> None:
+        """Append the words of `other`, keeping held positions valid.  The arrays
+        view buffers; a full one gives way to one of twice the words but at most
+        `room` past those held, so each word is copied a bounded number of times."""
+        n, m = len(self.states), len(other.states)
+        if n + m > self._capacity:
+            self._capacity = min(2 * (n + m), n + room)
+            self._buffers = {}
+            for name in ("states", "logscale", "P", "bound", "parent", "step", "expanded"):
+                held = getattr(self, name)
+                self._buffers[name] = np.empty((self._capacity,) + held.shape[1:], held.dtype)
+                self._buffers[name][:n] = held
+        for name, buffer in self._buffers.items():
+            buffer[n:n + m] = getattr(other, name)
+            setattr(self, name, buffer[:n + m])
 
 
 def _log_frobenius(logscale: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -293,7 +304,7 @@ class _WordTree:
         if len(self.levels) < k:
             self.levels.append(level)
         else:
-            self.levels[k - 1].extend(level)
+            self.levels[k - 1].extend(level, _TREE_ROWS - self.size)
         self.size += len(level.states)
 
     def holds(self, k: int, level: _Level) -> bool:
@@ -405,7 +416,7 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence):
     allowed = np.array(A.space.allowed)[letters[:, :-1], letters[:, 1:]].all(axis=1)
     if not allowed.all():
         raise InadmissibleWordError(word_to_str(words[int(allowed.argmin())]))
-    logscale, P = _row_products(A, rows)
+    logscale, P = _prefix_products(A._step_table.steps, rows, np.full(len(words), rows.shape[1]))
     return (logscale, P) if batch else (float(logscale[0]), P[0])
 
 
@@ -423,7 +434,7 @@ def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
     k = P.shape[1] * P.shape[2]
     flat = np.abs(P).reshape(-1, k)
     s = flat @ _ones(k)
-    rows = np.flatnonzero((s > _WINDOW_HI) | (s < 2 * k * _WINDOW_LO))
+    rows = ((s > _WINDOW_HI) | (s < 2 * k * _WINDOW_LO)).nonzero()[0]
     if len(rows):
         nrm = flat[rows].max(axis=1)
         out = (nrm > _WINDOW_HI) | ((0.0 < nrm) & (nrm < _WINDOW_LO))
@@ -432,18 +443,44 @@ def _renormalise_rows(P: np.ndarray, logscale: np.ndarray) -> None:
         logscale[rows[out]] += np.log(nrm[out])
 
 
-def _row_products(A: MatrixCocycle, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products of A's steps along each row of the (C, p) array R of step
-    rows, first step rightmost, renormalised after every step: (log scales
-    (C,), products (C, d, d)).  The products are new arrays."""
-    steps = A._step_table.steps
-    P = steps[R[:, 0]]
-    logscale = np.zeros(len(R))
-    _renormalise_rows(P, logscale)
-    for j in range(1, R.shape[1]):
-        P = steps[R[:, j]] @ P
-        _renormalise_rows(P, logscale)
-    return logscale, P
+def _prefix_products(steps: np.ndarray, R: np.ndarray,
+                     per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of the steps along each row of the (C, p) array R of step
+    rows up to its length per (the row holds -1 past it), first step
+    rightmost and renormalised after every step: (log scales (C,), new
+    products (C, d, d)).  Each distinct prefix of the rows, a node of their
+    trie, is multiplied once, from its parent's product."""
+    C, width = R.shape
+    if C > 1 and (len(set(R[:, 0].tolist())) < C or min(per.tolist()) < width):
+        # sorted, rows that share a prefix are adjacent: a node starts at each
+        # row and depth within its length where it leaves the row before it
+        order = np.lexsort(R.T[::-1])
+        S = R[order]
+        new = S >= 0
+        new[1:] &= np.logical_or.accumulate(S[1:] != S[:-1], axis=1)
+        # each row's node at each depth, the nodes numbered depth by depth
+        node = new.T.cumsum().reshape(new.shape[::-1]) - 1
+        at, rows = new.T.nonzero()
+        parent, step = node[at - 1, rows], S[rows, at]
+        bounds = (node[:, -1] + 1).tolist()
+        end = node[per - 1, order.argsort(kind="stable")]  # where each row ends
+    else:
+        # rows of one length that share no first step are paths of their
+        # own: node j * C + i is row i at depth j
+        parent, step, bounds = None, R.T.ravel(), range(C, C * width + 1, C)
+        end = np.arange((width - 1) * C, width * C)
+    P, logscale = np.empty((len(step),) + steps.shape[1:]), np.zeros(len(step))
+    last = lo = 0
+    for hi in bounds:
+        if lo:
+            up = slice(last, lo) if parent is None else parent[lo:hi]
+            np.matmul(steps[step[lo:hi]], P[up], out=P[lo:hi])
+            logscale[lo:hi] = logscale[up]
+        else:
+            P[:hi] = steps[step[:hi]]
+        _renormalise_rows(P[lo:hi], logscale[lo:hi])
+        last, lo = lo, hi
+    return logscale[end], P[end]
 
 
 def _step_rows(index: _WordIndex, windows: np.ndarray) -> np.ndarray:
@@ -454,7 +491,7 @@ def _step_rows(index: _WordIndex, windows: np.ndarray) -> np.ndarray:
     if windows.min() < 0 or windows.max() >= k:
         raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
     codes = windows @ index.powers
-    rows = np.searchsorted(index.codes, codes)
+    rows = index.codes.searchsorted(codes)
     found = index.codes[np.minimum(rows, len(index.codes) - 1)] == codes
     if not found.all():
         raise InadmissibleWordError(word_to_str(windows[~found][0].tolist()))

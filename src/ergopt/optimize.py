@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from numbers import Rational
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .cocycle import (
     _StepTable,
     _grown,
     _log_frobenius,
-    _row_products,
+    _prefix_products,
     _step_rows,
     spectral_radius,
 )
@@ -194,95 +195,85 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | lis
     sequence of cycles, in order.
 
     (1/p) log spectral radius of the product around the cycle; the mean of
-    the additive potential (rational when possible) for d = 1.  Cycles of
-    equal period share one stacked product and one spectral-radius call.
+    the additive potential (rational when possible) for d = 1.  The cycles
+    share the products of their common prefixes of steps, and one
+    spectral-radius call takes all of their products.
     """
     cycles = [c] if isinstance(c, Cycle) else list(c)
-    groups = _cycle_rows(_word_index(A.space, A.memory), cycles)
+    if not cycles:
+        return []
+    layout = _cycle_rows(_word_index(A.space, A.memory), cycles)
     if A.is_additive:
-        values = _means(*A.additive_potential()._weights, groups, len(cycles)).tolist()
+        values = _means(*A.additive_potential()._weights, layout).tolist()
     else:
-        values = [0.0] * len(cycles)
-        for which, R in groups:
-            logscale, P = _row_products(A, R)
-            radii = spectral_radius(P)
-            if not radii.all():
-                # the steps are invertible: rounding took the radius to 0
-                bad = cycles[which[int(radii.argmin())]]
-                raise ValidationError(f"the product around cycle {bad} rounds to a nilpotent "
-                                      "matrix in float64, so its spectral radius is lost")
-            for i, ls, r in zip(which, logscale.tolist(), radii.tolist()):
-                values[i] = (ls + math.log(r)) / R.shape[1]
+        logscale, P = _prefix_products(A._step_table.steps, *layout)
+        radii = spectral_radius(P)
+        if not radii.all():
+            # the steps are invertible: rounding took the radius to 0
+            bad = cycles[int(radii.argmin())]
+            raise ValidationError(f"the product around cycle {bad} rounds to a nilpotent "
+                                  "matrix in float64, so its spectral radius is lost")
+        values = [(ls + math.log(r)) / p
+                  for ls, r, p in zip(logscale.tolist(), radii.tolist(), layout[1].tolist())]
     return values[0] if isinstance(c, Cycle) else values
 
 
-def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> list[tuple[list[int], np.ndarray]]:
-    """The cycles grouped by period: their positions in `cycles`, and the
-    (C, p) array of the index rows of their memory-words, step by step."""
-    by_period: dict[int, list[int]] = {}
-    for i, c in enumerate(cycles):
-        by_period.setdefault(c.period, []).append(i)
-    if not by_period:
-        return []
-    # each step's memory-word and the letter after it, for every period in
-    # one call; at memory 1 `_step_rows` sees no transition, so the pairs,
-    # the wrap included, are checked here
-    width = index.memory + 1
-    windows = [np.array([cycles[i].word for i in which])
-               [:, (np.arange(p)[:, None] + np.arange(width)) % p].reshape(-1, width)
-               for p, which in by_period.items()]
-    steps = np.concatenate(windows)
-    rows = _step_rows(index, steps[:, :-1])
-    if not np.array(index.space.allowed)[steps[:, -2], steps[:, -1]].all():
+def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> tuple[np.ndarray, np.ndarray]:
+    """The step-row layout of one or more cycles: the (C, p) array, p their
+    longest period, whose row c holds the index rows of cycle c's
+    memory-words step by step and then -1, and the periods (C,)."""
+    words = [c.word for c in cycles]
+    periods = list(map(len, words))
+    if not min(periods):
+        raise ValidationError("a cycle needs a nonempty word")
+    per, width, m = np.array(periods), max(periods), index.memory
+    letters = np.fromiter(chain.from_iterable(words), dtype=np.intp, count=sum(periods))
+    # each step's memory-word and the letter after it, wrapping round
+    steps = letters[(np.arange(width)[:, None] + np.arange(m + 1)) % per[:, None, None]
+                    + (np.cumsum(per) - per)[:, None, None]]
+    rows = _step_rows(index, steps[..., :-1])
+    # at memory 1 `_step_rows` sees no transition, so the pairs, the wrap
+    # included, are checked here
+    if not np.array(index.space.allowed)[steps[..., -2], steps[..., -1]].all():
         bad = next(c for c in cycles if not index.space.is_cyclically_admissible(c.word))
         raise InadmissibleWordError(f"word {bad} is not cyclically admissible")
-    ends = np.cumsum([len(w) for w in windows])
-    return [(which, R.reshape(len(which), p))
-            for (p, which), R in zip(by_period.items(), np.split(rows, ends[:-1]))]
+    rows[np.arange(width) >= per[:, None]] = -1
+    return rows, per
 
 
-def _means(w: np.ndarray, L: int | None, groups: list, count: int) -> np.ndarray:
+def _means(w: np.ndarray, L: int | None, layout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The mean of each weight row along the last axis of w, scaled by L
-    as `ScalarPotential._weights` scales them, over each of `count` cycles
-    grouped by `_cycle_rows`: shape (..., count), exact Fractions for
-    integer weights, floats summed in step order otherwise."""
-    out = np.empty(w.shape[:-1] + (count,), dtype=float if L is None else object)
+    as `ScalarPotential._weights` scales them, over each cycle of a
+    `_cycle_rows` layout: shape (..., C), exact Fractions for integer
+    weights, floats summed in step order otherwise."""
+    R, per = layout
     w = w if L is None else w.astype(object)  # Python ints: exact sums of any length
-    for which, R in groups:
-        p = R.shape[1]
-        total = w[..., R[:, 0]]
-        for j in range(1, p):
-            total += w[..., R[:, j]]
-        out[..., which] = total / p if L is None else np.frompyfunc(Fraction, 2, 1)(total, L * p)
-    return out
+    total = w[..., R[:, 0]]
+    for j in range(1, R.shape[1]):
+        live = per > j
+        total[..., live] += w[..., R[live, j]]
+    return (total / per if L is None
+            else np.frompyfunc(Fraction, 2, 1)(total, L * per.astype(object)))
 
 
-def _cycle_exponents(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> list[tuple[Cycle, float]]:
-    """Every primitive cycle of period <= p_max with its exponent, in
-    (period, word) order."""
+def _cycle_exponents(space: ShiftSpace, A: MatrixCocycle,
+                     p_max: int) -> tuple[list[Cycle], np.ndarray]:
+    """Every primitive cycle of period <= p_max, in (period, word) order,
+    and their exponents."""
     cycles = enumerate_cycles(space, p_max)
-    return [(c, float(val)) for c, val in zip(cycles, cycle_exponent(A, cycles))]
+    return cycles, np.array(cycle_exponent(A, cycles), dtype=float)
 
 
-def _lower_series(exponents: list[tuple[Cycle, float]]) -> tuple[list[tuple[int, float]], Cycle]:
-    """Best exponent up to each period present, and the cycle attaining
-    the overall best.
-
-    Ties broken by (shorter period, lexicographically least canonical word).
-    """
-    series: list[tuple[int, float]] = []
-    best = -math.inf
-    witness: Cycle | None = None
-    for c, val in exponents:
-        if val > best:
-            best, witness = val, c
-        if series and series[-1][0] == c.period:
-            series[-1] = (c.period, best)
-        else:
-            series.append((c.period, best))
-    if witness is None:
+def _lower_series(cycles: list[Cycle], values: np.ndarray) -> tuple[list[tuple[int, float]], Cycle]:
+    """Best exponent up to each period present, and the first cycle that
+    attains the overall best, of cycles in (period, word) order: ties go
+    to the shorter period, then to the lexicographically least word."""
+    if not cycles:
         raise ValidationError("no admissible cycle up to p_max")
-    return series, witness
+    per = np.fromiter((len(c.word) for c in cycles), dtype=np.intp, count=len(cycles))
+    last = np.flatnonzero(np.diff(per, append=0))  # the last cycle of each period
+    best = np.maximum.accumulate(values)[last]
+    return list(zip(per[last].tolist(), best.tolist())), cycles[int(values.argmax())]
 
 
 def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple[float, Cycle]:
@@ -291,7 +282,7 @@ def lower_bound_cycles(space: ShiftSpace, A: MatrixCocycle, p_max: int) -> tuple
     Ties broken by (shorter period, lexicographically least canonical word).
     """
     _check_space(space, A)
-    series, witness = _lower_series(_cycle_exponents(space, A, p_max))
+    series, witness = _lower_series(*_cycle_exponents(space, A, p_max))
     return series[-1][1], witness
 
 
@@ -515,7 +506,7 @@ def beta_bracket(
     _check_bracket_args(n_max, p_max, gap_tol)
     if A.is_additive:
         return _additive_bracket(space, A)
-    return _matrix_bracket(space, A, _cycle_exponents(space, A, p_max),
+    return _matrix_bracket(space, A, *_cycle_exponents(space, A, p_max),
                            n_max, p_max, gap_tol, budget)
 
 
@@ -528,11 +519,11 @@ def _check_bracket_args(n_max: int, p_max: int, gap_tol: float, slack: float = 0
         raise ValidationError("gap_tol must be positive")
 
 
-def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, exponents: list[tuple[Cycle, float]],
+def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, cycles: list[Cycle], values: np.ndarray,
                     n_max: int, p_max: int, gap_tol: float, budget: int) -> BetaBracket:
-    """The bracket of `beta_bracket` for d >= 2, from the cycle exponents
-    up to p_max."""
-    lower_series, witness = _lower_series(exponents)
+    """The bracket of `beta_bracket` for d >= 2, from the cycles up to
+    p_max and their exponents."""
+    lower_series, witness = _lower_series(cycles, values)
     best_l = lower_series[-1][1]
     upper_series: list[tuple[int, float]] = []
     # maxima[j - 1] = N_j, the tail bounds of every deeper search
@@ -617,9 +608,9 @@ def matrix_candidates(
     """
     _check_space(space, A)
     _check_bracket_args(n_max, p_max, gap_tol, slack)
-    exponents = _cycle_exponents(space, A, p_max)
+    cycles, values = _cycle_exponents(space, A, p_max)
     bracket = (_additive_bracket(space, A) if A.is_additive
-               else _matrix_bracket(space, A, exponents, n_max, p_max, gap_tol, budget))
-    cands = tuple(c for c, val in exponents if val >= bracket.lower - slack)
+               else _matrix_bracket(space, A, cycles, values, n_max, p_max, gap_tol, budget))
+    cands = tuple(cycles[i] for i in np.flatnonzero(values >= bracket.lower - slack).tolist())
     unique = len(cands) == 1 and bracket.gap <= slack
     return OptReport(bracket=bracket, candidates=cands, unique_at_resolution=unique, slack=slack)

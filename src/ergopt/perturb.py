@@ -256,7 +256,7 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
     # A's upper end plays no part here, so its bracket stops at depth 1
     cycles = matrix_candidates(space, A, n_max=1, p_max=p_max, slack=wide).candidates
     exponents = np.array(cycle_exponent(A, cycles), dtype=float)
-    exponents = exponents + _means(eta, None, _cycle_rows(index, cycles), len(cycles))
+    exponents = exponents + _means(eta, None, _cycle_rows(index, cycles))
     if A.is_additive:
         w = A.additive_potential()._weights[0][index.rows]
         lowers = uppers = np.array([
@@ -310,13 +310,13 @@ def stability_radius(
     delta = min(gap / (2.0 * A.d * math.e * sens), 1.0 / (2.0 * sens))
     rng = np.random.default_rng(seed)
     index = _word_index(A.space, A.memory)
-    groups = _cycle_rows(index, [mu.cycle for mu in measures])
+    layout = _cycle_rows(index, [mu.cycle for mu in measures])
     ok = 0
     for lo in range(0, trials, _TRIAL_BLOCK):
         etas = _perturbations(rng, delta, exact, norms, min(_TRIAL_BLOCK, trials - lo))
         W, L = _graph._weights(etas.ravel().tolist(), len(index.nodes))
         # exp(eta) commutes with every step: exponents shift by eta-averages
-        new_values = _means(W.reshape(len(etas), -1), L, groups, len(values))
+        new_values = _means(W.reshape(len(etas), -1), L, layout)
         new_values += np.array(values, dtype=new_values.dtype)
         # ties go to the least index, as in `best`
         ok += int(np.count_nonzero(new_values.argmax(axis=1) == best))

@@ -216,33 +216,45 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     """All primitive cycles of period <= p_max, canonical, ordered by
     (period, word).
 
-    The canonical primitive cycles are exactly the Lyndon words.  They are
-    read off a depth-first walk of the prenecklaces of length <= p_max
-    (Fredricksen-Kessler-Maiorana), which visits words of equal length in
-    lexicographic order; a prefix containing a forbidden 2-word is never
-    extended (Ruskey-Sawada).
+    The canonical primitive cycles are exactly the Lyndon words, read off a
+    level-by-level walk of the prenecklaces of length <= p_max
+    (Fredricksen-Kessler-Maiorana), one array of words in lexicographic
+    order per level.  A prefix containing a forbidden 2-word is never
+    extended (Ruskey-Sawada), nor one from whose last letter no letter
+    above its first is reachable: a Lyndon word of two or more letters ends
+    above its first.
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
-    allowed = space.allowed
-    by_period: list[list[Cycle]] = [[] for _ in range(p_max + 1)]
-    # (prenecklace w, length p of its longest Lyndon prefix); w is a Lyndon
-    # word exactly when p == len(w)
-    stack: list[tuple[Word, int]] = [((a,), 1) for a in reversed(range(space.k))]
-    while stack:
-        w, p = stack.pop()
-        t = len(w)
-        if p == t and allowed[w[-1]][w[0]]:
-            by_period[t].append(Cycle(w))
-        if t == p_max:
-            continue
-        # a prenecklace extends by w[t - p] (same p) or any larger letter
-        # (a Lyndon word of length t + 1); push in reverse to pop in order
-        row = allowed[w[-1]]
-        low = w[t - p]
-        stack.extend((w + (b,), p if b == low else t + 1)
-                     for b in range(space.k - 1, low - 1, -1) if row[b])
-    return [c for cycles in by_period for c in cycles]
+    k = space.k
+    # the largest letter each letter reaches: walk back from each, largest first
+    preds, top = [list(compress(range(k), col)) for col in zip(*space.allowed)], [-1] * k
+    for b in reversed(range(k)):
+        todo = preds[b][:]
+        while todo:
+            if top[u := todo.pop()] < 0:
+                top[u] = b
+                todo += preds[u]
+    allowed, top, letters = np.array(space.allowed), np.array(top), np.arange(k)
+    cycles: list[Cycle] = []
+    # the prenecklaces of length t, and the length p of each one's longest
+    # Lyndon prefix; a word is a Lyndon word exactly when p == t
+    W, p = letters[:, None], np.ones(k, dtype=np.intp)
+    for t in range(1, p_max + 1):
+        last, first = W[:, -1], W[:, 0]
+        lyndon = (p == t) & allowed[last, first]
+        cycles.extend(map(Cycle, map(tuple, W[lyndon].tolist())))
+        live = top[last] > first
+        W, p = W[live], p[live]
+        if t == p_max or not len(W):
+            break
+        # a prenecklace extends by w[t - p] (same p) or any larger letter (a
+        # Lyndon word of length t + 1); `nonzero` keeps lexicographic order
+        low = W[np.arange(len(W)), t - p]
+        parent, b = (allowed[W[:, -1]] & (letters >= low[:, None])).nonzero()
+        W = np.concatenate([W[parent], b[:, None]], axis=1)
+        p = np.where(b == low[parent], p[parent], t + 1)
+    return cycles
 
 
 def connect(space: ShiftSpace, a: int, b: int) -> Word:

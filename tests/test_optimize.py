@@ -302,6 +302,63 @@ class TestCycleExponent:
             assert eo.cycle_exponent(A, c) == val
         assert eo.cycle_exponent(A, []) == []
 
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shuffled_lists_match_one_cycle_products(self, memory, d):
+        """A shuffled list with mixed periods, repeats and periods shorter
+        than the memory, where cycles share prefixes of steps; each value
+        equals bit for bit the product around its cycle by
+        `cocycle_log_product` over the unrolled word, and by a plain loop
+        over `A.matrix` renormalised by its largest entry, with
+        `math.log(spectral_radius)`."""
+        sft3 = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
+        rng = np.random.default_rng(10 * memory + d)
+        words = eo.admissible_words(sft3, memory)
+        # steps up to e^240 in scale, so that products leave the window
+        weight = eo.ScalarPotential(sft3, memory, {w: float(rng.uniform(-240, 240)) for w in words})
+        A = eo.MatrixCocycle(sft3, d, memory, {w: rng.standard_normal((d, d)) for w in words},
+                             weight)
+        pool = eo.enumerate_cycles(sft3, 6)
+        cycles = [pool[i] for i in rng.integers(0, len(pool), 80)] + pool[:3]
+        assert min(c.period for c in cycles) < memory or memory == 1
+        got = eo.cycle_exponent(A, cycles)
+        rescaled = 0
+        for c, val in zip(cycles, got):
+            p = c.period
+            unrolled = c.window(0, p + memory - 1)
+            logscale, P = cocycle.cocycle_log_product(A, unrolled)
+            assert val == (logscale + math.log(eo.spectral_radius(P))) / p
+            logscale, P = 0.0, None
+            for j in range(p):
+                P = A.matrix(unrolled[j:j + memory]) @ (np.eye(d) if P is None else P)
+                top = np.abs(P).max()
+                if top > 1e100 or 0 < top < 1e-100:
+                    P, logscale = P / top, logscale + float(np.log(top))
+                    rescaled += 1
+            assert val == (logscale + math.log(eo.spectral_radius(P))) / p
+        assert rescaled
+        # one period and no shared first step: the products are paths of their own
+        assert eo.cycle_exponent(A, pool[2::-1]) == [eo.cycle_exponent(A, c) for c in pool[2::-1]]
+
+    def test_nilpotent_refusal_names_its_cycle(self, full2):
+        """Around 01 the renormalised product rounds to [[0, 1], [0, 0]];
+        the refusal names 01, which is not the first cycle of the list."""
+        A = eo.MatrixCocycle(full2, 2, 1, {(0,): np.array([[0, 1e120], [1e-120, 0]]),
+                                          (1,): np.diag([1e120, 1e-120])})
+        cycles = [eo.make_cycle(full2, w) for w in ((0,), (1,), (0, 0, 1), (0, 1), (0, 1, 1))]
+        with pytest.raises(ValidationError, match="around cycle 01 rounds to a nilpotent"):
+            eo.cycle_exponent(A, cycles)
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_forbidden_wrap_and_empty_word_are_refused(self, golden, memory):
+        """101 is admissible as a word but its wrap 1 -> 1 is forbidden; a
+        bare empty `Cycle` has no steps."""
+        A = eo.identity_cocycle(golden, 2, memory)
+        with pytest.raises(eo.errors.InadmissibleWordError):
+            eo.cycle_exponent(A, [eo.Cycle((0,)), eo.Cycle((0, 1)), eo.Cycle((1, 0, 1))])
+        with pytest.raises(ValidationError, match="nonempty"):
+            eo.cycle_exponent(A, [eo.Cycle((0,)), eo.Cycle(())])
+
     def test_list_form_stays_rational(self, golden):
         f = eo.ScalarPotential(golden, 2, {
             (0, 0): Fraction(1, 3), (0, 1): Fraction(-2), (1, 0): Fraction(5, 7)})

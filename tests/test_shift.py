@@ -23,6 +23,24 @@ def _sparse_shift(k, density, seed):
             continue
 
 
+def _brute_cycle_list(space, p_max):
+    """Oracle: every word over the alphabet whose cyclic 2-words are
+    allowed, kept when primitive and equal to its least rotation, then
+    sorted by (period, word); no shared code with enumerate_cycles."""
+    allowed = space.allowed
+    want = []
+    words = [(a,) for a in range(space.k)]
+    for p in range(1, p_max + 1):
+        for w in words:
+            if not allowed[w[-1]][w[0]]:
+                continue
+            rots = [w[i:] + w[:i] for i in range(p)]
+            if w == min(rots) and rots.count(w) == 1:
+                want.append(w)
+        words = [w + (b,) for w in words for b in range(space.k) if allowed[w[-1]][b]]
+    return sorted(want, key=lambda w: (len(w), w))
+
+
 def _cycle_test_spaces():
     """name -> (shift space, p_max) for the cycle-list oracle."""
     return {
@@ -147,23 +165,47 @@ class TestCycles:
     @pytest.mark.parametrize("name", ["full2", "full3", "golden", "sft3",
                                       "sparse8", "sparse10"])
     def test_same_list_as_brute_force(self, name):
-        """Oracle: every word over the alphabet whose cyclic 2-words are
-        allowed, kept when primitive and equal to its least rotation, then
-        sorted by (period, word); no shared code with enumerate_cycles."""
         space, p_max = _cycle_test_spaces()[name]
-        allowed = space.allowed
-        want = []
-        words = [(a,) for a in range(space.k)]
-        for p in range(1, p_max + 1):
-            for w in words:
-                if not allowed[w[-1]][w[0]]:
-                    continue
-                rots = [w[i:] + w[:i] for i in range(p)]
-                if w == min(rots) and rots.count(w) == 1:
-                    want.append(w)
-            words = [w + (b,) for w in words for b in range(space.k) if allowed[w[-1]][b]]
-        want.sort(key=lambda w: (len(w), w))
-        assert [c.word for c in eo.enumerate_cycles(space, p_max)] == want
+        got = [c.word for c in eo.enumerate_cycles(space, p_max)]
+        assert got == _brute_cycle_list(space, p_max)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_shifts_match_brute_force(self, k):
+        """Random shifts on k letters at p_max 1 to 9, against the brute-force
+        oracle: dense and sparse transitions, one cyclic permutation (a
+        single cycle of period k), and a random permutation (disjoint
+        cycles).  p_max is lowered while the oracle would list more than
+        20 000 words."""
+        rng = np.random.default_rng(k)
+        for trial in range(12):
+            perm = rng.permutation(k)
+            allowed = np.zeros((k, k), dtype=bool)
+            if trial % 4 == 0:
+                allowed[perm, np.roll(perm, -1)] = True
+            else:
+                allowed[np.arange(k), perm] = True
+                if trial % 4 > 1:
+                    allowed |= rng.random((k, k)) < (0.2 if trial % 4 == 2 else 0.7)
+            space = eo.new_shift(k, allowed.tolist())
+            p_max = int(rng.integers(1, 10))
+            counts = np.ones(k, dtype=np.int64)
+            for p in range(2, p_max + 1):
+                counts = counts @ allowed
+                if counts.sum() > 20_000:
+                    p_max = p - 1
+                    break
+            got = [c.word for c in eo.enumerate_cycles(space, p_max)]
+            assert got == _brute_cycle_list(space, p_max), (k, trial, p_max)
+            if trial % 4 == 0:
+                assert got == ([tuple(np.roll(perm, -int(perm.argmin())).tolist())]
+                               if p_max >= k else [])
+
+    def test_one_letter_shift_at_a_huge_p_max(self):
+        """The walk drops a prenecklace from whose last letter no letter
+        above its first is reachable, so on the one-letter shift it stops
+        after its first level; a walk of every prenecklace would copy about
+        p_max^2 letters here."""
+        assert eo.enumerate_cycles(eo.new_shift(1), 10**5) == [eo.Cycle((0,))]
 
     def test_order_is_period_then_lex(self, full2):
         cycles = eo.enumerate_cycles(full2, 4)
