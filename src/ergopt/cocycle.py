@@ -10,6 +10,7 @@ additive (d = 1) case exactly solvable.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -242,13 +243,13 @@ _TREE_ROWS = 1 << 14
 
 class _Level:
     """Words of one depth of a word tree, in the order they were grown: the
-    node each ends at, its log scale and renormalised product, and, when
-    asked for, the index of its parent among the words it was grown from
-    (its position in the depth before, in a level the tree holds) and the
-    step row that extends it.  A level the tree holds also has each word's
-    log Frobenius norm and marks the words whose children it holds."""
+    node each ends at, its log scale and renormalised product, the index
+    of its parent among the words it was grown from (its position in the
+    depth before, in a level the tree holds; none at depth 1) and the step
+    row that extends it.  A level the tree holds also has each word's log
+    Frobenius norm and marks the words whose children it holds."""
 
-    def __init__(self, states, logscale, P, parent=None, step=None):
+    def __init__(self, states, logscale, P, parent, step):
         self.states, self.logscale, self.P = states, logscale, P
         self.parent, self.step = parent, step
         self._capacity = len(states)
@@ -287,14 +288,15 @@ class _WordTree:
     grows the rest in blocks of its own."""
 
     def __init__(self, table: _StepTable):
-        self.table = table
+        # a proxy, so that the table and its tree form no reference cycle
+        self.table = weakref.proxy(table)
         first, states = _by_end(table.index)
         P = table.steps[first]
         logscale = np.zeros(len(first))
         _renormalise_rows(P, logscale)
         self.levels: list[_Level] = []
         self.size = 0
-        self._hold(1, _Level(states, logscale, P, step=first))
+        self._hold(1, _Level(states, logscale, P, None, first))
         self._out = np.bincount(table.index.tails, minlength=len(table.index.nodes))
 
     def _hold(self, k: int, level: _Level) -> None:
@@ -322,8 +324,7 @@ class _WordTree:
             new = pos[rest]
             if self.size + int(self._out[level.states[new]].sum()) <= _TREE_ROWS:
                 new = new[np.argsort(level.states[new], kind="stable")]
-                grown = _grown(self.table, level.states[new], level.logscale[new], level.P[new],
-                               lineage=True)
+                grown = _grow(self.table, level.states[new], level.logscale[new], level.P[new])
                 grown.parent = new[grown.parent]
                 self._hold(k + 1, grown)
                 level.expanded[new] = True
@@ -345,38 +346,26 @@ def _by_end(index: _WordIndex) -> tuple[np.ndarray, np.ndarray]:
     return first, ends[first]
 
 
-def _grow(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray):
+def _grow(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray) -> _Level:
     """One growth step of a word tree: the products P (N >= 1, d, d) with log
     scales (N,) of words sorted by their end node `states`, each extended
-    by the step of every edge out of its node, renormalised, and still
-    sorted by node (the edges are sorted by head).  Spans (lo, hi, e): the
-    children along edge e extend parents lo:hi, in order."""
-    index, steps = table.index, table.steps
-    starts = states.searchsorted(np.arange(len(index.nodes) + 1)).tolist()
-    heads, sizes, child_ls, child_P, spans = [], [], [], [], []
-    for e, (v, u, r) in enumerate(index.edge_list):
+    by the step of every edge out of its node, renormalised, as a level
+    still sorted by node (the edges are sorted by head), whose parents are
+    indices in the words grown."""
+    starts = states.searchsorted(np.arange(len(table.index.nodes) + 1)).tolist()
+    heads, parents, rows, child_P = [], [], [], []
+    for v, u, r in table.index.edge_list:
         lo, hi = starts[u], starts[u + 1]
         if lo < hi:
-            spans.append((lo, hi, e))
             heads.append(v)
-            sizes.append(hi - lo)
-            child_ls.append(logscale[lo:hi])
-            child_P.append(steps[r] @ P[lo:hi])
-    logscale, P = np.concatenate(child_ls), np.concatenate(child_P)
+            parents.append(np.arange(lo, hi))
+            rows.append(r)
+            child_P.append(table.steps[r] @ P[lo:hi])
+    sizes = [len(p) for p in parents]
+    parent, P = np.concatenate(parents), np.concatenate(child_P)
+    logscale = logscale[parent]
     _renormalise_rows(P, logscale)
-    return np.array(heads).repeat(sizes), logscale, P, spans
-
-
-def _grown(table: _StepTable, states: np.ndarray, logscale: np.ndarray, P: np.ndarray,
-           lineage: bool) -> _Level:
-    """`_grow` as a level; with `lineage`, each child's parent is given as
-    its index in the words grown."""
-    states, logscale, P, spans = _grow(table, states, logscale, P)
-    if not lineage:
-        return _Level(states, logscale, P)
-    parent = np.concatenate([np.arange(lo, hi) for lo, hi, _ in spans])
-    step = table.index.rows[[e for _, _, e in spans]].repeat([hi - lo for lo, hi, _ in spans])
-    return _Level(states, logscale, P, parent, step)
+    return _Level(np.repeat(heads, sizes), logscale, P, parent, np.repeat(rows, sizes))
 
 
 def cocycle_product(A: MatrixCocycle, w: Sequence[int]) -> np.ndarray:
@@ -409,13 +398,7 @@ def cocycle_log_product(A: MatrixCocycle, w: Sequence):
         return np.zeros(0), np.zeros((0, A.d, A.d))
     if len(words[0]) < A.memory:
         raise InadmissibleWordError("word shorter than the cocycle memory")
-    letters = np.array(words, dtype=np.intp)
-    windows = np.lib.stride_tricks.sliding_window_view(letters, A.memory, axis=1)
-    # `_step_rows` refuses bad letters and windows; one lookup checks each 2-word
-    rows = _step_rows(A._step_table.index, windows)
-    allowed = np.array(A.space.allowed)[letters[:, :-1], letters[:, 1:]].all(axis=1)
-    if not allowed.all():
-        raise InadmissibleWordError(word_to_str(words[int(allowed.argmin())]))
+    rows = _step_rows(A._step_table.index, np.array(words, dtype=np.intp))
     logscale, P = _prefix_products(A._step_table.steps, rows, np.full(len(words), rows.shape[1]))
     return (logscale, P) if batch else (float(logscale[0]), P[0])
 
@@ -450,52 +433,46 @@ def _prefix_products(steps: np.ndarray, R: np.ndarray,
     rightmost and renormalised after every step: (log scales (C,), new
     products (C, d, d)).  Each distinct prefix of the rows, a node of their
     trie, is multiplied once, from its parent's product."""
-    C, width = R.shape
-    if C > 1 and (len(set(R[:, 0].tolist())) < C or min(per.tolist()) < width):
-        # sorted, rows that share a prefix are adjacent: a node starts at each
-        # row and depth within its length where it leaves the row before it
-        order = np.lexsort(R.T[::-1])
-        S = R[order]
-        new = S >= 0
-        new[1:] &= np.logical_or.accumulate(S[1:] != S[:-1], axis=1)
-        # each row's node at each depth, the nodes numbered depth by depth
-        node = new.T.cumsum().reshape(new.shape[::-1]) - 1
-        at, rows = new.T.nonzero()
-        parent, step = node[at - 1, rows], S[rows, at]
-        bounds = (node[:, -1] + 1).tolist()
-        end = node[per - 1, order.argsort(kind="stable")]  # where each row ends
-    else:
-        # rows of one length that share no first step are paths of their
-        # own: node j * C + i is row i at depth j
-        parent, step, bounds = None, R.T.ravel(), range(C, C * width + 1, C)
-        end = np.arange((width - 1) * C, width * C)
+    # sorted, rows that share a prefix are adjacent: a node starts at each
+    # row and depth within its length where it leaves the row before it
+    order = np.lexsort(R.T[::-1])
+    S = R[order]
+    new = S >= 0
+    new[1:] &= np.logical_or.accumulate(S[1:] != S[:-1], axis=1)
+    # each row's node at each depth, the nodes numbered depth by depth
+    node = new.T.cumsum().reshape(new.shape[::-1]) - 1
+    at, rows = new.T.nonzero()
+    parent, step = node[at - 1, rows], S[rows, at]
+    end = node[per - 1, order.argsort(kind="stable")]  # where each row ends
     P, logscale = np.empty((len(step),) + steps.shape[1:]), np.zeros(len(step))
-    last = lo = 0
-    for hi in bounds:
+    lo = 0
+    for hi in (node[:, -1] + 1).tolist():
         if lo:
-            up = slice(last, lo) if parent is None else parent[lo:hi]
-            np.matmul(steps[step[lo:hi]], P[up], out=P[lo:hi])
-            logscale[lo:hi] = logscale[up]
+            np.matmul(steps[step[lo:hi]], P[parent[lo:hi]], out=P[lo:hi])
+            logscale[lo:hi] = logscale[parent[lo:hi]]
         else:
             P[:hi] = steps[step[:hi]]
         _renormalise_rows(P[lo:hi], logscale[lo:hi])
-        last, lo = lo, hi
+        lo = hi
     return logscale[end], P[end]
 
 
-def _step_rows(index: _WordIndex, windows: np.ndarray) -> np.ndarray:
-    """The row of the word index for each memory-word along the last axis
-    of the integer array `windows`: shape (...) for windows of shape
-    (..., m).  Words are found by their codes (`_WordIndex.powers`)."""
+def _step_rows(index: _WordIndex, letters: np.ndarray) -> np.ndarray:
+    """The rows of the word index for the L - m + 1 memory-words along the
+    last axis of the integer array `letters` of shape (..., L), L >= m:
+    shape (..., L - m + 1).  A letter outside the alphabet, or a forbidden
+    2-word, which is named, is refused.  Every window of what is left is an
+    indexed word, found by its code (`_WordIndex.powers`)."""
     k = index.space.k
-    if windows.min() < 0 or windows.max() >= k:
+    if letters.min() < 0 or letters.max() >= k:
         raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
-    codes = windows @ index.powers
-    rows = index.codes.searchsorted(codes)
-    found = index.codes[np.minimum(rows, len(index.codes) - 1)] == codes
-    if not found.all():
-        raise InadmissibleWordError(word_to_str(windows[~found][0].tolist()))
-    return rows
+    ok = index.allowed[letters[..., :-1], letters[..., 1:]]
+    if not ok.all():
+        *at, j = np.unravel_index(ok.argmin(), ok.shape)
+        pair = letters[tuple(at)][j:j + 2].tolist()
+        raise InadmissibleWordError(f"forbidden 2-word {word_to_str(pair)}")
+    windows = np.lib.stride_tricks.sliding_window_view(letters, index.memory, axis=-1)
+    return index.codes.searchsorted(windows @ index.powers)
 
 
 def _op_norms(M: np.ndarray) -> np.ndarray:

@@ -16,9 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import MatrixCocycle, _check_space, _op_norms, _renormalise_rows, _step_rows
-from .errors import EqualExponentsError, InadmissibleWordError, TooShortError, ValidationError
+from .errors import EqualExponentsError, TooShortError, ValidationError
 from .optimize import cycle_exponent
-from .shift import Cycle, ShiftSpace, Word, connect, word_to_str
+from .shift import Cycle, ShiftSpace, Word, connect
 
 MAX_SERIES_LENGTH = 10**6
 _SCAN_ROWS = 1 << 14  # most prefix products one chunk of the series holds
@@ -140,18 +140,11 @@ def finite_time_exponents(
     _check_space(space, A)
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
-    symbols = _symbols(x, N + A.memory - 1)
-    windows = np.lib.stride_tricks.sliding_window_view(symbols, A.memory)
+    rows = _step_rows(A._step_table.index, _symbols(x, N + A.memory - 1))
     out = np.empty(N)
     carry = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
     for lo in range(0, N, _SCAN_ROWS):
-        rows = _step_rows(A._step_table.index, windows[lo:lo + _SCAN_ROWS])
-        # its letters checked, one lookup checks each 2-word into the chunk
-        seg = symbols[max(lo - 1, 0):lo + _SCAN_ROWS + A.memory - 1]
-        ok = np.ravel(A.space.allowed)[seg[:-1] * A.space.k + seg[1:]]
-        if not ok.all():
-            raise InadmissibleWordError(word_to_str(seg[ok.argmin():][:2].tolist()))
-        carry = _scan_chunk(A._step_table.steps, rows, carry, lo, out)
+        carry = _scan_chunk(A._step_table.steps, rows[lo:lo + _SCAN_ROWS], carry, lo, out)
     return out
 
 

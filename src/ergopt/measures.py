@@ -193,9 +193,9 @@ def _markov_exponent(A, mu, n_max, word_budget):
     upper = math.inf
     space, m, table = A.space, A.memory, A._step_table
     stationary, stochastic = np.array(mu.stationary), np.array(mu.stochastic)
-    # the transition each edge adds: last letter of its tail -> of its head
+    # the last letter of each node: a child adds the transition from its
+    # parent's end node to its own
     last = np.array(table.index.nodes)[:, -1]
-    factor = stochastic[last[table.index.tails], last[table.index.heads]]
     # the admissible words of the current length by last letter, counted in
     # Python ints, so that a depth over the budget builds none of its words
     ends = [1] * space.k
@@ -215,8 +215,10 @@ def _markov_exponent(A, mu, n_max, word_budget):
             logscale, P = cocycle_log_product(A, letters)
         else:
             # each charged word of the depth before, one step longer
-            states, logscale, P, spans = _grow(table, states, logscale, P)
-            masses = np.concatenate([masses[lo:hi] * factor[e] for lo, hi, e in spans])
+            grown = _grow(table, states, logscale, P)
+            parent = grown.parent
+            masses = masses[parent] * stochastic[last[states[parent]], last[grown.states]]
+            states, logscale, P = grown.states, grown.logscale, grown.P
         charged = masses > 0
         states, logscale, P, masses = states[charged], logscale[charged], P[charged], masses[charged]
         try:

@@ -27,13 +27,13 @@ from .cocycle import (
     _check_space,
     _op_norms,
     _StepTable,
-    _grown,
+    _grow,
     _log_frobenius,
     _prefix_products,
     _step_rows,
     spectral_radius,
 )
-from .errors import BudgetExceededError, InadmissibleWordError, ShapeMismatchError, ValidationError
+from .errors import BudgetExceededError, ShapeMismatchError, ValidationError
 from .shift import Cycle, ShiftSpace, Word, _word_index, _WordIndex, connect, enumerate_cycles
 
 DEFAULT_N_MAX = 24
@@ -226,17 +226,13 @@ def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> tuple[np.ndarray,
     periods = list(map(len, words))
     if not min(periods):
         raise ValidationError("a cycle needs a nonempty word")
-    per, width, m = np.array(periods), max(periods), index.memory
+    per, width = np.array(periods), max(periods)
     letters = np.fromiter(chain.from_iterable(words), dtype=np.intp, count=sum(periods))
-    # each step's memory-word and the letter after it, wrapping round
-    steps = letters[(np.arange(width)[:, None] + np.arange(m + 1)) % per[:, None, None]
-                    + (np.cumsum(per) - per)[:, None, None]]
-    rows = _step_rows(index, steps[..., :-1])
-    # at memory 1 `_step_rows` sees no transition, so the pairs, the wrap
-    # included, are checked here
-    if not np.array(index.space.allowed)[steps[..., -2], steps[..., -1]].all():
-        bad = next(c for c in cycles if not index.space.is_cyclically_admissible(c.word))
-        raise InadmissibleWordError(f"word {bad} is not cyclically admissible")
+    # each cycle's letters wrapped round to width + m, so that `_step_rows`
+    # also reads the wrap of the longest
+    start = np.cumsum(per) - per
+    wrapped = letters[np.arange(width + index.memory) % per[:, None] + start[:, None]]
+    rows = _step_rows(index, wrapped)[:, :width]
     rows[np.arange(width) >= per[:, None]] = -1
     return rows, per
 
@@ -425,8 +421,7 @@ def _search(table: _StepTable, n: int, budget: int, floors,
             pos = pos[rest]
             if sums is not None:
                 sums = sums[:, rest]
-        grown = _grown(table, level.states[pos], level.logscale[pos], level.P[pos],
-                       lineage=sums is not None)
+        grown = _grow(table, level.states[pos], level.logscale[pos], level.P[pos])
         _push(stack, k + 1, grown, None, grown.parent, sums, eta, rows)
     if np.any(best < floors[0]):
         raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "

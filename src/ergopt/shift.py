@@ -134,6 +134,7 @@ class _WordIndex:
 
     space: ShiftSpace
     memory: int
+    allowed: np.ndarray  # (k, k): the space's admissible 2-words
     words: tuple[Word, ...]
     row_of: dict[Word, int]
     powers: np.ndarray  # k^(m-1), ..., k, 1: `windows @ powers` codes words
@@ -146,7 +147,7 @@ class _WordIndex:
     edge_list: tuple[tuple[int, int, int], ...]  # (head, tail, row) per edge, as Python ints
 
     def __post_init__(self):
-        for value in (self.powers, self.codes, self.heads, self.tails, self.rows):
+        for value in (self.allowed, self.powers, self.codes, self.heads, self.tails, self.rows):
             value.flags.writeable = False
 
 
@@ -162,8 +163,9 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
                    for e in admissible_words(space, s + 1))
     powers = np.array([k**i for i in reversed(range(memory))],
                       dtype=np.int64 if k**memory < 2**63 else object)
-    return _WordIndex(space, memory, tuple(words), row_of, powers, np.array(words) @ powers,
-                      tuple(nodes), *np.array(edges, dtype=np.intp).reshape(-1, 3).T, tuple(edges))
+    return _WordIndex(space, memory, np.array(space.allowed), tuple(words), row_of, powers,
+                      np.array(words) @ powers, tuple(nodes),
+                      *np.array(edges, dtype=np.intp).reshape(-1, 3).T, tuple(edges))
 
 
 @dataclass(frozen=True)

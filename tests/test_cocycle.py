@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ergopt as eo
-from ergopt.cocycle import _op_norms, _step_rows, cocycle_log_product, cocycles_equal
+from ergopt.cocycle import _grow, _op_norms, _step_rows, cocycle_log_product, cocycles_equal
 from ergopt.errors import (
     InadmissibleWordError,
     ShapeMismatchError,
@@ -15,7 +15,7 @@ from ergopt.errors import (
 
 from ergopt.shift import _word_index
 
-from conftest import index_edges, sft3_memory2, word_graph_edges
+from conftest import index_edges, random_sft, sft3_memory2, word_graph_edges
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -376,25 +376,33 @@ class TestStepTable:
                 a[...] = 0
 
     def test_step_rows_read_the_index(self):
-        """Every admissible window maps to its row, and a window with a
-        forbidden 2-word is refused, at memory 1 to 4 on an SFT and where
-        the codes of the words pass int64."""
+        """Letters of shape (..., L) map to the rows of their L - m + 1
+        windows, and letters with a forbidden 2-word are refused, naming
+        it, at memory 1 to 4 on an SFT and where the codes of the words
+        pass int64."""
         space = eo.new_shift(3, [[True, True, False], [False, True, True], [True, True, True]])
         for m in range(1, 5):
             index = _word_index(space, m)
             words = eo.admissible_words(space, m)
-            assert _step_rows(index, np.array(words)).tolist() == list(range(len(words)))
+            assert _step_rows(index, np.array(words)).tolist() == [[i] for i in range(len(words))]
+            # one longer word: each window is read at its own row
+            long = eo.admissible_words(space, m + 4)[-1]
+            want = [index.row_of[long[j:j + m]] for j in range(5)]
+            assert _step_rows(index, np.array(long)).tolist() == want
             if m >= 2:
-                with pytest.raises(InadmissibleWordError):
+                with pytest.raises(InadmissibleWordError, match="02"):
                     _step_rows(index, np.array([words[0], (0, 2) + words[0][2:]]))
+        # at memory 1 each window is one letter; the 2-word 02 is refused all the same
+        with pytest.raises(InadmissibleWordError, match="forbidden 2-word 02"):
+            _step_rows(_word_index(space, 1), np.array([[1, 2, 0], [2, 0, 2]]))
         # 70 letters in one cycle: the codes of 11-words pass int64
         ring = eo.new_shift(70, [[b == (a + 1) % 70 for b in range(70)] for a in range(70)])
         index = _word_index(ring, 11)
         assert index.codes.dtype == object
         words = eo.admissible_words(ring, 11)
-        assert _step_rows(index, np.array(words[::-1])).tolist() == list(range(70))[::-1]
-        with pytest.raises(InadmissibleWordError):
-            _step_rows(index, np.array([words[0][:-1] + (0,)]))
+        assert _step_rows(index, np.array(words[::-1])).tolist() == [[i] for i in range(70)][::-1]
+        with pytest.raises(InadmissibleWordError, match="forbidden 2-word 29,0"):
+            _step_rows(index, np.array([words[20][:-1] + (0,)]))
 
     def test_equal_spaces_share_one_index(self):
         """Cocycles and potentials on equal spaces, built apart, with the
@@ -474,3 +482,38 @@ class TestListProduct:
         A = eo.identity_cocycle(golden, 2, memory=memory)
         with pytest.raises(InadmissibleWordError):
             cocycle_log_product(A, word if form == "single" else [(0, 1, 0, 1), word])
+
+
+class TestGrow:
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_each_child_is_its_parent_times_its_step(self, memory):
+        """The level contract every caller of `_grow` reads, on random SFTs
+        with steps scaled by up to 1e+-90, so that products leave the
+        renormalisation window: the children are every parent extended
+        along every edge out of its node, each child's e^logscale P is
+        steps[step] @ its parent's, to rounding, and the nodes stay sorted."""
+        rng = np.random.default_rng(memory)
+        for _ in range(5):
+            space = random_sft(rng, int(rng.integers(2, 5)))
+            A = eo.MatrixCocycle(space, 2, memory, {
+                w: 10.0 ** rng.uniform(-90, 90) * (rng.normal(size=(2, 2)) + 2 * np.eye(2))
+                for w in eo.admissible_words(space, memory)})
+            table = A._step_table
+            out = {}
+            for v, u, r in table.index.edge_list:
+                out.setdefault(u, []).append((v, r))
+            level, moved = table.tree.levels[0], 0
+            for _ in range(4):
+                child = _grow(table, level.states, level.logscale, level.P)
+                parents, states = child.parent.tolist(), level.states.tolist()
+                assert sorted(zip(parents, child.states.tolist(), child.step.tolist())) == \
+                    sorted((i, v, r) for i, u in enumerate(states) for v, r in out[u])
+                assert (np.diff(child.states) >= 0).all()
+                # e^c P_c = S e^p P_p, compared as P_c = e^(p - c) S P_p
+                scale = np.exp(level.logscale[child.parent] - child.logscale)[:, None, None]
+                want = scale * (table.steps[child.step] @ level.P[child.parent])
+                err = np.abs(child.P - want).max(axis=(1, 2))
+                assert (err <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
+                moved += (child.logscale != level.logscale[child.parent]).sum()
+                level = child
+            assert moved > 0

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -526,6 +528,22 @@ class TestWordTree:
             with pytest.raises(eo.errors.BudgetExceededError):
                 eo.upper_bound(full2, A, n, budget=words - 1)
         assert 0 < A._step_table.tree.size <= cap
+
+    def test_a_dead_cocycle_frees_its_tree_at_once(self, full2, fib_pair):
+        """The tree reads its table through a weak proxy, so a cocycle's step
+        table and word tree go with it, not at the next cyclic collection."""
+        A = eo.MatrixCocycle(full2, 2, 1, fib_pair.table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            eo.upper_bound(full2, A, 8)
+            assert A._step_table.tree.size > len(A.table)
+            table, tree = weakref.ref(A._step_table), weakref.ref(A._step_table.tree)
+            del A
+            assert table() is None and tree() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBracket:

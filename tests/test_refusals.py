@@ -10,7 +10,7 @@ import pytest
 
 import ergopt as eo
 from ergopt import report
-from ergopt.cocycle import _step_rows
+from ergopt.cocycle import _step_rows, cocycle_log_product
 from ergopt.errors import (
     InadmissibleWordError,
     NoCycleError,
@@ -219,6 +219,20 @@ def test_refused(case):
     call, error, *match = case
     with pytest.raises(error, match=match[0] if match else None):
         call()
+
+
+@pytest.mark.parametrize("memory", [1, 2])
+def test_every_refusal_names_the_forbidden_two_word(memory):
+    """On the golden-mean shift a word, a cycle whose forbidden 2-word is
+    at its wrap, and a point, each reading 11, are refused by one
+    admissibility check, and each refusal names 11."""
+    A = GOLDEN_PAIR.lift(memory)
+    calls = [lambda: cocycle_log_product(A, (0, 1, 1, 0)),
+             lambda: eo.cycle_exponent(A, eo.Cycle((1, 0, 1))),
+             lambda: eo.finite_time_exponents(GOLDEN, A, ((0, 1, 1), eo.Cycle((0,))), 8)]
+    for call in calls:
+        with pytest.raises(InadmissibleWordError, match="forbidden 2-word 11"):
+            call()
 
 
 def test_unhinted_search_prunes_nothing():
