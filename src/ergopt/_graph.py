@@ -5,7 +5,8 @@ A graph is a node count n and edge arrays: tails `src` and heads `dst` in
 Rational weights are scaled by the lcm L of their denominators to
 integers: int64 when the input bounds every sum the kernels form, Python
 ints in object arrays otherwise.  Float weights run in float64, where each
-relaxation is one add and an exact max, as in a loop over the edges.
+relaxation is one add and an exact max, as in a loop over the edges; float
+weights whose sums could leave float64 are refused.
 
 Both routines read one Karp walk table, `_walks`, built by one max-plus
 kernel, `_relax`.  Every node starts a walk, as if a virtual source were
@@ -22,6 +23,11 @@ from numbers import Rational
 
 import numpy as np
 
+from .errors import ValidationError
+
+# half the largest float64: float weights are refused when a value formed
+# from them could reach it
+_FLOAT_SUMS = 2.0 ** 1023
 _TOL = 1e-9  # float weights: how far from a potential difference an edge is still tight
 
 
@@ -80,9 +86,13 @@ def _int_dtype(n: int, big: int):
 def _weights(values: list, n: int) -> tuple[np.ndarray, int | None]:
     """Weights of a graph on n nodes for the kernels: rational values times
     the lcm L of their denominators, and L; float64 and None when any value
-    is a float."""
+    is a float, refused unless (n + 1)^2 max |value| < _FLOAT_SUMS, the
+    bound of `_int_dtype` on every value the kernels form."""
     if not all(isinstance(x, Rational) for x in values):
-        return np.array(values, dtype=np.float64), None
+        w = np.array(values, dtype=np.float64)
+        if (n + 1) ** 2 * float(np.abs(w).max(initial=0.0)) >= _FLOAT_SUMS:
+            raise ValidationError("float weights this large can overflow float64 in Karp's sums")
+        return w, None
     L = math.lcm(*(x.denominator for x in values))
     ints = [int(x.numerator) * (L // x.denominator) for x in values]
     return np.array(ints, dtype=_int_dtype(n, max(map(abs, ints), default=0))), L

@@ -243,15 +243,16 @@ _TREE_ROWS = 1 << 14
 
 class _Level:
     """Words of one depth of a word tree, in the order they were grown: the
-    node each ends at, its log scale and renormalised product, the index
-    of its parent among the words it was grown from (its position in the
-    depth before, in a level the tree holds; none at depth 1) and the step
-    row that extends it.  A level the tree holds also has each word's log
-    Frobenius norm and marks the words whose children it holds."""
+    node each ends at, its log scale and renormalised product, its log
+    Frobenius norm (the bound a search prunes by), the position of its
+    parent in the level it was grown from (none at depth 1) and the step
+    row that extends it.  A level the tree holds also marks the words whose
+    children it holds."""
 
     def __init__(self, states, logscale, P, parent, step):
         self.states, self.logscale, self.P = states, logscale, P
         self.parent, self.step = parent, step
+        self.bound = _log_frobenius(logscale, P)
         self._capacity = len(states)
 
     def extend(self, other: "_Level", room: int) -> None:
@@ -279,13 +280,13 @@ def _log_frobenius(logscale: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 class _WordTree:
     """A step table's word tree: levels[k - 1] holds the depth-k words grown
-    so far, with their bounds.  Depth 1 is every memory-word, sorted by end
-    node; a deeper word is its parent times one step, renormalised, made
-    by `_grow` in the same operations whichever search grows it.  So a
-    search reads the products that earlier ones grew, and grows only the
-    words no search reached before it.  No growth takes the words held
-    over all depths past _TREE_ROWS (depth 1 is always held); a search
-    grows the rest in blocks of its own."""
+    so far.  Depth 1 is every memory-word, sorted by end node; a deeper
+    word is its parent times one step, renormalised, made by `_grow` in the
+    same operations whichever search grows it.  So a search reads the
+    products that earlier ones grew, and grows only the words no search
+    reached before it.  No growth takes the words held over all depths
+    past _TREE_ROWS (depth 1 is always held); the rest are grown into
+    levels of one search alone."""
 
     def __init__(self, table: _StepTable):
         # a proxy, so that the table and its tree form no reference cycle
@@ -297,11 +298,9 @@ class _WordTree:
         self.levels: list[_Level] = []
         self.size = 0
         self._hold(1, _Level(states, logscale, P, None, first))
-        self._out = np.bincount(table.index.tails, minlength=len(table.index.nodes))
 
     def _hold(self, k: int, level: _Level) -> None:
         """Store the words of `level` at depth k, a new depth or the next."""
-        level.bound = _log_frobenius(level.logscale, level.P)
         level.expanded = np.zeros(len(level.states), dtype=bool)
         if len(self.levels) < k:
             self.levels.append(level)
@@ -309,31 +308,32 @@ class _WordTree:
             self.levels[k - 1].extend(level, _TREE_ROWS - self.size)
         self.size += len(level.states)
 
-    def holds(self, k: int, level: _Level) -> bool:
-        """True when `level` is the tree's depth-k level."""
-        return k <= len(self.levels) and self.levels[k - 1] is level
-
-    def children(self, k: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The children held of the depth-k words at positions `pos`, first
-        growing those of the words no search expanded while the tree has
-        room: (their positions at depth k + 1, ascending, and the indices
-        in pos of the words whose children are not held)."""
-        level = self.levels[k - 1]
-        rest = (~level.expanded[pos]).nonzero()[0]
+    def children(self, k: int, level: _Level, pos: np.ndarray) -> list[tuple[_Level, np.ndarray]]:
+        """The children of the depth-k words of `level` at the ascending
+        positions `pos`, as (level, ascending positions in it) pairs.  A
+        level the tree holds gives the children it holds, after growing
+        into it those of the words no search expanded, while the tree has
+        room; the words left are grown into a level of their own, whose
+        parents are positions in `level` too.  That level comes last, so
+        a depth-first search pops it first and frees it soonest."""
+        held = k <= len(self.levels) and self.levels[k - 1] is level
+        rest = pos[~level.expanded[pos]] if held else pos
+        out = []
         if len(rest):
-            new = pos[rest]
-            if self.size + int(self._out[level.states[new]].sum()) <= _TREE_ROWS:
-                new = new[np.argsort(level.states[new], kind="stable")]
-                grown = _grow(self.table, level.states[new], level.logscale[new], level.P[new])
-                grown.parent = new[grown.parent]
+            rest = rest[np.argsort(level.states[rest], kind="stable")]
+            grown = _grow(self.table, level.states[rest], level.logscale[rest],
+                          level.P.take(rest, axis=0))
+            grown.parent = rest[grown.parent]
+            if held and self.size + len(grown.states) <= _TREE_ROWS:
                 self._hold(k + 1, grown)
-                level.expanded[new] = True
-                rest = rest[:0]
-        if len(self.levels) == k:
-            return rest[:0], rest
-        mark = np.zeros(len(level.states), dtype=bool)
-        mark[pos] = True
-        return mark[self.levels[k].parent].nonzero()[0], rest
+                level.expanded[rest] = True
+            else:
+                out.append((grown, np.arange(len(grown.states))))
+        if held and len(self.levels) > k:
+            mark = np.zeros(len(level.states), dtype=bool)
+            mark[pos] = True
+            out.insert(0, (self.levels[k], mark[self.levels[k].parent].nonzero()[0]))
+        return out
 
 
 def _by_end(index: _WordIndex) -> tuple[np.ndarray, np.ndarray]:

@@ -296,7 +296,7 @@ def weakstar_distance(
     basis = TestBasis(mu1.space).cylinders(i_max)
     total = 0.0
     for i, w in enumerate(basis, start=1):
-        total += abs(float(mu1.cylinder_mass(w)) - float(mu2.cylinder_mass(w))) / 2**i
+        total += abs(float(mu1.cylinder_mass(w)) - float(mu2.cylinder_mass(w))) * 2.0 ** -i
     return total, 2.0 * 2.0 ** (-i_max)
 
 

@@ -27,8 +27,6 @@ from .cocycle import (
     _check_space,
     _op_norms,
     _StepTable,
-    _grow,
-    _log_frobenius,
     _prefix_products,
     _step_rows,
     spectral_radius,
@@ -241,8 +239,12 @@ def _means(w: np.ndarray, L: int | None, layout: tuple[np.ndarray, np.ndarray]) 
     """The mean of each weight row along the last axis of w, scaled by L
     as `ScalarPotential._weights` scales them, over each cycle of a
     `_cycle_rows` layout: shape (..., C), exact Fractions for integer
-    weights, floats summed in step order otherwise."""
+    weights, floats summed in step order otherwise, refused when a sum
+    could leave float64."""
     R, per = layout
+    if L is None and R.shape[1] * float(np.abs(w).max(initial=0.0)) >= _graph._FLOAT_SUMS:
+        raise ValidationError(f"float weights this large can overflow float64 in the sums "
+                              f"over cycles of period {R.shape[1]}")
     w = w if L is None else w.astype(object)  # Python ints: exact sums of any length
     total = w[..., R[:, 0]]
     for j in range(1, R.shape[1]):
@@ -347,14 +349,14 @@ def _search(table: _StepTable, n: int, budget: int, floors,
     `budget` caps the words visited over the whole search, whether they
     were grown in it or read from the tree.
 
-    The table's tree holds the words that earlier searches grew, with their
-    bounds: a block of held words is pruned against this search's own
-    floors, and its kept words take the children held for them.  Only the
-    kept words that no search expanded are grown, into the tree while it
-    has room, and otherwise into a block of this search alone, whose
-    descendants are grown the same way.  Every product comes from the same
-    operations in the same order, so the maximum does not depend on which
-    searches ran before.
+    Every block is ascending positions in one level, and every level
+    carries its words' bounds, so a block is pruned against this search's
+    own floors whoever grew it.  The tree decides where the children of
+    the kept words come from (`_WordTree.children`): those earlier searches
+    grew, those grown into the tree, and past its cap those grown for this
+    search alone.  Every product comes from the same operations in the
+    same order, so the maximum does not depend on which searches ran
+    before.
 
     `eta` (S, E) makes it one search for the cocycles e^{eta_s} A of its
     rows s, returning their (S,) maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w,
@@ -375,71 +377,43 @@ def _search(table: _StepTable, n: int, budget: int, floors,
         sums = eta[:, first.step]
         best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
     rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * table.steps[0].size // len(eta))
-    # blocks (depth, level, the block's words in it, eta-sums): positions in
-    # a level of the tree, or a slice of a level grown for this search alone
+    # blocks (depth, level, the block's ascending positions in it, eta-sums)
     stack = [(1, first, np.arange(len(first.states)), sums)]
     while stack:
         k, level, pos, sums = stack.pop()
-        held = tree.holds(k, level)
-        if sums is not None:
-            count += np.isfinite(sums).sum(axis=1)
-        else:
-            count += len(pos) if held else pos.stop - pos.start
+        count += len(pos) if sums is None else np.isfinite(sums).sum(axis=1)
         if (count if sums is None else count.max()) > budget:
             raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
         if k == n:
-            top = level.logscale[pos] + np.log(_op_norms(level.P[pos]))
+            top = level.logscale[pos] + np.log(_op_norms(level.P.take(pos, axis=0)))
             if sums is None:
                 best = max(best, float(np.max(top)))
             else:
                 best = np.maximum(best, (top + sums).max(axis=1))
             continue
-        bound = level.bound[pos] if held else _log_frobenius(level.logscale[pos], level.P[pos])
         if sums is None:
-            keep = bound >= floors[n - k]
+            keep = level.bound[pos] >= floors[n - k]
         else:
-            kept = bound + sums >= floors[n - k][:, None]
+            kept = level.bound[pos] + sums >= floors[n - k][:, None]
             sums = np.where(kept, sums, -math.inf)
             keep = kept.any(axis=0)
         if not keep.all():
-            pos = pos[keep] if held else pos.start + np.flatnonzero(keep)
+            pos = pos[keep]
             if sums is not None:
                 sums = sums[:, keep]
             if not len(pos):
                 continue
-        if held:
-            child, rest = tree.children(k, pos)
-            if len(child):
-                # a held block's positions ascend, so each child's parent is found in pos
-                parent = None if sums is None else pos.searchsorted(tree.levels[k].parent[child])
-                _push(stack, k + 1, tree.levels[k], child, parent, sums, eta, rows)
-            if not len(rest):
-                continue
-            # the words whose children this search grows alone, sorted by
-            # end node as `_grow` takes them
-            rest = rest[np.argsort(level.states[pos[rest]], kind="stable")]
-            pos = pos[rest]
+        for child, at in tree.children(k, level, pos):
             if sums is not None:
-                sums = sums[:, rest]
-        grown = _grow(table, level.states[pos], level.logscale[pos], level.P[pos])
-        _push(stack, k + 1, grown, None, grown.parent, sums, eta, rows)
+                # pos ascends, so each child's parent is found in it
+                child_sums = sums[:, pos.searchsorted(child.parent[at])] + eta[:, child.step[at]]
+            for lo in range(0, len(at), rows):
+                stack.append((k + 1, child, at[lo:lo + rows],
+                              None if sums is None else child_sums[:, lo:lo + rows]))
     if np.any(best < floors[0]):
         raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "
                               f"the lower hint or maxima are not bounds")
     return best
-
-
-def _push(stack: list, k: int, level, pos, parent, sums, eta, rows: int) -> None:
-    """Push the depth-k words of the level at positions `pos`, or all of
-    them as slices when pos is None, in blocks of at most `rows`, with
-    their eta-sums: their parents', the columns `parent` of `sums`, plus
-    the eta of their last step."""
-    count = len(level.states) if pos is None else len(pos)
-    if sums is not None:
-        sums = sums[:, parent] + eta[:, level.step if pos is None else level.step[pos]]
-    for lo in range(0, count, rows):
-        block = slice(lo, min(lo + rows, count)) if pos is None else pos[lo:lo + rows]
-        stack.append((k, level, block, None if sums is None else sums[:, lo:lo + rows]))
 
 
 # ---------------------------------------------------------------------------

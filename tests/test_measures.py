@@ -252,6 +252,14 @@ class TestWeakstar:
         d_big, _ = eo.weakstar_distance(mu0, mu1, i_max=20)
         assert abs(d_big - d_small) <= err
 
+    def test_i_max_past_the_float_range(self, full2):
+        """2^i leaves float64 at i = 1024; the weight 2.0^-i does not, and
+        the terms past i = 1000 are far below the total's last digit."""
+        mu0 = eo.periodic_measure(full2, eo.make_cycle(full2, (0,)))
+        mu1 = eo.periodic_measure(full2, eo.make_cycle(full2, (0, 1)))
+        assert (eo.weakstar_distance(mu0, mu1, i_max=1100)[0]
+                == eo.weakstar_distance(mu0, mu1, i_max=1000)[0])
+
 
 class TestHausdorff:
     def test_examples(self):

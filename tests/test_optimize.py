@@ -508,7 +508,7 @@ class TestWordTree:
 
     def test_words_past_the_cap_are_grown_by_the_search(self, monkeypatch, full2):
         """With a small cap the unpruned {I, swap} search to depth 16 grows
-        most words in blocks of its own: it still returns 0, the budget
+        most words in levels of its own: it still returns 0, the budget
         still counts every word visited, and the tree never holds more
         words than the cap."""
         cap = 100
@@ -528,6 +528,34 @@ class TestWordTree:
             with pytest.raises(eo.errors.BudgetExceededError):
                 eo.upper_bound(full2, A, n, budget=words - 1)
         assert 0 < A._step_table.tree.size <= cap
+
+    def test_pruned_searches_past_a_small_cap(self, monkeypatch, full2, fib_pair):
+        """With the tree capped at 40 words, no tree reaches depth 12, so the
+        pruned searches grow their deep words for themselves: U_1..U_12 at
+        the hints L and L - 0.5, the words some of them visit, and the
+        shared search of six samples to depth 12 are the uncapped ones, bit
+        for bit."""
+        L, _ = eo.lower_bound_cycles(full2, fib_pair, 6)
+        eta = np.random.default_rng(3).uniform(-0.3, 0.3, size=(6, 2))
+        lowers = np.array([
+            eo.lower_bound_cycles(full2, eo.gamma_apply(
+                eo.ScalarPotential(full2, 1, {(0,): a, (1,): b}), fib_pair), 6)[0]
+            for a, b in eta.tolist()])
+        runs = [(n, hint) for hint in (L, L - 0.5) for n in range(1, 13)]
+
+        def searches():
+            A, B = (eo.MatrixCocycle(full2, 2, 1, fib_pair.table) for _ in range(2))
+            uppers = [eo.upper_bound(full2, A, n, lower_hint=hint) for n, hint in runs]
+            shared = optimize._shifted_uppers(B, eta, lowers, 12).tolist()
+            depths = [len(C._step_table.tree.levels) for C in (A, B)]
+            return uppers, shared, [visited(full2, A, n, hint) for n, hint in runs[3::4]], depths
+
+        *want, depths = searches()
+        assert depths == [12, 12]
+        monkeypatch.setattr(cocycle, "_TREE_ROWS", 40)
+        *got, depths = searches()
+        assert got == want
+        assert max(depths) < 12
 
     def test_a_dead_cocycle_frees_its_tree_at_once(self, full2, fib_pair):
         """The tree reads its table through a weak proxy, so a cocycle's step

@@ -49,6 +49,11 @@ def matrix_config(experiment: str, params: dict, matrices: dict) -> dict:
             "cocycle": {"d": 2, "memory": 1, "matrices": matrices}}
 
 
+def potential_config(experiment: str, params: dict, values: dict) -> dict:
+    return {"system": {"alphabet": 2}, "experiment": experiment, "params": params,
+            "potential": {"memory": 1, "values": values}}
+
+
 CASES = {
     # cocycle.py
     "potential_value_inadmissible": (lambda: STEP.value((2,)), InadmissibleWordError),
@@ -89,6 +94,11 @@ CASES = {
     "restricted_beta_forbidden_fixed_point": (
         lambda: eo.restricted_beta([eo.periodic_measure(GOLDEN, eo.Cycle((1,)))], GOLDEN_PAIR),
         InadmissibleWordError),
+    # 5e306 passes the word graph's bound, but 40 of it do not fit in float64
+    "cycle_exponent_float_sum_overflows": (
+        lambda: eo.cycle_exponent(eo.from_potential(eo.constant_potential(FULL2, 5e306)),
+                                  eo.make_cycle(FULL2, (0,) * 39 + (1,))),
+        ValidationError, "cycles of period 40"),
     "lower_bound_p_max_0": (lambda: eo.lower_bound_cycles(FULL2, PAIR, 0), ValidationError),
     "upper_bound_n_0": (lambda: eo.upper_bound(FULL2, PAIR, 0), ValidationError),
     "bracket_n_max_0": (lambda: eo.beta_bracket(FULL2, PAIR, n_max=0), ValidationError),
@@ -201,6 +211,22 @@ CASES = {
             "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]]}], "n_max": 4},
             {"0": SPREAD, "1": SPREAD})),
         ValidationError, "depth-2 product rounds to a singular matrix"),
+    # float weights whose sums leave float64: at 3e307 the cycle sums used
+    # to overflow and list false candidates
+    "birkhoff_float_sums_overflow": (
+        lambda: report.run_config(potential_config("birkhoff", {}, {"0": 1e308, "1": 1e308})),
+        ValidationError, "overflow float64"),
+    "beta_float_sums_overflow": (
+        lambda: report.run_config(potential_config("beta", {}, {"0": 1e308, "1": -1e308})),
+        ValidationError, "overflow float64"),
+    "perturb_float_sums_overflow": (
+        lambda: report.run_config(potential_config(
+            "perturb", {"gamma": {"memory": 1, "values": {"0": 0, "1": 1}}, "eps": [0.5]},
+            {"0": 1e308, "1": 1e308})),
+        ValidationError, "overflow float64"),
+    "beta_float_cycle_sums_overflow": (
+        lambda: report.run_config(potential_config("beta", {}, {"0": 3e307, "1": -3e307})),
+        ValidationError, "overflow float64"),
     "lambda_empty_cycle": (
         lambda: report.run_config(matrix_config(
             "lambda", {"measures": [{"cycle": "0"}, {"cycle": ""}], "trials": 2, "seed": 1},
