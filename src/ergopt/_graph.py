@@ -8,11 +8,15 @@ ints in object arrays otherwise.  Float weights run in float64, where each
 relaxation is one add and an exact max, as in a loop over the edges; float
 weights whose sums could leave float64 are refused.
 
-Both routines read one Karp walk table, `_walks`, built by one max-plus
-kernel, `_relax`.  Every node starts a walk, as if a virtual source were
-joined to each, so one table serves any digraph, strongly connected or
-not (Karp 1978).  `max_cycle_mean` applies Karp's formula to the table;
-`critical_subgraph` also reads the node potentials from it.
+Both routines read one Karp walk table, `_walks`, of walks from every
+node (as from a virtual source joined to each), so any digraph will do
+(Karp 1978).  Each walk length is one gather, add and reduceat over all
+edges.  An entry no walk reaches sits at a floor: -inf for floats, for
+integers F = -2 (n + 1)(B + 1) with B = max |w|.  A walk of k <= n edges
+weighs at least -n B > F / 2, an entry grown from F at most F + n B <
+F / 2, and none wraps: `_int_dtype` gives (n + 1) B < 2^61, so F - n B >
+-3 (n + 1)(B + 1) > -2^63.  `max_cycle_mean` applies Karp's formula, its
+exact minimum over k by halving; `critical_subgraph` also reads potentials.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ def strongly_connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> n
 
 def _int_dtype(n: int, big: int):
     """int64 when (n + 1)^2 big < 2^62, for big >= every |weight|; Python
-    ints otherwise.  Every value the kernels form then stays within
-    2 (n + 1)^2 big < 2^63: walk weights of at most n edges, their
-    differences times a length <= n, the potentials and the tightness sums."""
+    ints otherwise.  Walk weights of at most n edges, their differences
+    times a length <= n, the potentials and the tightness sums then stay
+    within 2 (n + 1)^2 big < 2^63, and the walk table's floor above -2^63."""
     return np.int64 if (n + 1) ** 2 * big < 2**62 else object
 
 
@@ -98,27 +102,20 @@ def _weights(values: list, n: int) -> tuple[np.ndarray, int | None]:
     return np.array(ints, dtype=_int_dtype(n, max(map(abs, ints), default=0))), L
 
 
-def _relax(x: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
-    """One max-plus product over edges sorted by head: the heads, and for
-    each the max over its in-edges of x[tail] + w."""
-    starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
-    return dst[starts], np.maximum.reduceat(x[src] + w, starts)
-
-
 def _walks(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Karp's walk table for k = 0..n: D[k, v], the largest weight of a
-    k-edge walk ending at v, where reached[k, v] says one exists.  Walks
-    start at every node (D[0] = 0), and reached[k] lies inside reached[k-1]."""
-    D = np.zeros((n + 1, n), dtype=w.dtype)
-    reached = np.zeros((n + 1, n), dtype=bool)
-    reached[0] = True
+    k-edge walk ending at v, where reached[k, v] says one exists, else 0.
+    Walks start at every node (D[0] = 0); reached[k] lies inside reached[k-1]."""
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    heads = dst[starts]
+    # half the floor F of the module docstring: walks above, the floor's growth below
+    cut = -np.inf if w.dtype.kind == "f" else -(n + 1) * (int(np.abs(w).max(initial=0)) + 1)
+    D = np.full((n + 1, n), 2 * cut, dtype=w.dtype)
+    D[0] = 0
     for k in range(1, n + 1):
-        keep = reached[k - 1, src]
-        if not keep.any():
-            break
-        heads, best = _relax(D[k - 1], src[keep], dst[keep], w[keep])
-        D[k, heads] = best
-        reached[k, heads] = True
+        D[k, heads] = np.maximum.reduceat(D[k - 1].take(src) + w, starts)
+    reached = D > cut
+    D[~reached] = 0
     return D, reached
 
 
@@ -134,13 +131,16 @@ def _karp(n: int, D: np.ndarray, reached: np.ndarray):
     if D.dtype.kind == "f":
         means = (D[n] - D[:n]) / np.arange(n, 0, -1)[:, None]
         return float(means.min(axis=0)[last].max())
-    # the least so far, num / den, compared by cross-multiplication
-    num, den = D[n] - D[0], np.full(n, n)
-    for k in range(1, n):
-        cand = D[n] - D[k]
-        take = cand * den < num * (n - k)
-        num, den = np.where(take, cand, num), np.where(take, n - k, den)
-    return max(map(Fraction, num[last].tolist(), den[last].tolist()))
+    # the least num / den by halving: row i meets row m - h + i by cross-
+    # multiplication and keeps the lesser; an odd m's middle row waits
+    num, den, m = D[n] - D[:n], np.arange(n, 0, -1).repeat(n).reshape(n, n), n
+    while m > 1:
+        h = m // 2
+        take = num[m - h:m] * den[:h] < num[:h] * den[m - h:m]
+        np.copyto(num[:h], num[m - h:m], where=take)
+        np.copyto(den[:h], den[m - h:m], where=take)
+        m -= h
+    return max(map(Fraction, num[0, last].tolist(), den[0, last].tolist()))
 
 
 def max_cycle_mean(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, L: int | None):

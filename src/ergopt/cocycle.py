@@ -448,13 +448,13 @@ def _prefix_products(steps: np.ndarray, R: np.ndarray,
     lo = 0
     for hi in (node[:, -1] + 1).tolist():
         if lo:
-            np.matmul(steps[step[lo:hi]], P[parent[lo:hi]], out=P[lo:hi])
-            logscale[lo:hi] = logscale[parent[lo:hi]]
+            np.matmul(steps.take(step[lo:hi], axis=0), P.take(parent[lo:hi], axis=0), out=P[lo:hi])
+            logscale[lo:hi] = logscale.take(parent[lo:hi])
         else:
-            P[:hi] = steps[step[:hi]]
+            P[:hi] = steps.take(step[:hi], axis=0)
         _renormalise_rows(P[lo:hi], logscale[lo:hi])
         lo = hi
-    return logscale[end], P[end]
+    return logscale.take(end), P.take(end, axis=0)
 
 
 def _step_rows(index: _WordIndex, letters: np.ndarray) -> np.ndarray:

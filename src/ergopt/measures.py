@@ -217,10 +217,10 @@ def _markov_exponent(A, mu, n_max, word_budget):
             # each charged word of the depth before, one step longer
             grown = _grow(table, states, logscale, P)
             parent = grown.parent
-            masses = masses[parent] * stochastic[last[states[parent]], last[grown.states]]
+            masses = masses.take(parent) * stochastic[last[states.take(parent)], last[grown.states]]
             states, logscale, P = grown.states, grown.logscale, grown.P
-        charged = masses > 0
-        states, logscale, P, masses = states[charged], logscale[charged], P[charged], masses[charged]
+        charged = np.flatnonzero(masses > 0)
+        states, logscale, masses, P = (x.take(charged, axis=0) for x in (states, logscale, masses, P))
         try:
             inverses = np.linalg.inv(P)
         except np.linalg.LinAlgError:

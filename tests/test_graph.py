@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from ergopt._graph import (
+    _int_dtype,
+    _karp,
+    _walks,
     _weights,
     critical_subgraph,
     max_cycle_mean,
@@ -274,3 +277,113 @@ def test_critical_subgraph_at_the_int64_envelope(past):
             tested += 1
             assert got[1] == oracle_critical(n, edges, beta)
     assert tested >= 100
+
+
+# ---------------------------------------------------------------------------
+# the walk table and Karp's minimum against brute force
+
+def brute_walks(n, edges):
+    """Oracle: every k-edge walk for k = 0..n, listed edge by edge and
+    summed from its first edge on; the largest weight ending at each node,
+    None where no walk ends."""
+    table = [[0] * n]
+    walks = [(v, 0) for v in range(n)]  # (end, weight) of every walk so far
+    for _ in range(n):
+        walks = [(v, x + w) for u, x in walks for (a, v), w in edges.items() if a == u]
+        row = [None] * n
+        for v, x in walks:
+            row[v] = x if row[v] is None else max(row[v], x)
+        table.append(row)
+    return table
+
+
+def table_of(n, edges, dtype):
+    """`_walks` on the edges as `as_arrays` orders them, with the weights as
+    an array of dtype, and the arrays it ran on."""
+    n, src, dst, _, _ = as_arrays(n, edges)
+    w = np.array([edges[e] for e in zip(src.tolist(), dst.tolist())], dtype=dtype).reshape(-1)
+    return (n, src, dst, w), _walks(n, src, dst, w)
+
+
+def check_walks(n, edges, dtype):
+    graph, (D, reached) = table_of(n, edges, dtype)
+    expected = brute_walks(n, edges)
+    assert D.dtype == dtype and reached.dtype == bool
+    assert reached.tolist() == [[x is not None for x in row] for row in expected]
+    assert D.tolist() == [[0 if x is None else x for x in row] for row in expected]
+    return graph
+
+
+WALK_WEIGHTS = {
+    np.int64: lambda rng: int(rng.integers(-9, 10)),
+    object: lambda rng: int(rng.choice([-1, 1])) * 2**80 + int(rng.integers(-9, 10)),
+    np.float64: lambda rng: float(rng.uniform(-3.0, 3.0)),
+}
+WALK_DTYPES = pytest.mark.parametrize("dtype", list(WALK_WEIGHTS),
+                                      ids=["int64", "python_ints", "float"])
+
+
+@WALK_DTYPES
+def test_walks_match_every_walk(dtype):
+    """Graphs with no edges on 1..4 nodes, then random digraphs on up to 6
+    nodes, some with a node no edge enters and some acyclic, where there is
+    no cycle mean; Python ints (object) run past int64."""
+    rng = np.random.default_rng(6)
+    graphs = [np.zeros((n, n), dtype=bool) for n in range(1, 5)]
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        A = rng.random((n, n)) < rng.uniform(0.1, 0.4)
+        graphs.append(np.triu(A, 1) if rng.random() < 0.3 else A)  # triu: every edge climbs
+    acyclic = no_entry = 0
+    for A in graphs:
+        n = len(A)
+        edges = {(int(u), int(v)): WALK_WEIGHTS[dtype](rng) for u, v in zip(*np.nonzero(A))}
+        graph = check_walks(n, edges, dtype)
+        if oracle_mean(n, edges) is None:
+            acyclic += 1
+            assert max_cycle_mean(*graph, None if dtype is np.float64 else 1) is None
+        no_entry += not A.any(axis=0).all()
+    assert acyclic >= 24 and no_entry >= 54
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["climbing", "falling"])
+def test_walks_at_the_int64_envelope(sign):
+    """Weights of size big with (n + 1)^2 big just under 2^62, so in int64:
+    on chains, where unreached entries are grown from the floor edge by
+    edge, and on random graphs, the floor must neither wrap nor climb into
+    the walks' range."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        big = (2**62 - 1) // (n + 1) ** 2
+        assert _int_dtype(n, big) is np.int64
+        chain = {(i, i + 1): sign * big for i in range(n - 1)}
+        check_walks(n, chain, np.int64)
+        check_walks(n, {**chain, (n - 1, n - 1): -sign * big}, np.int64)
+        for _ in range(20):
+            A = rng.random((n, n)) < 0.3
+            edges = {(int(u), int(v)): sign * int(rng.choice([big, big - 1, -big]))
+                     for u, v in zip(*np.nonzero(A))}
+            check_walks(n, edges, np.int64)
+
+
+def fraction_karp(n, D, reached):
+    """Oracle: Karp's formula with every mean a Fraction, the minimum over k
+    taken plainly."""
+    means = [min(Fraction(int(D[n, v]) - int(D[k, v]), n - k) for k in range(n))
+             for v in range(len(D[0])) if reached[n, v]]
+    return max(means, default=None)
+
+
+@pytest.mark.parametrize("base", [2**55, 2**70], ids=["2^55", "2^70"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_karp_halving_matches_a_plain_minimum(n, base):
+    """The halving minimum over k against a plain Fraction minimum, on walk
+    tables of n nodes whose weights differ from base in the last units, so
+    that many means nearly tie: int64 tables at 2^55, Python ints at 2^70."""
+    rng = np.random.default_rng(n)
+    for _ in range(60):
+        A = rng.random((n, n)) < rng.uniform(0.3, 0.9)
+        edges = {(int(u), int(v)): base + int(rng.integers(-3, 4)) for u, v in zip(*np.nonzero(A))}
+        (_, src, dst, w), (D, reached) = table_of(n, edges, _int_dtype(n, base + 3))
+        assert w.dtype == (np.int64 if base == 2**55 else object)
+        assert _karp(n, D, reached) == fraction_karp(n, D, reached) == oracle_mean(n, edges)
