@@ -133,27 +133,69 @@ def finite_time_exponents(
     """The series (1/n) log norm of the n-step product along x, n = 1..N.
 
     x is either (preamble, Cycle) or a BlockSchedule; a point with a
-    forbidden 2-word is refused.  The prefix products P_n = M_n ... M_1 come
-    from a doubling scan over chunks of at most _SCAN_ROWS steps
-    (`_scan_chunk`), each chunk continuing from the last product of the one
-    before, so the values stay exact to within rounding at any N."""
+    forbidden 2-word is refused.  The prefix products P_n = M_n ... M_1 go
+    piece by piece (`_runs`): a run of at least two copies of a word of
+    p <= _SCAN_ROWS steps by doubling (`_run_chunk`), in chunks of
+    _SCAN_ROWS // p copies, and the steps between runs by a doubling scan
+    (`_scan_chunk`), in chunks of at most _SCAN_ROWS steps.  Each chunk
+    continues from the last product of the one before, so the values stay
+    exact to within rounding at any N."""
     _check_space(space, A)
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
+    steps = A._step_table.steps
     rows = _step_rows(A._step_table.index, _symbols(x, N + A.memory - 1))
     out = np.empty(N)
-    carry = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
-    for lo in range(0, N, _SCAN_ROWS):
-        carry = _scan_chunk(A._step_table.steps, rows[lo:lo + _SCAN_ROWS], carry, lo, out)
+    identity = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
+    carry = identity
+    for start, stop, p in _runs(x, rows):
+        if p:
+            word = _scanned(steps, rows[start:start + p], identity)
+            powers = [[a[-1:] for a in word]]
+            size = _SCAN_ROWS // p * p
+        else:
+            size = _SCAN_ROWS
+        for lo in range(start, stop, size):
+            n = min(size, stop - lo)
+            if p:
+                carry = _run_chunk(word, powers, carry, lo, n, out)
+            else:
+                carry = _scan_chunk(steps, rows[lo:lo + n], carry, lo, out)
     return out
 
 
+def _runs(x, rows: np.ndarray) -> list[tuple[int, int, int]]:
+    """The steps of x as pieces (start, stop, p): runs of at least two
+    copies of a word of p <= _SCAN_ROWS steps, and p = 0 for the steps
+    between them.  A run is read off x, a block's repeats (the last block's
+    continued by the padding) or a (preamble, Cycle) point's cycle, and
+    its extent is confirmed on the step rows as rows[t] == rows[t - p], so
+    the windows of memory m >= 2 that straddle its end fall between runs."""
+    N = len(rows)
+    if isinstance(x, BlockSchedule):
+        words = [(end - reps * len(word), len(word)) for word, reps, _, end in x._layout]
+    else:
+        words = [(len(x[0]), len(x[1].word))]
+    pieces, pos = [], 0
+    for (s, p), (e, _) in zip(words, words[1:] + [(N, 0)]):
+        e = min(e, N)
+        if p <= _SCAN_ROWS and e - s >= 2 * p:
+            same = rows[s + p:e] == rows[s:e - p]
+            t = e if same.all() else s + p + int(same.argmin())
+            if t - s >= 2 * p:
+                pieces += [(pos, s, 0), (s, t, p)]
+                pos = t
+    pieces.append((pos, N, 0))
+    return [piece for piece in pieces if piece[0] < piece[1]]
+
+
 def _join(later, earlier):
-    """The products later @ earlier of two stacks [hi, lo, P], renormalised,
-    the log scales hi + lo added as compensated pairs (Knuth's TwoSum)."""
+    """The products later @ earlier of two stacks [hi, lo, P], broadcast
+    along their leading axes and renormalised, the log scales hi + lo added
+    as compensated pairs (Knuth's TwoSum)."""
     P = later[2] @ earlier[2]
-    g = np.zeros(len(P))
-    _renormalise_rows(P, g)
+    g = np.zeros(P.shape[:-2])
+    _renormalise_rows(P.reshape(-1, *P.shape[-2:]), g.reshape(-1))
     hi, lo = later[0], later[1] + earlier[1]
     for x in (earlier[0], g):  # hi + x rounded, and its rounding error into lo
         s = hi + x
@@ -175,22 +217,77 @@ def _prefix(stack) -> None:
             a[1::2], a[2::2] = b, c
 
 
-def _scan_chunk(steps: np.ndarray, rows: np.ndarray, carry, start: int, out: np.ndarray):
-    """Write the series at steps start + 1 .. start + n of the n step rows
-    `rows` into out, continuing from carry = [hi, lo, P] of the first start
-    steps, the product P[0] with log scale hi[0] + lo[0]; return the carry
-    of the first start + n steps.  The carry and the renormalised steps
-    make one stack, scanned by `_prefix`: about 2n products in about
-    2 log2 n batched calls, each value rounded about once at its own size."""
+def _scanned(steps: np.ndarray, rows: np.ndarray, carry):
+    """The stack [hi, lo, P] of the n + 1 products of the carry, a stack of
+    one, and the n renormalised steps `rows` after it, scanned by `_prefix`:
+    about 2n products in about 2 log2 n batched calls, each value rounded
+    about once at its own size."""
     zero = np.zeros(len(steps))
     idx = np.r_[0, rows + 1]  # the carry, then the steps
     stack = [np.concatenate(pair)[idx] for pair in zip(carry, (zero, zero, steps))]
     _renormalise_rows(stack[2][1:], stack[0][1:])
     _prefix(stack)
-    hi, lo, P = (a[1:] for a in stack)
-    values = (lo + np.log(_op_norms(P))) + hi
-    out[start:start + len(P)] = values / np.arange(start + 1, start + len(P) + 1)
+    return stack
+
+
+def _values(stack) -> np.ndarray:
+    """log norm of each product of the stack [hi, lo, P], any leading shape."""
+    hi, lo, P = stack
+    return (lo + np.log(_op_norms(P.reshape(-1, *P.shape[-2:])).reshape(hi.shape))) + hi
+
+
+def _scan_chunk(steps: np.ndarray, rows: np.ndarray, carry, start: int, out: np.ndarray):
+    """Write the series at steps start + 1 .. start + n of the n step rows
+    `rows` into out, continuing from carry = [hi, lo, P] of the first start
+    steps, the product P[0] with log scale hi[0] + lo[0]; return the carry
+    of the first start + n steps."""
+    stack = _scanned(steps, rows, carry)
+    n = len(rows)
+    out[start:start + n] = _values([a[1:] for a in stack]) / np.arange(start + 1, start + n + 1)
     return [a[-1:] for a in stack]
+
+
+def _run_chunk(word, powers, carry, start: int, n: int, out: np.ndarray):
+    """Write the series at steps start + 1 .. start + n into out, where the
+    n steps repeat a word of p steps whose products W_0 = I, W_1 .. W_p
+    are the stack `word`, continuing from the carry Q of the first start
+    steps; return the carry of the first start + n steps.
+
+    With C = W_p the product after jp + i of the steps is W_i C^j Q.  The
+    Y_j = C^j Q, j <= J = n // p, come by doubling, Y[h:2h] = C^h Y[0:h],
+    one join per doubling; `powers` holds C, C^2, C^4, ..., and a join
+    that needs C^2h next forms it as C^h C^h along with its h products.
+    Position p of copy j is Y_{j+1}; positions 0 < i < p of every copy
+    are one batched join of W_i with Y_j.  About n + p log2 n products in
+    about log2 J batched calls."""
+    p = len(word[2]) - 1
+    J, r = divmod(n, p)
+    Y = [np.empty((J + 1,) + a.shape[1:]) for a in carry]
+    for a, c in zip(Y, carry):
+        a[0] = c[0]
+    h = 1
+    while h <= J:
+        m, k = min(h, J + 1 - h), h.bit_length() - 1
+        square = len(powers) == k + 1 and 2 * h <= J  # so m == h
+        if square:  # C^h rides in the free slot Y[h]
+            for a, c in zip(Y, powers[k]):
+                a[h] = c[0]
+        new = _join(powers[k], [a[:m + square] for a in Y])
+        for a, b in zip(Y, new):
+            a[h:h + m] = b[:m]
+        if square:
+            powers.append([b[m:] for b in new])
+        h *= 2
+    values = np.empty((J + (r > 0), p))
+    values[:J, -1] = _values([a[1:] for a in Y])
+    carry = [a[J:] for a in Y]
+    if p > 1:
+        inner = _join([a[None, 1:p] for a in word], [a[:len(values), None] for a in Y])
+        values[:, :-1] = _values(inner)
+        if r:
+            carry = [a[J, r - 1:r] for a in inner]
+    out[start:start + n] = values.reshape(-1)[:n] / np.arange(start + 1, start + n + 1)
+    return carry
 
 
 def oscillation(series: Sequence[float]) -> tuple[float, float, float]:

@@ -313,10 +313,13 @@ def _exp_irregular(space, cfg, params):
         "tail_max": num(tail_hi),
         "N": N,
     }
-    # formatted only if a series file is written
-    rows = itertools.chain([("n", "exponent")],
-                           zip(range(1, N + 1), map(repr, series.tolist())))
-    return results, rows
+    return results, _series_rows(series)
+
+
+def _series_rows(series):
+    """The CSV rows of an exponent series, formatted only when read."""
+    yield ("n", "exponent")
+    yield from zip(itertools.count(1), map(repr, series.tolist()))
 
 
 def _exp_flatten(space, cfg, params):

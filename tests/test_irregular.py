@@ -8,7 +8,9 @@ import pytest
 
 import ergopt as eo
 from ergopt.errors import EqualExponentsError, InadmissibleWordError, TooShortError, ValidationError
-from ergopt.irregular import _SCAN_ROWS, _symbols
+from ergopt import irregular
+from ergopt.cocycle import _step_rows
+from ergopt.irregular import _SCAN_ROWS, _join, _runs, _symbols
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -31,15 +33,21 @@ def scan_case(d, memory, kind):
     letter, so a product leaves [1e-100, 1e100] within two steps."""
     space = eo.new_shift(3)
     rng = np.random.default_rng(100 * d + 10 * memory + (kind == "extreme"))
+    A = random_cocycle(rng, space, d, memory, kind)
+    preamble = tuple(rng.integers(0, 3, SCAN_N_MAX + memory - 1).tolist())
+    return space, A, (preamble, eo.make_cycle(space, (0,))), sequential_series(A, preamble)
+
+
+def random_cocycle(rng, space, d, memory, kind):
+    """Standard normal steps, or for "extreme" diag(10^60q) times them, q a
+    rotation of (1, -1, 0) chosen by the word's last letter."""
     table = {}
     for w in eo.admissible_words(space, memory):
         step = rng.standard_normal((d, d))
         if kind == "extreme":
             step = np.diag(10.0 ** (60 * np.roll([1, -1, 0], w[-1])[:d])) @ step
         table[w] = step
-    A = eo.MatrixCocycle(space, d, memory, table)
-    preamble = tuple(rng.integers(0, 3, SCAN_N_MAX + memory - 1).tolist())
-    return space, A, (preamble, eo.make_cycle(space, (0,))), sequential_series(A, preamble)
+    return eo.MatrixCocycle(space, d, memory, table)
 
 
 def sequential_series(A, symbols):
@@ -63,6 +71,49 @@ def sequential_series(A, symbols):
         products[n], totals[n], comps[n] = P, total, comp
     norms = np.linalg.svd(products, compute_uv=False)[:, 0]
     return ((comps + np.log(norms)) + totals) / np.arange(1, N + 1)
+
+
+RUN_CASES = ("period_1", "period_2", "period_3", "long_preamble", "long_period",
+             "golden_memory2", "golden_memory3")
+
+
+@functools.lru_cache(maxsize=None)
+def run_case(name, d, kind):
+    """A cocycle, a point along it whose steps come in runs of one word,
+    the largest N tested, and the oracle series up to it.
+
+    period_1 has more than 2 _SCAN_ROWS repeats of one letter and no
+    preamble, so chunk ends fall inside the run; period_2 and period_3
+    cross one chunk end; long_preamble scans a preamble longer than
+    _SCAN_ROWS first; long_period has a cycle longer than _SCAN_ROWS.  The
+    golden-mean schedules, of (01)^a and (100)^b blocks (a bare Cycle, not
+    its least rotation 001), read the splice 1 -> 1 through 0, so one
+    connector is not empty, and their windows of m >= 2 letters straddle
+    every block's end."""
+    rng = np.random.default_rng(1000 * d + 7 * RUN_CASES.index(name) + (kind == "extreme"))
+    if name.startswith("golden"):
+        space = eo.new_shift(2, [[True, True], [True, False]])
+        memory = int(name[-1])
+        A = random_cocycle(rng, space, d, memory, kind)
+        x = eo.build_irregular_point(space, A, eo.make_cycle(space, (0, 1)),
+                                     eo.Cycle((1, 0, 0)), r=2.0, J=6)
+        assert x.connectors[0] == (1, 0, 1)
+        N = x.total_length + 50
+        symbols = tuple(islice(chain(x.symbols(), cycle(x.cycles[1].word)), N + memory - 1))
+        return space, A, x, N, sequential_series(A, symbols)
+    space = eo.new_shift(3)
+    A = random_cocycle(rng, space, d, 1, kind)
+    preamble, word, N = {
+        "period_1": ((), (0,), 2 * _SCAN_ROWS + 5),
+        "period_2": ((2,), (0, 1), _SCAN_ROWS + 1000),
+        "period_3": ((1, 1), (2, 0, 1), _SCAN_ROWS + 1000),
+        "long_preamble": (tuple(rng.integers(0, 3, _SCAN_ROWS + 5).tolist()), (1, 2),
+                          _SCAN_ROWS + 400),
+        "long_period": ((2,), tuple(rng.integers(0, 3, _SCAN_ROWS + 3).tolist()),
+                        2 * _SCAN_ROWS + 100),
+    }[name]
+    x = (preamble, eo.Cycle(word))
+    return space, A, x, N, sequential_series(A, tuple(islice(eo.iter_point(*x), N)))
 
 
 class TestSchedule:
@@ -240,6 +291,67 @@ class TestFiniteTimeExponents:
             series = eo.finite_time_exponents(space, A, x, N)
             assert series.shape == (N,)
             np.testing.assert_allclose(series, want[:N], rtol=0, atol=1e-13, err_msg=f"N = {N}")
+
+    @pytest.mark.parametrize("kind", ["gaussian", "extreme"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", RUN_CASES)
+    def test_runs_match_the_sequential_oracle(self, name, d, kind):
+        """Every N mod 2 and mod 3 near the start of the point and near
+        its end, so that runs stop after a partial last repeat, and one
+        step past the preamble and past a block's end."""
+        space, A, x, N_max, want = run_case(name, d, kind)
+        ends = x.block_end_indices()[:3] if isinstance(x, eo.BlockSchedule) else [len(x[0])]
+        for N in sorted({1, 2, 3, 4, 5, 6, 7, 50, 51, 52, N_max - 2, N_max - 1, N_max,
+                         *(e + 1 for e in ends)}):
+            series = eo.finite_time_exponents(space, A, x, N)
+            np.testing.assert_allclose(series, want[:N], rtol=0, atol=1e-13, err_msg=f"N = {N}")
+
+    def test_runs_tile_the_steps_and_repeat(self):
+        """The pieces of a point cover its steps in order, each run holds
+        at least two copies of its word, and the step rows repeat along it
+        and no further; at memory 3 a block's last two windows straddle
+        its end."""
+        golden = eo.new_shift(2, [[True, True], [True, False]])
+        A = eo.MatrixCocycle(golden, 2, 1, {(0,): np.eye(2), (1,): 2 * np.eye(2)}).lift(3)
+        x = eo.build_irregular_point(golden, A, eo.make_cycle(golden, (0, 1)),
+                                     eo.Cycle((1, 0, 0)), r=2.0, J=6)
+        N = x.total_length + 50
+        rows = _step_rows(A._step_table.index, _symbols(x, N + 2))
+        pieces = _runs(x, rows)
+        assert [a for a, _, _ in pieces] == [0] + [b for _, b, _ in pieces[:-1]]
+        assert pieces[-1][1] == N
+        runs = [(a, b, p) for a, b, p in pieces if p]
+        for a, b, p in runs:
+            assert b - a >= 2 * p
+            assert (rows[a + p:b] == rows[a:b - p]).all()
+        # a run starts with its block and keeps on while the rows repeat:
+        # past the block's last window inside it, which may reach into a
+        # connector that continues the word; the last block's run goes to N
+        blocks = {end - reps * len(word): (end - 2, len(word)) for word, reps, _, end in x._layout}
+        for a, b, p in runs:
+            assert blocks[a][1] == p and b >= blocks[a][0]
+            assert b == N or rows[b] != rows[b - p]
+        assert len(runs) == 4 and runs[-1][1] == N
+
+    def test_no_join_holds_more_than_a_chunk(self, monkeypatch):
+        """Runs of period 1, 3 and more than _SCAN_ROWS steps, and a scan,
+        make no batched product of more than _SCAN_ROWS matrices."""
+        largest = []
+
+        def join(later, earlier):
+            out = _join(later, earlier)
+            largest.append(out[2].size // out[2].shape[-1] ** 2)
+            return out
+
+        monkeypatch.setattr(irregular, "_join", join)
+        space = eo.new_shift(3)
+        A = random_cocycle(np.random.default_rng(3), space, 1, 1, "gaussian")
+        rng = np.random.default_rng(4)
+        for preamble, word in [((), (0,)), ((1,), (2, 0, 1)),
+                               (tuple(rng.integers(0, 3, 3 * _SCAN_ROWS).tolist()), (1,)),
+                               ((), tuple(rng.integers(0, 3, _SCAN_ROWS + 3).tolist()))]:
+            eo.finite_time_exponents(space, A, (preamble, eo.Cycle(word)), 5 * _SCAN_ROWS)
+        assert 0 < max(largest) <= _SCAN_ROWS
 
     @pytest.mark.parametrize("memory", [1, 2])
     @pytest.mark.parametrize("preamble, word, pair", [

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -258,7 +259,8 @@ class TestCli:
 
     def test_irregular_series_is_written_only_when_asked(self, tmp_path):
         """N + 1 lines, header first, each value the series value exactly;
-        without out.series nothing is written beside the report."""
+        without out.series nothing is written beside the report, and no
+        row is formatted."""
         cfg = {
             "system": {"alphabet": 2},
             "cocycle": FIB_COCYCLE,
@@ -270,6 +272,10 @@ class TestCli:
         schedule = eo.build_irregular_point(space, A, eo.make_cycle(space, (0, 1)),
                                             eo.make_cycle(space, (0, 0, 1)), r=3.0, J=6)
         want = eo.finite_time_exponents(space, A, schedule, 3000)
+
+        # the rows are formatted only when they are read
+        _, rows, _ = report.run_config(cfg)
+        assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
 
         bare = tmp_path / "bare"
         bare.mkdir()
