@@ -6,7 +6,7 @@ Rational weights are scaled by the lcm L of their denominators to
 integers: int64 when the input bounds every sum the kernels form, Python
 ints in object arrays otherwise.  Float weights run in float64, where each
 relaxation is one add and an exact max, as in a loop over the edges; float
-weights whose sums could leave float64 are refused.
+weights whose sums could leave float64 are refused (`ScalarPotential`).
 
 Both routines read one Karp walk table, `_walks`, of walks from every
 node (as from a virtual source joined to each), so any digraph will do
@@ -87,16 +87,21 @@ def _int_dtype(n: int, big: int):
     return np.int64 if (n + 1) ** 2 * big < 2**62 else object
 
 
+def _floats(values) -> np.ndarray:
+    """The values in float64, each rounded once as float() rounds it, so a
+    rational p/q as p / q; a value past float64 is refused."""
+    try:
+        return np.fromiter(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError("a value lies past the range of float64") from None
+
+
 def _weights(values: list, n: int) -> tuple[np.ndarray, int | None]:
     """Weights of a graph on n nodes for the kernels: rational values times
     the lcm L of their denominators, and L; float64 and None when any value
-    is a float, refused unless (n + 1)^2 max |value| < _FLOAT_SUMS, the
-    bound of `_int_dtype` on every value the kernels form."""
+    is a float."""
     if not all(isinstance(x, Rational) for x in values):
-        w = np.array(values, dtype=np.float64)
-        if (n + 1) ** 2 * float(np.abs(w).max(initial=0.0)) >= _FLOAT_SUMS:
-            raise ValidationError("float weights this large can overflow float64 in Karp's sums")
-        return w, None
+        return _floats(values), None
     L = math.lcm(*(x.denominator for x in values))
     ints = [int(x.numerator) * (L // x.denominator) for x in values]
     return np.array(ints, dtype=_int_dtype(n, max(map(abs, ints), default=0))), L

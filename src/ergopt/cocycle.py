@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _graph
 from .errors import InadmissibleWordError, ShapeMismatchError, ValidationError
-from .shift import ShiftSpace, Word, _word_index, _WordIndex, admissible_words, word_to_str
+from .shift import (ShiftSpace, Word, _word_counts, _word_index, _WordIndex, admissible_words,
+                    word_to_str)
 
 Scalar = Fraction | float
 # least |det| / (product of the row norms) of an accepted matrix; the ratio
@@ -29,73 +30,130 @@ Scalar = Fraction | float
 _DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ScalarPotential:
-    """A function of the first `memory` symbols of a point."""
+    """A function of the first `memory` symbols of a point, held as its
+    read-only row over the word index as `_graph._weights` makes it:
+    integers over L, in the dtype `_graph._int_dtype` picks, for a rational
+    table; float64, with L None, otherwise.  The constructor takes the table."""
 
     space: ShiftSpace
     memory: int
-    table: Mapping[Word, Scalar]
+    row: np.ndarray = field(repr=False)
+    L: int | None
 
-    def __post_init__(self):
-        if self.table.keys() != _word_index(self.space, self.memory).row_of.keys():
-            raise ValidationError("potential table must cover exactly the admissible memory-words")
-        for w, v in self.table.items():  # `type` first: cheaper than the ABC check
-            if not (type(v) is Fraction or isinstance(v, Rational) or math.isfinite(v)):
-                raise ValidationError(f"non-finite value at {word_to_str(w)}")
+    def __new__(cls, space: ShiftSpace, memory: int, table: Mapping[Word, Scalar]):
+        index = _check_table(space, memory, table, "potential")
+        return cls._of(space, memory, *_graph._weights([table[w] for w in index.words],
+                                                       len(index.nodes)))
 
-    @cached_property
-    def _weights(self) -> tuple[np.ndarray, int | None]:
-        """The values at the rows of the word index, as the graph kernels
-        take them (`_graph._weights`), built on first use; read-only."""
-        index = _word_index(self.space, self.memory)
-        w, L = _graph._weights([self.table[u] for u in index.words], len(index.nodes))
-        w.flags.writeable = False
-        return w, L
+    @classmethod
+    def _of(cls, space: ShiftSpace, memory: int, row: np.ndarray, L: int | None):
+        """The potential of a row; a float row is refused unless it is finite and
+        (n + 1)^2 max |row| < _FLOAT_SUMS on its n nodes, `_graph._int_dtype`'s bound."""
+        index = _word_index(space, memory)
+        if L is None and not np.isfinite(row).all():
+            word = index.words[int(np.isfinite(row).argmin())]
+            raise ValidationError(f"non-finite value at {word_to_str(word)}")
+        if L is None and (len(index.nodes) + 1) ** 2 * float(np.abs(row).max()) >= _graph._FLOAT_SUMS:
+            raise ValidationError("float weights this large can overflow float64 in Karp's sums")
+        row.flags.writeable = False
+        self = object.__new__(cls)
+        self.__dict__.update(space=space, memory=memory, row=row, L=L)
+        return self
+
+    def __reduce__(self):
+        return ScalarPotential._of, (self.space, self.memory, self.row, self.L)
+
+    def _scalar(self, x) -> Scalar:
+        return float(x) if self.L is None else Fraction(int(x), self.L)
+
+    @property
+    def table(self) -> dict[Word, Scalar]:
+        words = _word_index(self.space, self.memory).words
+        return dict(zip(words, map(self._scalar, self.row.tolist())))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ScalarPotential) and (self.space, self.memory, self.table) == (
+            other.space, other.memory, other.table)
 
     @property
     def is_rational(self) -> bool:
-        return all(isinstance(v, Rational) for v in self.table.values())
+        return self.L is not None
 
     def value(self, w: Sequence[int]) -> Scalar:
         """Value on the cylinder of w (only the first `memory` symbols matter)."""
-        key = tuple(w[: self.memory])
-        if key not in self.table:
+        row = _word_index(self.space, self.memory).row_of.get(tuple(w[: self.memory]))
+        if row is None:
             raise InadmissibleWordError(word_to_str(w))
-        return self.table[key]
+        return self._scalar(self.row[row])
 
     def birkhoff_sum(self, w: Sequence[int]) -> Scalar:
         """Sum over the n = len(w) - memory + 1 windows of w."""
-        m = self.memory
-        n = len(w) - m + 1
-        if n < 1:
+        if len(w) < self.memory:
             raise InadmissibleWordError("word shorter than the potential memory")
-        return sum(self.value(w[j : j + m]) for j in range(n))
+        rows = _step_rows(_word_index(self.space, self.memory), np.array(w, dtype=np.intp))
+        return self._scalar(sum(self.row[rows].tolist()))
 
     def lift(self, memory: int) -> "ScalarPotential":
         if memory < self.memory:
             raise ValidationError("cannot lower potential memory")
         if memory == self.memory:
             return self
-        words = _word_index(self.space, memory).words
-        return ScalarPotential(self.space, memory, {w: self.table[w[: self.memory]] for w in words})
+        prefixes = np.array(_word_index(self.space, memory).words, dtype=np.intp)[:, :self.memory]
+        rows = _step_rows(_word_index(self.space, self.memory), prefixes)[:, 0]
+        return _combination(self.space, memory, [(self.row[rows], self.L, 1)])
 
     def __add__(self, other: "ScalarPotential") -> "ScalarPotential":
         if other.space != self.space:
             raise ShapeMismatchError("potentials live on different shift spaces")
         m = max(self.memory, other.memory)
         a, b = self.lift(m), other.lift(m)
-        return ScalarPotential(self.space, m, {w: a.table[w] + b.table[w] for w in a.table})
+        return _combination(self.space, m, [(a.row, a.L, 1), (b.row, b.L, 1)])
 
     def __neg__(self) -> "ScalarPotential":
-        return ScalarPotential(self.space, self.memory, {w: -v for w, v in self.table.items()})
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "ScalarPotential":
-        return ScalarPotential(self.space, self.memory, {w: c * v for w, v in self.table.items()})
+        return _combination(self.space, self.memory, [(self.row, self.L, c)])
 
     @property
     def sup_norm(self) -> Scalar:
-        return max(abs(v) for v in self.table.values())
+        return self._scalar(np.abs(self.row).max())
+
+
+def _combination(space: ShiftSpace, memory: int, terms: list) -> ScalarPotential:
+    """The sum of c row / L over the (row, L, c) terms on (space, memory): in
+    float64 unless every L and c is rational, else in integers over the lcm
+    D of the L c.denominator, in the dtype `_int_dtype` picks from the bound
+    of the sum and of each coefficient, as a row of zeros bounds nothing."""
+    if any(L is None or not isinstance(c, Rational) for _, L, c in terms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = np.add.reduce([_graph._floats([c]) * _as_floats(row, L) for row, L, c in terms])
+        return ScalarPotential._of(space, memory, row, None)
+    D = math.lcm(*(L * Fraction(c).denominator for _, L, c in terms))
+    rows = [(row, Fraction(c).numerator * D // (L * Fraction(c).denominator))
+            for row, L, c in terms]
+    big = max(sum(int(np.abs(row).max()) * abs(a) for row, a in rows), *(abs(a) for _, a in rows))
+    dtype = _graph._int_dtype(len(_word_index(space, memory).nodes), big)
+    return ScalarPotential._of(space, memory, sum(row.astype(dtype) * a for row, a in rows), D)
+
+
+def _as_floats(row: np.ndarray, L: int | None) -> np.ndarray:
+    """A row in float64, each exact n / L rounded once, as float(Fraction) rounds it."""
+    return row if L is None else _graph._floats(n / L for n in row.tolist())
+
+
+def _check_table(space: ShiftSpace, memory: int, table: Mapping, what: str) -> _WordIndex:
+    """The word index of (space, memory), when the table's keys are its
+    words.  A key of another length, or a table smaller than the count of
+    the words of some length <= memory, is refused first, so a small table
+    is refused at any memory without listing a word."""
+    if (any(not isinstance(w, tuple) or len(w) != memory for w in table)
+            or any(n > len(table) for _, n in zip(range(memory), _word_counts(space)))
+            or table.keys() != (index := _word_index(space, memory)).row_of.keys()):
+        raise ValidationError(f"{what} table must cover exactly the admissible memory-words")
+    return index
 
 
 def _well_conditioned(mat: np.ndarray) -> bool:
@@ -137,8 +195,7 @@ class MatrixCocycle:
     weight: ScalarPotential | None = field(default=None)
 
     def __post_init__(self):
-        if self.table.keys() != _word_index(self.space, self.memory).row_of.keys():
-            raise ValidationError("cocycle table must cover exactly the admissible memory-words")
+        _check_table(self.space, self.memory, self.table, "cocycle")
         for w, mat in self.table.items():
             if mat.shape != (self.d, self.d):
                 raise ShapeMismatchError(f"matrix at {word_to_str(w)} has shape {mat.shape}")
@@ -146,8 +203,10 @@ class MatrixCocycle:
                 raise ValidationError(f"non-finite entries at {word_to_str(w)}")
             if not _well_conditioned(mat):
                 raise ValidationError(f"matrix at {word_to_str(w)} is numerically singular")
-        if self.weight is not None and self.weight.memory != self.memory:
-            raise ShapeMismatchError("weight memory must match cocycle memory")
+        if self.weight is not None:
+            if self.weight.memory != self.memory:
+                raise ShapeMismatchError("weight memory must match cocycle memory")
+            _as_floats(self.weight.row, self.weight.L)  # a weight past float64 is refused
 
     def matrix(self, w: Sequence[int]) -> np.ndarray:
         """Effective single-step matrix on the cylinder of w: a read-only row
@@ -173,7 +232,7 @@ class MatrixCocycle:
         steps = np.stack([self.table[w] for w in index.words])
         inverses = np.linalg.inv(steps)
         if self.weight is not None:
-            weights = [self.weight.table[w] for w in index.words]
+            weights = _as_floats(self.weight.row, self.weight.L).tolist()
             up, down = (np.array([_exp(sign * s) for s in weights])[:, None, None]
                         for sign in (1, -1))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -206,12 +265,13 @@ class MatrixCocycle:
         """
         if self.d != 1:
             raise ShapeMismatchError("additive potential requires d = 1")
-        table: dict[Word, Scalar] = {}
-        for w, mat in self.table.items():
-            s = self.weight.value(w) if self.weight is not None else 0
-            a = float(mat[0, 0])
-            table[w] = s if a == 1.0 else float(s) + math.log(abs(a))
-        return ScalarPotential(self.space, self.memory, table)
+        a = np.array([self.table[w] for w in _word_index(self.space, self.memory).words]).ravel()
+        f = self.weight or constant_potential(self.space, 0, self.memory)
+        if (a == 1).all():
+            return f
+        # math.log, as numpy's log may differ from it in the last bit
+        s, logs = _as_floats(f.row, f.L), np.array(list(map(math.log, np.abs(a).tolist())))
+        return ScalarPotential._of(self.space, self.memory, np.where(a == 1, s, s + logs), None)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .cocycle import (MatrixCocycle, Scalar, ScalarPotential, _by_end, _check_sp
                       _op_norms, cocycle_log_product)
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
 from .optimize import cycle_exponent
-from .shift import Cycle, ShiftSpace, Word, admissible_words
+from .shift import Cycle, ShiftSpace, Word, _word_counts, admissible_words
 
 _ROW_TOL = 1e-12
 _FIX_TOL = 1e-10
@@ -196,14 +196,12 @@ def _markov_exponent(A, mu, n_max, word_budget):
     # the last letter of each node: a child adds the transition from its
     # parent's end node to its own
     last = np.array(table.index.nodes)[:, -1]
-    # the admissible words of the current length by last letter, counted in
-    # Python ints, so that a depth over the budget builds none of its words
-    ends = [1] * space.k
-    for n in range(1, n_max + 1):
-        for _ in range(m - 1 if n == 1 else 1):
-            ends = [sum(c for c, row in zip(ends, space.allowed) if row[b]) for b in range(space.k)]
-        if sum(ends) > word_budget:
-            raise BudgetExceededError(f"{sum(ends)} words at depth {n} exceed the budget")
+    # the admissible words of each depth's length n + m - 1, counted, so that
+    # a depth over the budget builds none of its words
+    counts = itertools.islice(_word_counts(space), m - 1, None)
+    for n, count in zip(range(1, n_max + 1), counts):
+        if count > word_budget:
+            raise BudgetExceededError(f"{count} words at depth {n} exceed the budget")
         if n == 1:
             # the memory-words by end node, with their cylinder masses
             # multiplied left to right as in `cylinder_mass`

@@ -48,8 +48,7 @@ def _edge_weights(index: _WordIndex, f: ScalarPotential) -> tuple[np.ndarray, in
     """f's weights on the index's edges; f lives on the index's space and memory."""
     if f.space != index.space or f.memory != index.memory:
         raise ShapeMismatchError("the potential's space or memory differs from the word graph's")
-    w, L = f._weights
-    return w[index.rows], L
+    return f.row[index.rows], f.L
 
 
 def karp_beta(space: ShiftSpace, f: ScalarPotential) -> Scalar:
@@ -141,13 +140,8 @@ class CriticalGraph:
 
 def critical_graph(space: ShiftSpace, f: ScalarPotential) -> CriticalGraph:
     index = _word_index(space, f.memory)
-    return _critical_graph(index, *_edge_weights(index, f))
-
-
-def _critical_graph(index: _WordIndex, w: np.ndarray, L: int | None) -> CriticalGraph:
-    """The critical graph of the potential with weights w, scaled by L as
-    `_graph._weights` makes them, on the index's edges."""
-    beta, keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads, w, L)
+    beta, keep, comp_of = _graph.critical_subgraph(len(index.nodes), index.tails, index.heads,
+                                                   *_edge_weights(index, f))
     if beta is None:
         raise ValidationError("word graph has no cycle")
     nodes, tails, heads = index.nodes, index.tails[keep], index.heads[keep]
@@ -202,7 +196,8 @@ def cycle_exponent(A: MatrixCocycle, c: Cycle | Sequence[Cycle]) -> Scalar | lis
         return []
     layout = _cycle_rows(_word_index(A.space, A.memory), cycles)
     if A.is_additive:
-        values = _means(*A.additive_potential()._weights, layout).tolist()
+        f = A.additive_potential()
+        values = _means(f.row, f.L, layout).tolist()
     else:
         logscale, P = _prefix_products(A._step_table.steps, *layout)
         radii = spectral_radius(P)
@@ -237,7 +232,7 @@ def _cycle_rows(index: _WordIndex, cycles: Sequence[Cycle]) -> tuple[np.ndarray,
 
 def _means(w: np.ndarray, L: int | None, layout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The mean of each weight row along the last axis of w, scaled by L
-    as `ScalarPotential._weights` scales them, over each cycle of a
+    as `ScalarPotential.row` is scaled, over each cycle of a
     `_cycle_rows` layout: shape (..., C), exact Fractions for integer
     weights, floats summed in step order otherwise, refused when a sum
     could leave float64."""

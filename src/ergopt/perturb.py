@@ -26,7 +26,6 @@ from .measures import PeriodicMeasure, hausdorff_distance
 from .optimize import (
     DEFAULT_GAP_TOL,
     _check_bracket_args,
-    _critical_graph,
     _cycle_rows,
     _means,
     _shifted_uppers,
@@ -35,7 +34,7 @@ from .optimize import (
     matrix_candidates,
     maximizing_cycles,
 )
-from .shift import Cycle, ShiftSpace, _word_index, admissible_words
+from .shift import Cycle, ShiftSpace, _word_index
 
 _TRIAL_BLOCK = 1024  # most stability trials scored as one array
 
@@ -87,24 +86,10 @@ def perturbation_sweep(
     G = critical_graph(space, f)
     limit = G.max_mean(g)
     exact = f.is_rational and g.is_rational and all(isinstance(e, Rational) for e in eps_grid)
-    if exact:
-        index = _word_index(space, m)
-        (wf, Lf), (wg, Lg) = f._weights, g._weights
-        big_f, big_g = (max(map(abs, w.tolist()), default=0) for w in (wf, wg))
 
     def evaluate(eps: Scalar) -> tuple[Scalar, Scalar, Scalar]:
         """beta(eps) and its left and right slopes at eps."""
-        if exact:
-            # f + eps gamma in integers over D, straight from the rows of f and gamma
-            p, q = eps.numerator, eps.denominator
-            D = math.lcm(Lf, q * Lg)
-            a, b = D // Lf, p * (D // (q * Lg))
-            # a and b bound themselves too, for rows that are all 0
-            dtype = _graph._int_dtype(len(index.nodes), max(big_f * a + abs(b) * big_g, a, abs(b)))
-            row = wf.astype(dtype) * a + wg.astype(dtype) * b
-            G = _critical_graph(index, row[index.rows], D)
-        else:
-            G = critical_graph(space, f + g.scale(eps))
+        G = critical_graph(space, f + g.scale(eps))
         return G.beta, -G.max_mean(neg), G.max_mean(g)
 
     points = {0: (G.beta, None, limit)}
@@ -156,12 +141,10 @@ def pinning_potential(space: ShiftSpace, c: Cycle) -> ScalarPotential:
     """A potential whose unique maximizing measure is the empirical measure
     of the given primitive cycle: 0 on the cycle's windows, -1 elsewhere."""
     memory = 2 if c.period == 1 else c.period
-    on_cycle = set(c.windows(memory))
-    table = {
-        w: Fraction(0) if w in on_cycle else Fraction(-1)
-        for w in admissible_words(space, memory)
-    }
-    return ScalarPotential(space, memory, table)
+    index = _word_index(space, memory)
+    row = np.full(len(index.words), -1)
+    row[_cycle_rows(index, [c])[0]] = 0
+    return ScalarPotential._of(space, memory, row, 1)
 
 
 def _step_norms(A: MatrixCocycle) -> np.ndarray:
@@ -227,10 +210,10 @@ def uniqueness_probe(
     norms = _step_norms(A)
     eta = _perturbations(rng, delta, exact, norms, n_samples)
     if exact:
-        words = _word_index(space, A.memory).words
-        unique = [maximizing_cycles(space, f + ScalarPotential(space, A.memory,
-                                                               dict(zip(words, row))), p_max)[1]
-                  for row in eta]
+        # every row of eta over one L, each added to f's integer row
+        W, L = _graph._weights(eta.ravel().tolist(), len(_word_index(space, A.memory).nodes))
+        unique = [maximizing_cycles(space, f + ScalarPotential._of(space, A.memory, w, L), p_max)[1]
+                  for w in W.reshape(eta.shape)]
     else:
         unique = _matrix_verdicts(space, A, eta, n_max, p_max, slack)
     return int(np.count_nonzero(unique)) / n_samples
@@ -258,7 +241,7 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
     exponents = np.array(cycle_exponent(A, cycles), dtype=float)
     exponents = exponents + _means(eta, None, _cycle_rows(index, cycles))
     if A.is_additive:
-        w = A.additive_potential()._weights[0][index.rows]
+        w = A.additive_potential().row[index.rows]
         lowers = uppers = np.array([
             _graph.max_cycle_mean(len(index.nodes), index.tails, index.heads,
                                   w + row[index.rows], None) for row in eta])

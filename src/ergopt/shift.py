@@ -120,6 +120,15 @@ def admissible_words(space: ShiftSpace, n: int) -> list[Word]:
     return words
 
 
+def _word_counts(space: ShiftSpace) -> Iterator[int]:
+    """The number of admissible words of each length 1, 2, ..., counted by
+    last letter in Python ints, so that no word is listed."""
+    ends = [1] * space.k
+    while True:
+        yield sum(ends)
+        ends = [sum(c for c, row in zip(ends, space.allowed) if row[b]) for b in range(space.k)]
+
+
 @dataclass(frozen=True)
 class _WordIndex:
     """The admissible memory-words of one (space, memory) in lexicographic

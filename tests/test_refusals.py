@@ -42,6 +42,10 @@ FULL3 = eo.new_shift(3)
 BIG = {"0": [[0, 1e120], [1e-120, 0]], "1": [[1e120, 0], [0, 1e-120]]}
 SPREAD = [[1e100, 0], [0, 1e-100]]
 DOUBLING = eo.MatrixCocycle(FULL2, 2, 1, {(0,): np.diag([2.0, 1.0]), (1,): EYE})
+# a rational past float64, and two memory-64 words: a table far smaller
+# than the 2^64 memory-words it should cover
+HUGE = "1" + "0" * 400
+LONG = {(0,) * 64: Fraction(0), (1,) * 64: Fraction(1)}
 
 
 def matrix_config(experiment: str, params: dict, matrices: dict) -> dict:
@@ -227,6 +231,43 @@ CASES = {
     "beta_float_cycle_sums_overflow": (
         lambda: report.run_config(potential_config("beta", {}, {"0": 3e307, "1": -3e307})),
         ValidationError, "overflow float64"),
+    # rationals past float64: refused where a float is formed from them
+    "beta_weight_past_float64": (
+        lambda: report.run_config(potential_config("beta", {"d": 1}, {"0": HUGE, "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "measure_weight_past_float64": (
+        lambda: report.run_config(potential_config(
+            "measure", {"d": 1, "measures": [{"cycle": "0"}]}, {"0": HUGE, "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "lambda_weight_past_float64": (
+        lambda: report.run_config(potential_config(
+            "lambda", {"d": 1, "seed": 1, "measures": [{"cycle": "0"}, {"cycle": "1"}]},
+            {"0": HUGE, "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "irregular_weight_past_float64": (
+        lambda: report.run_config(potential_config(
+            "irregular", {"d": 1, "c1": "0", "c2": "1", "depth": 3, "N": 100},
+            {"0": HUGE, "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "perturb_gamma_past_float64_float_eps": (
+        lambda: report.run_config(potential_config(
+            "perturb", {"gamma": {"memory": 1, "values": {"0": HUGE, "1": "1"}}, "eps": [0.5]},
+            {"0": "1", "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "perturb_f_past_float64_float_gamma": (
+        lambda: report.run_config(potential_config(
+            "perturb", {"gamma": {"memory": 1, "values": {"0": 0.5, "1": 1}}, "eps": ["1/2"]},
+            {"0": HUGE, "1": "0"})),
+        ValidationError, "past the range of float64"),
+    "birkhoff_mixed_table_past_float64": (
+        lambda: report.run_config(potential_config("birkhoff", {}, {"0": HUGE, "1": 0.5})),
+        ValidationError, "past the range of float64"),
+    # refused on a count of the memory-words, before the word index is built
+    "potential_two_words_at_memory_64": (
+        lambda: eo.ScalarPotential(FULL2, 64, LONG), ValidationError, "cover exactly"),
+    "cocycle_two_words_at_memory_64": (
+        lambda: eo.MatrixCocycle(FULL2, 2, 64, {w: EYE for w in LONG}), ValidationError,
+        "cover exactly"),
     "lambda_empty_cycle": (
         lambda: report.run_config(matrix_config(
             "lambda", {"measures": [{"cycle": "0"}, {"cycle": ""}], "trials": 2, "seed": 1},
@@ -245,6 +286,18 @@ def test_refused(case):
     call, error, *match = case
     with pytest.raises(error, match=match[0] if match else None):
         call()
+
+
+@pytest.mark.parametrize("case", ["potential_two_words_at_memory_64",
+                                  "cocycle_two_words_at_memory_64"])
+def test_small_table_at_large_memory_builds_no_word_index(case):
+    """The 2^64 memory-words are counted by last letter, and the count
+    stops once it passes the table's two keys: no word is listed."""
+    call, error, match = CASES[case]
+    misses = _word_index.cache_info().misses
+    with pytest.raises(error, match=match):
+        call()
+    assert _word_index.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("memory", [1, 2])
