@@ -134,59 +134,52 @@ def finite_time_exponents(
 
     x is either (preamble, Cycle) or a BlockSchedule; a point with a
     forbidden 2-word is refused.  The prefix products P_n = M_n ... M_1 go
-    piece by piece (`_runs`): a run of at least two copies of a word of
-    p <= _SCAN_ROWS steps by doubling (`_run_chunk`), in chunks of
-    _SCAN_ROWS // p copies, and the steps between runs by a doubling scan
-    (`_scan_chunk`), in chunks of at most _SCAN_ROWS steps.  Each chunk
-    continues from the last product of the one before, so the values stay
-    exact to within rounding at any N."""
+    piece by piece (`_runs`), each copies of a word of p <= _SCAN_ROWS
+    steps, through one kernel (`_run_chunk`) in chunks of _SCAN_ROWS // p
+    copies: a run of at least two copies by doubling, about one product a
+    step, and the steps between runs as single copies, about three.  Each
+    chunk continues from the last product of the one before, so the values
+    stay exact to within rounding at any N."""
     _check_space(space, A)
     if N < 1 or N > MAX_SERIES_LENGTH:
         raise ValidationError(f"N must be in [1, {MAX_SERIES_LENGTH}]")
     steps = A._step_table.steps
     rows = _step_rows(A._step_table.index, _symbols(x, N + A.memory - 1))
     out = np.empty(N)
-    identity = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
-    carry = identity
+    carry = [np.zeros(1), np.zeros(1), np.eye(A.d)[None]]
     for start, stop, p in _runs(x, rows):
-        if p:
-            word = _scanned(steps, rows[start:start + p], identity)
-            powers = [[a[-1:] for a in word]]
-            size = _SCAN_ROWS // p * p
-        else:
-            size = _SCAN_ROWS
+        word = _scanned(steps, rows[start:start + p])
+        powers, size = [[a[-1:] for a in word]], _SCAN_ROWS // p * p
         for lo in range(start, stop, size):
-            n = min(size, stop - lo)
-            if p:
-                carry = _run_chunk(word, powers, carry, lo, n, out)
-            else:
-                carry = _scan_chunk(steps, rows[lo:lo + n], carry, lo, out)
+            carry = _run_chunk(word, powers, carry, lo, min(size, stop - lo), out)
     return out
 
 
 def _runs(x, rows: np.ndarray) -> list[tuple[int, int, int]]:
-    """The steps of x as pieces (start, stop, p): runs of at least two
-    copies of a word of p <= _SCAN_ROWS steps, and p = 0 for the steps
-    between them.  A run is read off x, a block's repeats (the last block's
-    continued by the padding) or a (preamble, Cycle) point's cycle, and
-    its extent is confirmed on the step rows as rows[t] == rows[t - p], so
-    the windows of memory m >= 2 that straddle its end fall between runs."""
+    """The steps of x as pieces (start, stop, p), each copies of a word of
+    p <= _SCAN_ROWS steps: runs of at least two copies, and between them
+    single copies (stop - start == p) of at most _SCAN_ROWS steps.  A run
+    is read off x, a block's repeats (the last block's continued by the
+    padding) or a (preamble, Cycle) point's cycle, and its extent is
+    confirmed on the step rows as rows[t] == rows[t - p], so the windows of
+    memory m >= 2 that straddle its end fall between runs."""
     N = len(rows)
     if isinstance(x, BlockSchedule):
         words = [(end - reps * len(word), len(word)) for word, reps, _, end in x._layout]
     else:
         words = [(len(x[0]), len(x[1].word))]
     pieces, pos = [], 0
-    for (s, p), (e, _) in zip(words, words[1:] + [(N, 0)]):
-        e = min(e, N)
-        if p <= _SCAN_ROWS and e - s >= 2 * p:
+    # the word (N, 0) after the last closes the steps after the last run
+    for (s, p), (e, _) in zip(words + [(N, 0)], words[1:] + [(N, 0)] * 2):
+        e, t = min(e, N), s
+        if 0 < p <= _SCAN_ROWS and e - s >= 2 * p:
             same = rows[s + p:e] == rows[s:e - p]
             t = e if same.all() else s + p + int(same.argmin())
-            if t - s >= 2 * p:
-                pieces += [(pos, s, 0), (s, t, p)]
-                pos = t
-    pieces.append((pos, N, 0))
-    return [piece for piece in pieces if piece[0] < piece[1]]
+        if t - s >= 2 * p:
+            pieces += [(a, min(a + _SCAN_ROWS, s), min(_SCAN_ROWS, s - a))
+                       for a in range(pos, s, _SCAN_ROWS)] + [(s, t, p)] * (p > 0)
+            pos = t
+    return pieces
 
 
 def _join(later, earlier):
@@ -217,14 +210,13 @@ def _prefix(stack) -> None:
             a[1::2], a[2::2] = b, c
 
 
-def _scanned(steps: np.ndarray, rows: np.ndarray, carry):
-    """The stack [hi, lo, P] of the n + 1 products of the carry, a stack of
-    one, and the n renormalised steps `rows` after it, scanned by `_prefix`:
-    about 2n products in about 2 log2 n batched calls, each value rounded
-    about once at its own size."""
-    zero = np.zeros(len(steps))
-    idx = np.r_[0, rows + 1]  # the carry, then the steps
-    stack = [np.concatenate(pair)[idx] for pair in zip(carry, (zero, zero, steps))]
+def _scanned(steps: np.ndarray, rows: np.ndarray):
+    """The stack [hi, lo, P] of the n + 1 products of the n renormalised
+    steps `rows`, the identity first, scanned by `_prefix`: about 2n
+    products in about 2 log2 n batched calls, each value rounded about
+    once at its own size."""
+    n, d = len(rows), steps.shape[1]
+    stack = [np.zeros(n + 1), np.zeros(n + 1), np.concatenate([np.eye(d)[None], steps[rows]])]
     _renormalise_rows(stack[2][1:], stack[0][1:])
     _prefix(stack)
     return stack
@@ -234,17 +226,6 @@ def _values(stack) -> np.ndarray:
     """log norm of each product of the stack [hi, lo, P], any leading shape."""
     hi, lo, P = stack
     return (lo + np.log(_op_norms(P.reshape(-1, *P.shape[-2:])).reshape(hi.shape))) + hi
-
-
-def _scan_chunk(steps: np.ndarray, rows: np.ndarray, carry, start: int, out: np.ndarray):
-    """Write the series at steps start + 1 .. start + n of the n step rows
-    `rows` into out, continuing from carry = [hi, lo, P] of the first start
-    steps, the product P[0] with log scale hi[0] + lo[0]; return the carry
-    of the first start + n steps."""
-    stack = _scanned(steps, rows, carry)
-    n = len(rows)
-    out[start:start + n] = _values([a[1:] for a in stack]) / np.arange(start + 1, start + n + 1)
-    return [a[-1:] for a in stack]
 
 
 def _run_chunk(word, powers, carry, start: int, n: int, out: np.ndarray):

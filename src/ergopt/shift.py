@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     EmptyAlphabetError,
     InadmissibleWordError,
     NoCycleError,
@@ -24,6 +25,7 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
+_MAX_PRENECKLACES = 1 << 20  # most words one level of the cycle walk holds
 
 
 def word_to_str(w: Sequence[int]) -> str:
@@ -233,7 +235,8 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     order per level.  A prefix containing a forbidden 2-word is never
     extended (Ruskey-Sawada), nor one from whose last letter no letter
     above its first is reachable: a Lyndon word of two or more letters ends
-    above its first.
+    above its first.  A level of more than 2^20 prenecklaces is counted and
+    refused (BudgetExceededError), never formed.
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
@@ -246,11 +249,15 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
             if top[u := todo.pop()] < 0:
                 top[u] = b
                 todo += preds[u]
-    allowed, top, letters = np.array(space.allowed), np.array(top), np.arange(k)
+    allowed, top = np.array(space.allowed), np.array(top)
+    # above[a, l] counts the successors of a from l up; row a of succ ends
+    # with them, ascending
+    above = allowed[:, ::-1].cumsum(axis=1)[:, ::-1]
+    succ = np.argsort(allowed, axis=1, kind="stable").ravel()
     cycles: list[Cycle] = []
     # the prenecklaces of length t, and the length p of each one's longest
     # Lyndon prefix; a word is a Lyndon word exactly when p == t
-    W, p = letters[:, None], np.ones(k, dtype=np.intp)
+    W, p = np.arange(k)[:, None], np.ones(k, dtype=np.intp)
     for t in range(1, p_max + 1):
         last, first = W[:, -1], W[:, 0]
         lyndon = (p == t) & allowed[last, first]
@@ -260,11 +267,16 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
         if t == p_max or not len(W):
             break
         # a prenecklace extends by w[t - p] (same p) or any larger letter (a
-        # Lyndon word of length t + 1); `nonzero` keeps lexicographic order
-        low = W[np.arange(len(W)), t - p]
-        parent, b = (allowed[W[:, -1]] & (letters >= low[:, None])).nonzero()
-        W = np.concatenate([W[parent], b[:, None]], axis=1)
-        p = np.where(b == low[parent], p[parent], t + 1)
+        # Lyndon word of length t + 1): the last n[i] entries of its last
+        # letter's row of succ, counted before they are formed
+        last, low = W[:, -1], W[np.arange(len(W)), t - p]
+        n = above[last, low]
+        count = n.cumsum()
+        if count[-1] > _MAX_PRENECKLACES:
+            raise BudgetExceededError(f"{count[-1]} prenecklaces of length {t + 1} exceed the budget")
+        b = succ[((last + 1) * k - count).repeat(n) + np.arange(count[-1])]
+        W = np.concatenate([W.repeat(n, axis=0), b[:, None]], axis=1)
+        p = np.where(b == low.repeat(n), p.repeat(n), t + 1)
     return cycles
 
 

@@ -73,6 +73,20 @@ def sequential_series(A, symbols):
     return ((comps + np.log(norms)) + totals) / np.arange(1, N + 1)
 
 
+def joins_formed(monkeypatch):
+    """A list to which every later `_join` call appends the number of
+    matrices it forms."""
+    formed = []
+
+    def join(later, earlier):
+        out = _join(later, earlier)
+        formed.append(out[2].size // out[2].shape[-1] ** 2)
+        return out
+
+    monkeypatch.setattr(irregular, "_join", join)
+    return formed
+
+
 RUN_CASES = ("period_1", "period_2", "period_3", "long_preamble", "long_period",
              "golden_memory2", "golden_memory3")
 
@@ -307,10 +321,10 @@ class TestFiniteTimeExponents:
             np.testing.assert_allclose(series, want[:N], rtol=0, atol=1e-13, err_msg=f"N = {N}")
 
     def test_runs_tile_the_steps_and_repeat(self):
-        """The pieces of a point cover its steps in order, each run holds
-        at least two copies of its word, and the step rows repeat along it
-        and no further; at memory 3 a block's last two windows straddle
-        its end."""
+        """The pieces of a point cover its steps in order, each a run of at
+        least two copies of its word, along which the step rows repeat and
+        no further, or a single copy of at most _SCAN_ROWS steps; at memory
+        3 a block's last two windows straddle its end."""
         golden = eo.new_shift(2, [[True, True], [True, False]])
         A = eo.MatrixCocycle(golden, 2, 1, {(0,): np.eye(2), (1,): 2 * np.eye(2)}).lift(3)
         x = eo.build_irregular_point(golden, A, eo.make_cycle(golden, (0, 1)),
@@ -320,7 +334,8 @@ class TestFiniteTimeExponents:
         pieces = _runs(x, rows)
         assert [a for a, _, _ in pieces] == [0] + [b for _, b, _ in pieces[:-1]]
         assert pieces[-1][1] == N
-        runs = [(a, b, p) for a, b, p in pieces if p]
+        runs = [(a, b, p) for a, b, p in pieces if b - a > p]
+        assert all(b - a == p <= _SCAN_ROWS for a, b, p in set(pieces) - set(runs))
         for a, b, p in runs:
             assert b - a >= 2 * p
             assert (rows[a + p:b] == rows[a:b - p]).all()
@@ -334,16 +349,10 @@ class TestFiniteTimeExponents:
         assert len(runs) == 4 and runs[-1][1] == N
 
     def test_no_join_holds_more_than_a_chunk(self, monkeypatch):
-        """Runs of period 1, 3 and more than _SCAN_ROWS steps, and a scan,
-        make no batched product of more than _SCAN_ROWS matrices."""
-        largest = []
-
-        def join(later, earlier):
-            out = _join(later, earlier)
-            largest.append(out[2].size // out[2].shape[-1] ** 2)
-            return out
-
-        monkeypatch.setattr(irregular, "_join", join)
+        """Runs of period 1 and 3, and single copies of a random preamble
+        and of a cycle of more than _SCAN_ROWS steps, make no batched
+        product of more than _SCAN_ROWS matrices."""
+        largest = joins_formed(monkeypatch)
         space = eo.new_shift(3)
         A = random_cocycle(np.random.default_rng(3), space, 1, 1, "gaussian")
         rng = np.random.default_rng(4)
@@ -352,6 +361,20 @@ class TestFiniteTimeExponents:
                                ((), tuple(rng.integers(0, 3, _SCAN_ROWS + 3).tolist()))]:
             eo.finite_time_exponents(space, A, (preamble, eo.Cycle(word)), 5 * _SCAN_ROWS)
         assert 0 < max(largest) <= _SCAN_ROWS
+
+    def test_block_point_forms_about_one_product_a_step(self, monkeypatch):
+        """The benchmark's block point, cycles 0 and 1 on the full 2-shift
+        at r = 3 and J = 8, goes almost all in runs: its N = 5 * 10^4 steps
+        form at most N + 64 products."""
+        formed = joins_formed(monkeypatch)
+        space = eo.new_shift(2)
+        A = eo.MatrixCocycle(space, 2, 1, {(0,): np.array([[0.19, -0.52], [-0.41, -2.44]]),
+                                           (1,): np.array([[1.8, 1.14], [-0.33, 0.77]])})
+        x = eo.build_irregular_point(space, A, eo.make_cycle(space, (0,)),
+                                     eo.make_cycle(space, (1,)), r=3.0, J=8)
+        N = 5 * 10**4
+        eo.finite_time_exponents(space, A, x, N)
+        assert sum(formed) <= N + 64
 
     @pytest.mark.parametrize("memory", [1, 2])
     @pytest.mark.parametrize("preamble, word, pair", [

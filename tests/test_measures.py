@@ -260,6 +260,30 @@ class TestWeakstar:
         assert (eo.weakstar_distance(mu0, mu1, i_max=1100)[0]
                 == eo.weakstar_distance(mu0, mu1, i_max=1000)[0])
 
+    @pytest.mark.parametrize("kind", ["periodic", "markov"])
+    def test_huge_i_max_lists_no_zero_weight_cylinder(self, full2, kind, monkeypatch):
+        """2.0^-i is 0.0 from i = 1075 on: the distance equals the sum over
+        all i_max cylinders bit for bit around that index, and i_max = 10^8
+        lists at most 1074 cylinders."""
+        if kind == "periodic":
+            mu0 = eo.periodic_measure(full2, eo.make_cycle(full2, (0,)))
+            mu1 = eo.periodic_measure(full2, eo.make_cycle(full2, (0, 1)))
+        else:
+            mu0 = eo.markov_measure(full2, [[0.3, 0.7], [0.6, 0.4]])
+            mu1 = eo.markov_measure(full2, [[0.5, 0.5], [0.5, 0.5]])
+        basis = eo.measures.TestBasis(full2).cylinders(3000)
+        for i_max in (1, 8, 1073, 1074, 1075, 1100, 3000):
+            want = 0.0
+            for i, w in enumerate(basis[:i_max], start=1):
+                want += abs(float(mu0.cylinder_mass(w)) - float(mu1.cylinder_mass(w))) * 2.0 ** -i
+            assert eo.weakstar_distance(mu0, mu1, i_max) == (want, 2.0 * 2.0 ** -i_max)
+        counts = []
+        cylinders = eo.measures.TestBasis.cylinders
+        monkeypatch.setattr(eo.measures.TestBasis, "cylinders",
+                            lambda self, count: counts.append(count) or cylinders(self, count))
+        assert eo.weakstar_distance(mu0, mu1, 10**8) == (want, 0.0)
+        assert max(counts) <= 1074
+
 
 class TestHausdorff:
     def test_examples(self):

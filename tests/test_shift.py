@@ -207,6 +207,14 @@ class TestCycles:
         p_max^2 letters here."""
         assert eo.enumerate_cycles(eo.new_shift(1), 10**5) == [eo.Cycle((0,))]
 
+    def test_level_past_the_budget_is_refused(self):
+        """On the full 11-shift the walk's level of length 7 would hold
+        3 115 243 prenecklaces, about 170 MB of letters: it is counted from
+        the level before and refused, where it used to be formed."""
+        with pytest.raises(eo.errors.BudgetExceededError,
+                           match="^3115243 prenecklaces of length 7 exceed"):
+            eo.enumerate_cycles(eo.new_shift(11), 11)
+
     def test_order_is_period_then_lex(self, full2):
         cycles = eo.enumerate_cycles(full2, 4)
         keys = [(c.period, c.word) for c in cycles]
