@@ -168,18 +168,21 @@ def _runs(x, rows: np.ndarray) -> list[tuple[int, int, int]]:
         words = [(end - reps * len(word), len(word)) for word, reps, _, end in x._layout]
     else:
         words = [(len(x[0]), len(x[1].word))]
+
+    def singles(lo, hi):  # the steps lo .. hi as single copies
+        return [(a, min(a + _SCAN_ROWS, hi), min(_SCAN_ROWS, hi - a))
+                for a in range(lo, hi, _SCAN_ROWS)]
+
     pieces, pos = [], 0
-    # the word (N, 0) after the last closes the steps after the last run
-    for (s, p), (e, _) in zip(words + [(N, 0)], words[1:] + [(N, 0)] * 2):
+    for (s, p), (e, _) in zip(words, words[1:] + [(N, 0)]):
         e, t = min(e, N), s
-        if 0 < p <= _SCAN_ROWS and e - s >= 2 * p:
+        if p <= _SCAN_ROWS and e - s >= 2 * p:
             same = rows[s + p:e] == rows[s:e - p]
             t = e if same.all() else s + p + int(same.argmin())
         if t - s >= 2 * p:
-            pieces += [(a, min(a + _SCAN_ROWS, s), min(_SCAN_ROWS, s - a))
-                       for a in range(pos, s, _SCAN_ROWS)] + [(s, t, p)] * (p > 0)
+            pieces += singles(pos, s) + [(s, t, p)]
             pos = t
-    return pieces
+    return pieces + singles(pos, N)
 
 
 def _join(later, earlier):

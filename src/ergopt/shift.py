@@ -25,7 +25,7 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
-_MAX_PRENECKLACES = 1 << 20  # most words one level of the cycle walk holds
+_MAX_PRENECKLACES = 10**7  # most words a level of the cycle walk holds, as DEFAULT_WORD_BUDGET
 
 
 def word_to_str(w: Sequence[int]) -> str:
@@ -235,8 +235,9 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     order per level.  A prefix containing a forbidden 2-word is never
     extended (Ruskey-Sawada), nor one from whose last letter no letter
     above its first is reachable: a Lyndon word of two or more letters ends
-    above its first.  A level of more than 2^20 prenecklaces is counted and
-    refused (BudgetExceededError), never formed.
+    above its first.  A level of more than 10^7 prenecklaces is counted and
+    refused (BudgetExceededError), never formed; the Lyndon words, kept in
+    the smallest integer dtype, become cycles once the walk is through.
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
@@ -254,14 +255,13 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
     # with them, ascending
     above = allowed[:, ::-1].cumsum(axis=1)[:, ::-1]
     succ = np.argsort(allowed, axis=1, kind="stable").ravel()
-    cycles: list[Cycle] = []
+    lyndons = []
     # the prenecklaces of length t, and the length p of each one's longest
     # Lyndon prefix; a word is a Lyndon word exactly when p == t
     W, p = np.arange(k)[:, None], np.ones(k, dtype=np.intp)
     for t in range(1, p_max + 1):
         last, first = W[:, -1], W[:, 0]
-        lyndon = (p == t) & allowed[last, first]
-        cycles.extend(map(Cycle, map(tuple, W[lyndon].tolist())))
+        lyndons.append(W[(p == t) & allowed[last, first]].astype(np.min_scalar_type(k)))
         live = top[last] > first
         W, p = W[live], p[live]
         if t == p_max or not len(W):
@@ -273,11 +273,13 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
         n = above[last, low]
         count = n.cumsum()
         if count[-1] > _MAX_PRENECKLACES:
-            raise BudgetExceededError(f"{count[-1]} prenecklaces of length {t + 1} exceed the budget")
+            raise BudgetExceededError(f"{count[-1]} prenecklaces of length {t + 1} exceed "
+                                      f"the cycle walk's limit of {_MAX_PRENECKLACES}; lower p_max")
         b = succ[((last + 1) * k - count).repeat(n) + np.arange(count[-1])]
         W = np.concatenate([W.repeat(n, axis=0), b[:, None]], axis=1)
         p = np.where(b == low.repeat(n), p.repeat(n), t + 1)
-    return cycles
+    del W  # the last level, before the Lyndon words become cycles
+    return [Cycle(w) for L in lyndons for w in zip(*L.T.tolist())]
 
 
 def connect(space: ShiftSpace, a: int, b: int) -> Word:

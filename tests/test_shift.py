@@ -1,4 +1,6 @@
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -207,13 +209,24 @@ class TestCycles:
         p_max^2 letters here."""
         assert eo.enumerate_cycles(eo.new_shift(1), 10**5) == [eo.Cycle((0,))]
 
-    def test_level_past_the_budget_is_refused(self):
-        """On the full 11-shift the walk's level of length 7 would hold
-        3 115 243 prenecklaces, about 170 MB of letters: it is counted from
-        the level before and refused, where it used to be formed."""
+    def test_level_past_the_limit_is_refused(self):
+        """On the full 11-shift the walk's level of length 8 would hold
+        29 908 273 prenecklaces, about 1.9 GB of letters: it is counted from
+        the level before and refused, where it used to run out of memory."""
         with pytest.raises(eo.errors.BudgetExceededError,
-                           match="^3115243 prenecklaces of length 7 exceed"):
+                           match="^29908273 prenecklaces of length 8 exceed .*; lower p_max$"):
             eo.enumerate_cycles(eo.new_shift(11), 11)
+
+    def test_full_4_shift_at_the_default_p_max_is_walked(self):
+        """The full 4-shift's level of length 12, 1 924 377 prenecklaces, is
+        under the limit: all its Lyndon words come back, as many of each
+        length n as 4^n = sum over d | n of d L(d) gives."""
+        L = {}
+        for n in range(1, 13):
+            L[n] = (4**n - sum(d * L[d] for d in range(1, n) if n % d == 0)) // n
+        cycles = eo.enumerate_cycles(eo.new_shift(4), 12)
+        assert Counter(c.period for c in cycles) == L
+        assert cycles[-1] == eo.Cycle((2,) + (3,) * 11)
 
     def test_order_is_period_then_lex(self, full2):
         cycles = eo.enumerate_cycles(full2, 4)
