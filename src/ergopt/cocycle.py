@@ -195,6 +195,8 @@ class MatrixCocycle:
     weight: ScalarPotential | None = field(default=None)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValidationError("dimension must be >= 1")
         _check_table(self.space, self.memory, self.table, "cocycle")
         for w, mat in self.table.items():
             if mat.shape != (self.d, self.d):
@@ -597,14 +599,13 @@ def cocycles_equal(A: MatrixCocycle, B: MatrixCocycle) -> bool:
 
 def from_potential(f: ScalarPotential, d: int = 1) -> MatrixCocycle:
     """The diagonal cocycle w -> exp(f(w)) * I_d."""
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
-    eye = np.eye(d)
-    table = {w: eye for w in admissible_words(f.space, f.memory)}
-    return MatrixCocycle(f.space, d, f.memory, table, f)
+    return MatrixCocycle(f.space, d, f.memory, _identity_table(f.space, d, f.memory), f)
 
 
 def identity_cocycle(space: ShiftSpace, d: int = 1, memory: int = 1) -> MatrixCocycle:
-    eye = np.eye(d)
-    table = {w: eye for w in admissible_words(space, memory)}
-    return MatrixCocycle(space, d, memory, table)
+    return MatrixCocycle(space, d, memory, _identity_table(space, d, memory))
+
+
+def _identity_table(space: ShiftSpace, d: int, memory: int) -> dict:
+    eye = np.eye(max(d, 0))  # MatrixCocycle, not np.eye, refuses a d < 1
+    return {w: eye for w in admissible_words(space, memory)}

@@ -192,7 +192,7 @@ def _markov_exponent(A, mu, n_max, word_budget):
     lower = -math.inf
     upper = math.inf
     space, m, table = A.space, A.memory, A._step_table
-    stationary, stochastic = np.array(mu.stationary), np.array(mu.stochastic)
+    stochastic = np.array(mu.stochastic)
     # the last letter of each node: a child adds the transition from its
     # parent's end node to its own
     last = np.array(table.index.nodes)[:, -1]
@@ -204,12 +204,9 @@ def _markov_exponent(A, mu, n_max, word_budget):
             raise BudgetExceededError(f"{count} words at depth {n} exceed the budget")
         if n == 1:
             # the memory-words by end node, with their cylinder masses
-            # multiplied left to right as in `cylinder_mass`
             first, states = _by_end(table.index)
             letters = np.array(table.index.words)[first]
-            masses = stationary[letters[:, 0]]
-            for j in range(1, m):
-                masses = masses * stochastic[letters[:, j - 1], letters[:, j]]
+            masses = np.array([mu.cylinder_mass(w) for w in letters.tolist()])
             logscale, P = cocycle_log_product(A, letters)
         else:
             # each charged word of the depth before, one step longer

@@ -489,60 +489,51 @@ def _matrix_bracket(space: ShiftSpace, A: MatrixCocycle, cycles: list[Cycle], va
     p_max and their exponents."""
     lower_series, witness = _lower_series(cycles, values)
     best_l = lower_series[-1][1]
-    upper_series: list[tuple[int, float]] = []
-    # maxima[j - 1] = N_j, the tail bounds of every deeper search
-    maxima: list[float] = []
-    best_u = math.inf
-    n_used = 1
-    for n in range(1, n_max + 1):
-        u_n = upper_bound(space, A, n, budget=budget, lower_hint=best_l, maxima=maxima)
-        upper_series.append((n, u_n))
-        maxima.append(_padded_maximum(n, u_n))
-        if u_n < best_u:
-            best_u, n_used = u_n, n
-        if best_u - best_l <= gap_tol:
-            break
+    uppers = _upper_ends(A, np.array([best_l]), n_max, gap_tol, budget)[:, 0]
+    n_used = int(uppers.argmin()) + 1
+    upper_series = tuple(enumerate(uppers.tolist(), 1))
     return BetaBracket(
         lower=best_l,
-        upper=best_u,
+        upper=upper_series[n_used - 1][1],
         n_used=n_used,
         p_used=p_max,
         witness=witness,
-        upper_series=tuple(upper_series),
+        upper_series=upper_series,
         lower_series=tuple(lower_series),
     )
 
 
-def _padded_maximum(n: int, u_n):
-    """N_n = n * U_n, padded by 1e-12 * max(1, |N_n|) for rounding: the
-    bound on a depth-n tail that every deeper search reads."""
-    top = n * u_n
-    return top + 1e-12 * np.maximum(1.0, np.abs(top))
-
-
-def _shifted_uppers(A: MatrixCocycle, eta: np.ndarray, lowers: np.ndarray,
-                    n_max: int) -> np.ndarray:
-    """The upper end of `_matrix_bracket` at the default gap_tol and budget
-    for each cocycle e^{eta_s} A, s over the rows of eta (S, E), whose lower
-    end is lowers[s]: one `_search` per depth serves every sample still
-    open, each with the floor and tails of its own search, and a sample
-    closes at its first depth whose gap is at most DEFAULT_GAP_TOL."""
-    table = A._step_table
-    # each sample's largest one-step log norm and its N_j, as its own
-    # bracket keeps them
-    max_step = (np.log(table.norms) + eta).max(axis=1)
-    maxima = np.empty((n_max, len(eta)))
-    best = np.full(len(eta), math.inf)
-    open_ = np.arange(len(eta))
+def _upper_ends(A: MatrixCocycle, lowers: np.ndarray, n_max: int,
+                gap_tol: float = DEFAULT_GAP_TOL, budget: int = DEFAULT_WORD_BUDGET,
+                eta: np.ndarray | None = None) -> np.ndarray:
+    """U_n of A, or of each cocycle e^{eta_s} A over the rows s of eta
+    (S, E), for n = 1, 2, ...: one row per depth run, one column per
+    cocycle, whose lower end is lowers[s].  Each search prunes with its own
+    floor n * lowers[s] and its own tails N_j = j * U_j, padded by
+    1e-12 * max(1, |N_j|) for rounding.  A column stops at its first depth
+    whose gap min U - lowers[s] is at most gap_tol and reads NaN after it;
+    the rows end when every column has stopped.  Without eta, lowers has
+    one entry, A's own, and `upper_bound` runs each depth; with eta one
+    `_search` per depth serves every column still open."""
+    # each sample's largest one-step log norm, as its own bracket keeps it
+    max_step = None if eta is None else (np.log(A._step_table.norms) + eta).max(axis=1)
+    uppers = np.full((n_max, len(lowers)), math.nan)
+    maxima = np.empty_like(uppers)  # maxima[j - 1] = N_j, padded
+    open_ = np.arange(len(lowers))
     for n in range(1, n_max + 1):
-        floors = _floors(n, lowers[open_], max_step[open_], maxima[:n - 1, open_])
-        u_n = _search(table, n, DEFAULT_WORD_BUDGET, floors, eta[open_]) / n
-        maxima[n - 1, open_] = _padded_maximum(n, u_n)
-        best[open_] = np.minimum(best[open_], u_n)
-        open_ = open_[best[open_] - lowers[open_] > DEFAULT_GAP_TOL]
+        if eta is None:
+            u_n = upper_bound(A.space, A, n, budget, lowers[0], maxima[:n - 1, 0])
+        else:
+            floors = _floors(n, lowers[open_], max_step[open_], maxima[:n - 1, open_])
+            u_n = _search(A._step_table, n, budget, floors, eta[open_]) / n
+        top = n * u_n
+        uppers[n - 1, open_] = u_n
+        maxima[n - 1, open_] = top + 1e-12 * np.maximum(1.0, np.abs(top))
+        # an open column has a U at every depth so far
+        open_ = open_[uppers[:n, open_].min(axis=0) - lowers[open_] > gap_tol]
         if not len(open_):
             break
-    return best
+    return uppers[:n]
 
 
 @dataclass(frozen=True)

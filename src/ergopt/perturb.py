@@ -28,7 +28,7 @@ from .optimize import (
     _check_bracket_args,
     _cycle_rows,
     _means,
-    _shifted_uppers,
+    _upper_ends,
     critical_graph,
     cycle_exponent,
     matrix_candidates,
@@ -230,7 +230,8 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
     A sample's lower end L_s = max_c of its cycle exponents lies within
     h = max |eta| of A's, so only the cycles within slack + 2h of A's lower
     end can reach L_s - slack: A's own candidates at that slack.  The upper
-    ends come from one shared search per depth (`_shifted_uppers`).  For
+    ends come from the depth loop of A's own bracket (`_upper_ends`), one
+    shared search per depth, each sample's the least U_n it ran.  For
     d = 1 both ends are the Karp maximum of the shifted potential, as in
     `matrix_candidates`."""
     index = _word_index(space, A.memory)
@@ -247,7 +248,7 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
                                   w + row[index.rows], None) for row in eta])
     else:
         lowers = exponents.max(axis=1)
-        uppers = _shifted_uppers(A, eta, lowers, n_max)
+        uppers = np.nanmin(_upper_ends(A, lowers, n_max, eta=eta), axis=0)
     candidates = np.count_nonzero(exponents >= (lowers - slack)[:, None], axis=1)
     return (candidates == 1) & (uppers - lowers <= slack)
 

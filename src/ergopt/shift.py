@@ -179,7 +179,7 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
                       *np.array(edges, dtype=np.intp).reshape(-1, 3).T, tuple(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """A primitive admissible cycle, stored in its lexicographically
     least rotation."""

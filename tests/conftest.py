@@ -127,6 +127,12 @@ def sft3_memory2(seed):
     return sft3, eo.MatrixCocycle(sft3, 2, 2, table, weight)
 
 
+def shared_uppers(A, eta, lowers, n_max):
+    """Each sample's least U_n from the probe's shared depth loop, at the
+    default gap_tol and word budget."""
+    return np.nanmin(eo.optimize._upper_ends(A, lowers, n_max, eta=eta), axis=0)
+
+
 def read_report(path):
     """A report or error payload, parsed as strict JSON: NaN and Infinity,
     which are not JSON, are refused."""

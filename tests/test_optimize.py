@@ -20,6 +20,7 @@ from conftest import (
     random_rational_potential,
     random_sft,
     selected_means,
+    shared_uppers,
     word_graph_edges,
 )
 
@@ -503,8 +504,8 @@ class TestWordTree:
                     eo.ScalarPotential(full2, 1, {(0,): a, (1,): b}), A), 6)[0]
                 for a, b in eta.tolist()])
             fresh = eo.MatrixCocycle(full2, 2, 1, A.table)
-            want = optimize._shifted_uppers(fresh, eta, lowers, 10)
-            assert optimize._shifted_uppers(A, eta, lowers, 10).tolist() == want.tolist()
+            want = shared_uppers(fresh, eta, lowers, 10)
+            assert shared_uppers(A, eta, lowers, 10).tolist() == want.tolist()
 
     def test_words_past_the_cap_are_grown_by_the_search(self, monkeypatch, full2):
         """With a small cap the unpruned {I, swap} search to depth 16 grows
@@ -546,7 +547,7 @@ class TestWordTree:
         def searches():
             A, B = (eo.MatrixCocycle(full2, 2, 1, fib_pair.table) for _ in range(2))
             uppers = [eo.upper_bound(full2, A, n, lower_hint=hint) for n, hint in runs]
-            shared = optimize._shifted_uppers(B, eta, lowers, 12).tolist()
+            shared = shared_uppers(B, eta, lowers, 12).tolist()
             depths = [len(C._step_table.tree.levels) for C in (A, B)]
             return uppers, shared, [visited(full2, A, n, hint) for n, hint in runs[3::4]], depths
 

@@ -20,6 +20,7 @@ from conftest import (
     random_rational_potential,
     selected_means,
     sft3_memory2,
+    shared_uppers,
 )
 
 
@@ -330,7 +331,7 @@ class TestProbe:
         eta = rng.uniform(-0.3, 0.3, size=(12, 2))
         # A's lower end less max |eta| is below every sample's lower end
         lowers = np.full(12, optimize.lower_bound_cycles(full2, A, 6)[0] - 0.3)
-        want = optimize._shifted_uppers(A, eta, lowers, 9)
+        want = shared_uppers(A, eta, lowers, 9)
         leaves = []
         op_norms = optimize._op_norms
 
@@ -340,7 +341,7 @@ class TestProbe:
 
         monkeypatch.setattr(optimize, "_op_norms", counting)
         monkeypatch.setattr(optimize, "_BLOCK_ROWS", 12)
-        got = optimize._shifted_uppers(A, eta, lowers, 9)
+        got = shared_uppers(A, eta, lowers, 9)
         assert got.tolist() == want.tolist()
         assert max(leaves) == 12 * 4 // 12 and len(leaves) > 20
 
@@ -705,6 +706,31 @@ class TestProbeOracle:
                           slack=1e-4)
         assert max(d.max() for d in distances) >= 50.0 and len(distances) > 1
         assert 0 < hits < 12
+
+
+class TestZeroRow:
+    """A zero eta row is A itself, bit for bit: the probe's depth loop
+    gives it the upper series of A's own bracket, and its verdict is A's
+    `matrix_candidates` verdict."""
+
+    @pytest.mark.parametrize("case", ["fib_pair", "memory2_sft3"])
+    def test_zero_row_is_a_itself(self, request, case):
+        A = request.getfixturevalue("fib_pair") if case == "fib_pair" else memory2_sft3()
+        kwargs = {"n_max": 12, "p_max": 8, "slack": 1e-6}
+        report = eo.matrix_candidates(A.space, A, **kwargs)
+        bracket = eo.beta_bracket(A.space, A, kwargs["n_max"], kwargs["p_max"], gap_tol=1e-9)
+        assert report.bracket == bracket
+        # the zero row between two others, whose floors stay below their
+        # lower ends: A's lower end less max |eta|
+        rng = np.random.default_rng(7)
+        eta = rng.uniform(-0.2, 0.2, size=(3, len(A._step_table.steps)))
+        eta[1] = 0.0
+        lowers = bracket.lower - np.array([0.2, 0.0, 0.2])
+        column = optimize._upper_ends(A, lowers, kwargs["n_max"], 1e-9, eta=eta)[:, 1]
+        assert column[~np.isnan(column)].tolist() == [u for _, u in bracket.upper_series]
+        verdicts = perturb._matrix_verdicts(A.space, A, eta[1:2], **kwargs)
+        assert verdicts.tolist() == [report.unique_at_resolution]
+        assert report.unique_at_resolution == (case == "fib_pair")
 
 
 class TestFlatten:

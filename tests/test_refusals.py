@@ -85,6 +85,13 @@ CASES = {
     "gamma_apply_other_space": (
         lambda: eo.gamma_apply(eo.constant_potential(GOLDEN, 0), PAIR), ShapeMismatchError),
     "from_potential_d0": (lambda: eo.from_potential(STEP, d=0), ValidationError),
+    "from_potential_negative_d": (lambda: eo.from_potential(STEP, d=-1), ValidationError),
+    # d < 1 is refused by the cocycle itself, before numpy sees a 0 x 0 matrix
+    "identity_cocycle_d0": (lambda: eo.identity_cocycle(FULL2, 0), ValidationError),
+    "identity_cocycle_negative_d": (lambda: eo.identity_cocycle(FULL2, -2), ValidationError),
+    "cocycle_d0": (
+        lambda: eo.MatrixCocycle(FULL2, 0, 1, {(0,): np.zeros((0, 0)), (1,): np.zeros((0, 0))}),
+        ValidationError),
     "cocycle_product_overflows": (
         lambda: eo.cocycle_product(DOUBLING, (0,) * 2000), ValidationError,
         "2000 letters overflows float64"),

@@ -1,4 +1,6 @@
 
+import copy
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -250,6 +252,16 @@ class TestCycles:
     def test_make_cycle_rejects_inadmissible(self, golden):
         with pytest.raises(InadmissibleWordError):
             eo.make_cycle(golden, (1, 1))
+
+    def test_cycle_is_slotted(self, full2):
+        """A Cycle holds its word in a slot, with no per-instance __dict__
+        (a cycle walk can return millions of them): it still pickles and
+        copies to an equal value, and hashes as the tuple of its fields."""
+        c = eo.make_cycle(full2, (1, 0, 1))
+        assert not hasattr(c, "__dict__")
+        for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert other == c and hash(other) == hash(c)
+        assert hash(c) == hash(((0, 1, 1),))
 
     def test_windows_wrap_around(self, full2):
         c = eo.make_cycle(full2, (0, 1))
