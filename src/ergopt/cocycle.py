@@ -528,7 +528,7 @@ def _step_rows(index: _WordIndex, letters: np.ndarray) -> np.ndarray:
     k = index.space.k
     if letters.min() < 0 or letters.max() >= k:
         raise InadmissibleWordError(f"letters outside the alphabet of size {k}")
-    ok = index.allowed[letters[..., :-1], letters[..., 1:]]
+    ok = index.space._relation[letters[..., :-1], letters[..., 1:]]
     if not ok.all():
         *at, j = np.unravel_index(ok.argmin(), ok.shape)
         pair = letters[tuple(at)][j:j + 2].tolist()

@@ -43,28 +43,27 @@ class BlockSchedule:
             raise ValidationError("block lengths must be strictly increasing")
 
     @cached_property
-    def _layout(self) -> tuple[tuple[Word, int, Word, int], ...]:
-        """Per block: its cycle's word, the repeats of it, the connector
-        interior that follows (none after the last block), and the 1-based
-        step index at which the block ends, before that connector."""
-        layout, pos = [], 0
+    def _layout(self) -> tuple[tuple[Word, Word, int, int], ...]:
+        """Per block: the connector interior before it (none before the
+        first), its cycle's word, its copies, and the 1-based step at which
+        the block ends."""
+        layout, end = [], 0
         for j, L in enumerate(self.lengths):
+            glue = self.connectors[1 - j % 2][1:-1] if j else ()
             word = self.cycles[j % 2].word
-            reps = -(-L // len(word))
-            conn = self.connectors[j % 2][1:-1] if j + 1 < len(self.lengths) else ()
-            layout.append((word, reps, conn, pos + reps * len(word)))
-            pos = layout[-1][3] + len(conn)
+            copies = -(-L // len(word))
+            end += len(glue) + copies * len(word)
+            layout.append((glue, word, copies, end))
         return tuple(layout)
 
     def symbols(self) -> Iterator[int]:
-        for word, reps, conn, _ in self._layout:
-            for _ in range(reps):
+        for glue, word, copies, _ in self._layout:
+            yield from glue
+            for _ in range(copies):
                 yield from word
-            yield from conn
 
     def block_end_indices(self) -> list[int]:
-        """1-based step indices at which each block ends, before the
-        connector that follows it."""
+        """The 1-based step at which each block ends, before the next glue."""
         return [end for *_, end in self._layout]
 
     @property
@@ -109,18 +108,23 @@ def build_irregular_point(
     )
 
 
-def _symbols(x, count: int) -> np.ndarray:
-    """The first `count` symbols of x, a (preamble, Cycle) point or a
-    BlockSchedule padded with its last block's cycle, one np.tile per block."""
+def _layout(x) -> tuple[tuple[Word, Word, int, int], ...]:
+    """The blocks of x: a BlockSchedule's, or a (preamble, Cycle) point's
+    one, the preamble as glue.  Past its last block x repeats its word."""
     if isinstance(x, BlockSchedule):
-        pieces, tail = [], x._layout[-1][0]
-        for word, reps, conn, end in x._layout:
-            pieces += [np.tile(word, min(reps, count // len(word) + 1)), conn]
-            if end >= count:
-                break
-    else:
-        pieces, tail = [x[0]], x[1].word
-    pieces.append(np.tile(tail, max(0, count - sum(map(len, pieces))) // len(tail) + 1))
+        return x._layout
+    preamble, cycle = x
+    return ((tuple(preamble), cycle.word, 1, len(preamble) + cycle.period),)
+
+
+def _symbols(x, count: int) -> np.ndarray:
+    """The first `count` symbols of x, one np.tile per block (`_layout`)."""
+    pieces = []
+    for glue, word, copies, end in _layout(x):
+        pieces += [glue, np.tile(word, min(copies, count // len(word) + 1))]
+        if end >= count:
+            break
+    pieces.append(np.tile(word, max(0, count - end) // len(word) + 1))  # past the last block
     return np.concatenate([np.asarray(p, dtype=np.intp) for p in pieces])[:count]
 
 
@@ -159,15 +163,12 @@ def _runs(x, rows: np.ndarray) -> list[tuple[int, int, int]]:
     """The steps of x as pieces (start, stop, p), each copies of a word of
     p <= _SCAN_ROWS steps: runs of at least two copies, and between them
     single copies (stop - start == p) of at most _SCAN_ROWS steps.  A run
-    is read off x, a block's repeats (the last block's continued by the
-    padding) or a (preamble, Cycle) point's cycle, and its extent is
-    confirmed on the step rows as rows[t] == rows[t - p], so the windows of
-    memory m >= 2 that straddle its end fall between runs."""
+    is read off a block of x (`_layout`), the last one continued past its
+    end, and its extent is confirmed on the step rows as rows[t] ==
+    rows[t - p], so the windows of memory m >= 2 that straddle its end
+    fall between runs."""
     N = len(rows)
-    if isinstance(x, BlockSchedule):
-        words = [(end - reps * len(word), len(word)) for word, reps, _, end in x._layout]
-    else:
-        words = [(len(x[0]), len(x[1].word))]
+    words = [(end - copies * len(word), len(word)) for _, word, copies, end in _layout(x)]
 
     def singles(lo, hi):  # the steps lo .. hi as single copies
         return [(a, min(a + _SCAN_ROWS, hi), min(_SCAN_ROWS, hi - a))

@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .cocycle import (MatrixCocycle, Scalar, ScalarPotential, _by_end, _check_space, _grow,
                       _op_norms, cocycle_log_product)
 from .errors import BudgetExceededError, EmptySetError, ShapeMismatchError, ValidationError
+from .irregular import _symbols
 from .optimize import cycle_exponent
 from .shift import Cycle, ShiftSpace, Word, _word_counts, admissible_words
 
@@ -27,22 +27,31 @@ _ROW_TOL = 1e-12
 _FIX_TOL = 1e-10
 
 
+class _OrbitMeasure:
+    """(1/n) sum of point masses along the first n shifts of the point
+    preamble * cycle^infinity, whose letters `irregular._symbols` reads."""
+
+    def cylinder_mass(self, w: Sequence[int]) -> Fraction:
+        letters = _symbols((self.preamble, self.cycle), self.n + len(w) - 1)
+        windows = np.lib.stride_tricks.sliding_window_view(letters, len(w))
+        return Fraction(int((windows == np.asarray(w)).all(axis=1).sum()), self.n)
+
+    def integrate(self, g: ScalarPotential) -> Scalar:
+        return g.birkhoff_sum(_symbols((self.preamble, self.cycle), self.n + g.memory - 1)) / self.n
+
+
 @dataclass(frozen=True)
-class PeriodicMeasure:
-    """Uniform empirical measure on a periodic orbit."""
+class PeriodicMeasure(_OrbitMeasure):
+    """Uniform empirical measure on a periodic orbit: the orbit average of
+    the point with no preamble over one period."""
 
     space: ShiftSpace
     cycle: Cycle
+    preamble = ()
 
-    def cylinder_mass(self, w: Sequence[int]) -> Fraction:
-        p = self.cycle.period
-        hits = sum(1 for i in range(p) if self.cycle.window(i, len(w)) == tuple(w))
-        return Fraction(hits, p)
-
-    def integrate(self, g: ScalarPotential) -> Scalar:
-        p = self.cycle.period
-        total = sum(g.value(w) for w in self.cycle.windows(g.memory))
-        return Fraction(total) / p if isinstance(total, Rational) else total / p
+    @property
+    def n(self) -> int:
+        return self.cycle.period
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,22 @@ class MarkovMeasure:
         pi = np.array(self.stationary)
         if P.shape != (k, k) or pi.shape != (k,):
             raise ShapeMismatchError("Markov data must match the alphabet size")
+        _check_masses(P, "stochastic")
+        _check_masses(pi, "stationary")
+        if not abs(pi.sum() - 1.0) <= _ROW_TOL:
+            raise ValidationError("stationary masses must sum to 1")
         if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _ROW_TOL:
             raise ValidationError("stochastic rows must sum to 1")
         if not np.max(np.abs(pi @ P - pi)) <= _FIX_TOL:
             raise ValidationError("stationary vector is not a left fixed point")
-        bad = np.argwhere((P > 0) & ~np.array(self.space.allowed))
+        bad = np.argwhere((P > 0) & ~self.space._relation)
         if len(bad):
             raise ValidationError(f"transition {bad[0][0]}->{bad[0][1]} is not admissible")
 
     def cylinder_mass(self, w: Sequence[int]) -> float:
         if not self.space.is_admissible(w):
             return 0.0
-        mass = self.stationary[w[0]]
+        mass = self.stationary[w[0]] if len(w) else 1.0
         for a, b in zip(w, w[1:]):
             mass *= self.stochastic[a][b]
         return float(mass)
@@ -82,8 +95,17 @@ class MarkovMeasure:
         ))
 
 
+def _check_masses(x: np.ndarray, what: str) -> None:
+    """Refuse entries that are not finite or lie below -_ROW_TOL; none is
+    clipped, so rounding inside the tolerance stays as it is."""
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{what} entries must be finite")
+    if (x < -_ROW_TOL).any():
+        raise ValidationError(f"{what} entries must be nonnegative")
+
+
 @dataclass(frozen=True)
-class OrbitAverageMeasure:
+class OrbitAverageMeasure(_OrbitMeasure):
     """(1/n) sum of point masses along the first n shifts of an eventually
     periodic point preamble * cycle^infinity."""
 
@@ -98,19 +120,6 @@ class OrbitAverageMeasure:
         full = self.preamble + self.cycle.word
         if self.preamble and not self.space.is_admissible(full):
             raise ValidationError("preamble does not splice admissibly into the cycle")
-
-    def _window(self, start: int, length: int) -> Word:
-        pre, c = self.preamble, self.cycle
-        return tuple(pre[j] if j < len(pre) else c.word[(j - len(pre)) % c.period]
-                     for j in range(start, start + length))
-
-    def cylinder_mass(self, w: Sequence[int]) -> Fraction:
-        hits = sum(1 for i in range(self.n) if self._window(i, len(w)) == tuple(w))
-        return Fraction(hits, self.n)
-
-    def integrate(self, g: ScalarPotential) -> Scalar:
-        total = sum(g.value(self._window(i, g.memory)) for i in range(self.n))
-        return Fraction(total) / self.n if isinstance(total, Rational) else total / self.n
 
 
 MeasureSpec = PeriodicMeasure | MarkovMeasure | OrbitAverageMeasure
@@ -128,6 +137,7 @@ def markov_measure(
     P = np.array(stochastic, dtype=float)
     if P.shape != (space.k, space.k):
         raise ShapeMismatchError("Markov data must match the alphabet size")
+    _check_masses(P, "stochastic")
     if stationary is None:
         stationary = _stationary_vector(P)
     return MarkovMeasure(

@@ -145,6 +145,10 @@ def parse_system(spec: dict) -> ShiftSpace:
         return new_shift(k)
     if not (isinstance(trans, list) and all(isinstance(row, list) for row in trans)):
         raise ParseError("transitions must be 'full' or an array of arrays")
+    for a, row in enumerate(trans):
+        for b, x in enumerate(row):
+            if not isinstance(x, bool):
+                raise ParseError(f"transition entry [{a}][{b}] must be true or false, got {x!r:.40}")
     return new_shift(k, trans)
 
 

@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._graph import strongly_connected_components
 from .errors import (
     BudgetExceededError,
     EmptyAlphabetError,
@@ -77,6 +78,13 @@ class ShiftSpace:
         """The letters that may follow each letter, ascending; built once."""
         return tuple(tuple(compress(range(self.k), row)) for row in self.allowed)
 
+    @cached_property
+    def _relation(self) -> np.ndarray:
+        """The relation as a read-only (k, k) bool array; built once."""
+        relation = np.array(self.allowed, dtype=bool)
+        relation.flags.writeable = False
+        return relation
+
 
 def point_distance(x: Sequence[int], y: Sequence[int]) -> float:
     """2^(-i) where i is the first index of disagreement of the two prefixes.
@@ -97,19 +105,16 @@ def new_shift(k: int, allowed: Sequence[Sequence[bool]] | None = None) -> ShiftS
             raise NoCycleError(f"transition relation must be {k}x{k}")
         rows = tuple(tuple(bool(b) for b in r) for r in allowed)
     space = ShiftSpace(k, rows)
-    bad = [a for a in range(k) if not _on_cycle(space, a)]
+    # a letter lies on a cycle when it has a self-loop or shares its
+    # strongly connected component with another letter
+    on_cycle = space._relation.diagonal()
+    if not on_cycle.all():
+        comp = strongly_connected_components(k, *space._relation.nonzero())
+        on_cycle = on_cycle | (np.bincount(comp)[comp] > 1)
+    bad = np.flatnonzero(~on_cycle).tolist()
     if bad:
         raise NoCycleError(f"letters {bad} lie on no admissible cycle")
     return space
-
-
-def _on_cycle(space: ShiftSpace, a: int) -> bool:
-    """Whether some path a -> a of length >= 1 exists."""
-    try:
-        connect(space, a, a)
-    except UnreachableError:
-        return False
-    return True
 
 
 def admissible_words(space: ShiftSpace, n: int) -> list[Word]:
@@ -145,7 +150,6 @@ class _WordIndex:
 
     space: ShiftSpace
     memory: int
-    allowed: np.ndarray  # (k, k): the space's admissible 2-words
     words: tuple[Word, ...]
     row_of: dict[Word, int]
     powers: np.ndarray  # k^(m-1), ..., k, 1: `windows @ powers` codes words
@@ -158,7 +162,7 @@ class _WordIndex:
     edge_list: tuple[tuple[int, int, int], ...]  # (head, tail, row) per edge, as Python ints
 
     def __post_init__(self):
-        for value in (self.allowed, self.powers, self.codes, self.heads, self.tails, self.rows):
+        for value in (self.powers, self.codes, self.heads, self.tails, self.rows):
             value.flags.writeable = False
 
 
@@ -174,7 +178,7 @@ def _word_index(space: ShiftSpace, memory: int) -> _WordIndex:
                    for e in admissible_words(space, s + 1))
     powers = np.array([k**i for i in reversed(range(memory))],
                       dtype=np.int64 if k**memory < 2**63 else object)
-    return _WordIndex(space, memory, np.array(space.allowed), tuple(words), row_of, powers,
+    return _WordIndex(space, memory, tuple(words), row_of, powers,
                       np.array(words) @ powers, tuple(nodes),
                       *np.array(edges, dtype=np.intp).reshape(-1, 3).T, tuple(edges))
 
@@ -243,14 +247,15 @@ def enumerate_cycles(space: ShiftSpace, p_max: int) -> list[Cycle]:
         raise ValidationError("p_max must be >= 1")
     k = space.k
     # the largest letter each letter reaches: walk back from each, largest first
-    preds, top = [list(compress(range(k), col)) for col in zip(*space.allowed)], [-1] * k
+    allowed, top = space._relation, [-1] * k
+    preds = [np.flatnonzero(col).tolist() for col in allowed.T]
     for b in reversed(range(k)):
         todo = preds[b][:]
         while todo:
             if top[u := todo.pop()] < 0:
                 top[u] = b
                 todo += preds[u]
-    allowed, top = np.array(space.allowed), np.array(top)
+    top = np.array(top)
     # above[a, l] counts the successors of a from l up; row a of succ ends
     # with them, ascending
     above = allowed[:, ::-1].cumsum(axis=1)[:, ::-1]

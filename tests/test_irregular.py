@@ -342,7 +342,7 @@ class TestFiniteTimeExponents:
         # a run starts with its block and keeps on while the rows repeat:
         # past the block's last window inside it, which may reach into a
         # connector that continues the word; the last block's run goes to N
-        blocks = {end - reps * len(word): (end - 2, len(word)) for word, reps, _, end in x._layout}
+        blocks = {end - copies * len(word): (end - 2, len(word)) for _, word, copies, end in x._layout}
         for a, b, p in runs:
             assert blocks[a][1] == p and b >= blocks[a][0]
             assert b == N or rows[b] != rows[b - p]

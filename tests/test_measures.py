@@ -56,6 +56,10 @@ class TestMarkovMeasure:
             # positive mass on the forbidden word 11
             eo.markov_measure(golden, [[0.5, 0.5], [0.5, 0.5]])
 
+    def test_empty_word_has_mass_one(self, golden):
+        mu = eo.markov_measure(golden, [[0.6, 0.4], [1.0, 0.0]])
+        assert mu.cylinder_mass(()) == 1.0
+
     def test_mass_sums_to_one_on_each_level(self, golden):
         mu = eo.markov_measure(golden, [[0.6, 0.4], [1.0, 0.0]])
         for n in range(1, 7):
@@ -92,6 +96,82 @@ class TestCesaroPush:
     def test_bad_preamble_rejected(self, golden):
         with pytest.raises(ValidationError):
             eo.cesaro_push(golden, (1, 1), eo.make_cycle(golden, (0,)), 3)
+
+
+def window_mass(preamble, word, n, w):
+    """Oracle: the share of the first n shifts of preamble * word^infinity
+    whose first len(w) letters are w, each window read letter by letter."""
+    def letter(j):
+        return preamble[j] if j < len(preamble) else word[(j - len(preamble)) % len(word)]
+    hits = sum(1 for i in range(n) if tuple(letter(j) for j in range(i, i + len(w))) == tuple(w))
+    return Fraction(hits, n)
+
+
+def window_average(preamble, word, n, g):
+    """Oracle: the values of g on the first n windows, summed one by one in
+    order, over n: a Fraction for a rational g, else a float."""
+    def letter(j):
+        return preamble[j] if j < len(preamble) else word[(j - len(preamble)) % len(word)]
+    total = sum(g.value(tuple(letter(j) for j in range(i, i + g.memory))) for i in range(n))
+    return Fraction(total) / n if g.is_rational else total / n
+
+
+ORBIT_SPACES = {
+    "full2": (eo.new_shift(2), [(0,), (0, 1), (0, 1, 1), (0, 0, 1, 1, 1)], [(1, 1, 0), (1,)]),
+    "golden": (eo.new_shift(2, [[True, True], [True, False]]),
+               [(0,), (0, 1), (0, 0, 1)], [(1, 0, 1), (0, 1, 0, 1, 0, 0, 0)]),
+    "sft3": (eo.new_shift(3, [[False, True, True], [True, False, True], [True, True, False]]),
+             [(0, 1), (0, 1, 2), (0, 2, 1, 2)], [(2, 1, 2, 1), (1, 0, 2)]),
+}
+
+
+class TestOrbitMeasuresAgainstWindows:
+    """Both orbit measures read the letters of one point: masses and
+    integrals match a letter-by-letter reading of its windows."""
+
+    @pytest.mark.parametrize("name", ORBIT_SPACES)
+    def test_cylinder_masses(self, name):
+        space, cycles, preambles = ORBIT_SPACES[name]
+        words = [()] + [w for n in range(1, 5) for w in eo.admissible_words(space, n)]
+        for word in cycles:
+            c = eo.make_cycle(space, word)
+            mu = eo.periodic_measure(space, c)
+            for w in words:
+                got = mu.cylinder_mass(w)
+                assert isinstance(got, Fraction) and got == window_mass((), c.word, c.period, w)
+            p = c.period
+            for pre in [()] + [q for q in preambles if space.is_admissible(q + c.word)]:
+                for n in sorted({1, max(1, p - 1), p, p + 1, 3 * p + 2, len(pre) + 5}):
+                    nu = eo.cesaro_push(space, pre, c, n)
+                    for w in words:
+                        got = nu.cylinder_mass(w)
+                        assert isinstance(got, Fraction)
+                        assert got == window_mass(pre, c.word, n, w), (pre, c, n, w)
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    @pytest.mark.parametrize("name", ORBIT_SPACES)
+    def test_integrals_keep_their_bits(self, name, memory):
+        """The same Fraction for a rational potential, and the same float,
+        bit for bit, for a float one: the window values summed in order."""
+        space, cycles, preambles = ORBIT_SPACES[name]
+        rng = np.random.default_rng(memory)
+        words = eo.admissible_words(space, memory)
+        potentials = [
+            eo.ScalarPotential(space, memory, {w: Fraction(int(rng.integers(-50, 50)), 7)
+                                               for w in words}),
+            eo.ScalarPotential(space, memory, {w: float(rng.normal()) * 10.0 ** rng.integers(-3, 4)
+                                               for w in words})]
+        for g in potentials:
+            for word in cycles:
+                c = eo.make_cycle(space, word)
+                got = eo.integrate(eo.periodic_measure(space, c), g)
+                want = window_average((), c.word, c.period, g)
+                assert type(got) is type(want) and got == want
+                for pre in [()] + [q for q in preambles if space.is_admissible(q + c.word)]:
+                    for n in (1, c.period + 1, 3 * c.period + 2, 50):
+                        got = eo.integrate(eo.cesaro_push(space, pre, c, n), g)
+                        want = window_average(pre, c.word, n, g)
+                        assert type(got) is type(want) and got == want, (pre, c, n)
 
 
 class TestExponentOfMeasure:

@@ -40,6 +40,7 @@ FULL3 = eo.new_shift(3)
 # renormalised product underflows to [[0, 1], [0, 0]]; diag(1e200, 1e-200)
 # renormalises to a singular matrix
 BIG = {"0": [[0, 1e120], [1e-120, 0]], "1": [[1e120, 0], [0, 1e-120]]}
+PAIR_JSON = {"0": [[1, 1], [0, 1]], "1": [[1, 0], [1, 1]]}
 SPREAD = [[1e100, 0], [0, 1e-100]]
 DOUBLING = eo.MatrixCocycle(FULL2, 2, 1, {(0,): np.diag([2.0, 1.0]), (1,): EYE})
 # a rational past float64, and two memory-64 words: a table far smaller
@@ -160,6 +161,38 @@ CASES = {
         lambda: eo.MarkovMeasure(GOLDEN, ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5)), ValidationError),
     "markov_measure_shape": (
         lambda: eo.markov_measure(FULL2, [[1.0, 0.0]]), ShapeMismatchError),
+    # data that is not a probability measure, refused before any solve:
+    # negative rows summing to 1, stationary masses summing to 2 or to 0
+    "markov_measure_negative": (
+        lambda: eo.markov_measure(FULL2, [[1.5, -0.5], [1.5, -0.5]]), ValidationError,
+        "stochastic entries must be nonnegative"),
+    "markov_measure_nan": (
+        lambda: eo.markov_measure(FULL2, [[math.nan, 1.0], [0.5, 0.5]]), ValidationError,
+        "stochastic entries must be finite"),
+    "markov_measure_inf": (
+        lambda: eo.markov_measure(FULL2, [[math.inf, 1.0], [0.5, 0.5]]), ValidationError,
+        "stochastic entries must be finite"),
+    "markov_stationary_sums_to_2": (
+        lambda: eo.markov_measure(FULL2, [[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0]), ValidationError,
+        "stationary masses must sum to 1"),
+    "markov_stationary_zero": (
+        lambda: eo.markov_measure(FULL2, [[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0]), ValidationError,
+        "stationary masses must sum to 1"),
+    "markov_stationary_negative": (
+        lambda: eo.MarkovMeasure(FULL2, ((1.0, 0.0), (0.0, 1.0)), (1.5, -0.5)), ValidationError,
+        "stationary entries must be nonnegative"),
+    "markov_stationary_nan": (
+        lambda: eo.MarkovMeasure(FULL2, ((0.5, 0.5), (0.5, 0.5)), (math.nan, 0.5)),
+        ValidationError, "stationary entries must be finite"),
+    "measure_config_negative_stochastic": (
+        lambda: report.run_config(matrix_config(
+            "measure", {"measures": [{"stochastic": [[1.5, -0.5], [1.5, -0.5]]}]}, PAIR_JSON)),
+        ValidationError, "nonnegative"),
+    "measure_config_zero_stationary": (
+        lambda: report.run_config(matrix_config(
+            "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]],
+                                      "stationary": [0, 0]}]}, PAIR_JSON)),
+        ValidationError, "sum to 1"),
     "orbit_average_n_0": (lambda: eo.cesaro_push(FULL2, (), FIXED, 0), ValidationError),
     "orbit_average_preamble": (
         lambda: eo.cesaro_push(RING3, (0,), eo.make_cycle(RING3, (0, 1, 2)), 4), ValidationError),
@@ -208,6 +241,18 @@ CASES = {
     # report.py
     "parse_system_transitions": (
         lambda: report.parse_system({"alphabet": 2, "transitions": [1, 2]}), ParseError),
+    # a string "false" used to be read as true by bool()
+    "parse_system_string_entry": (
+        lambda: report.parse_system({"alphabet": 2, "transitions": [[True, True], [True, "false"]]}),
+        ParseError, r"transition entry \[1\]\[1\] must be true or false, got 'false'"),
+    "parse_system_number_entry": (
+        lambda: report.parse_system({"alphabet": 2, "transitions": [[1, 1], [1, 0]]}),
+        ParseError, r"transition entry \[0\]\[0\]"),
+    "birkhoff_config_string_transition": (
+        lambda: report.run_config({
+            "system": {"alphabet": 2, "transitions": [[True, True], [True, "false"]]},
+            "experiment": "birkhoff", "potential": {"memory": 1, "values": {"0": 0, "1": 1}}}),
+        ParseError, "got 'false'"),
     "parse_scalar_list": (lambda: report._parse_scalar([1]), ParseError),
     "require_missing": (lambda: report._require({"alphabet": 2}, "transitions"), ValidationError),
     "parse_measure_neither": (lambda: report.parse_measure(FULL2, {}), ValidationError),

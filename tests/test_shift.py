@@ -79,6 +79,58 @@ class TestConstruction:
         with pytest.raises(NoCycleError):
             eo.new_shift(2, [[False, True], [False, True]])
 
+    def test_letters_off_every_cycle_match_a_walk_from_each(self):
+        """new_shift refuses exactly the letters from which no walk of one
+        or more steps returns, found here by a walk from each letter, and
+        names them all.  Random relations on up to 7 letters, some with
+        self-loops, and two cycles joined one way by a transient letter."""
+        def off_cycle(allowed):
+            k, bad = len(allowed), []
+            for a in range(k):
+                seen, todo = set(), [b for b in range(k) if allowed[a][b]]
+                while todo:
+                    if (u := todo.pop()) not in seen:
+                        seen.add(u)
+                        todo += [b for b in range(k) if allowed[u][b]]
+                bad += [a] * (a not in seen)
+            return bad
+
+        rng = np.random.default_rng(5)
+        # the fixed point 0 and the cycle 23, joined by the transient letter 1
+        relations = [[[True, True, False, False], [False, False, True, False],
+                      [False, False, False, True], [False, False, True, False]]]
+        for trial in range(300):
+            k = int(rng.integers(1, 8))
+            allowed = rng.random((k, k)) < rng.uniform(0.05, 0.5)
+            if trial % 3:
+                np.fill_diagonal(allowed, False)
+            relations.append(allowed.tolist())
+        for allowed in relations:
+            bad = off_cycle(allowed)
+            if bad:
+                with pytest.raises(NoCycleError, match=rf"^letters \[{', '.join(map(str, bad))}\] "):
+                    eo.new_shift(len(allowed), allowed)
+            else:
+                assert eo.new_shift(len(allowed), allowed).allowed == tuple(map(tuple, allowed))
+        assert off_cycle(relations[0]) == [1]
+        assert 50 < sum(map(bool, map(off_cycle, relations))) < 250
+
+    def test_long_upper_triangular_shift(self):
+        """On 512 letters, a < b plus the back edge 511 -> 0 puts every
+        letter on a cycle; the back edge 511 -> 1 leaves 0 on none."""
+        k = 512
+        upper = np.triu(np.ones((k, k), dtype=bool), 1)
+        upper[k - 1, 0] = True
+        assert eo.new_shift(k, upper.tolist()).k == k
+        upper[k - 1, 0], upper[k - 1, 1] = False, True
+        with pytest.raises(NoCycleError, match=r"^letters \[0\] "):
+            eo.new_shift(k, upper.tolist())
+
+    def test_relation_array_is_cached_and_read_only(self, golden):
+        relation = golden._relation
+        assert relation is golden._relation and not relation.flags.writeable
+        assert relation.tolist() == [list(row) for row in golden.allowed]
+
     def test_empty_word_always_admissible(self, golden):
         assert golden.is_admissible(())
 
