@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +34,20 @@ class _OrbitMeasure:
     preamble * cycle^infinity, whose letters `irregular._symbols` reads."""
 
     def cylinder_mass(self, w: Sequence[int]) -> Fraction:
-        letters = _symbols((self.preamble, self.cycle), self.n + len(w) - 1)
-        windows = np.lib.stride_tricks.sliding_window_view(letters, len(w))
-        return Fraction(int((windows == np.asarray(w)).all(axis=1).sum()), self.n)
+        return Fraction(_window_counts(self.preamble, self.cycle, self.n, len(w))[tuple(w)], self.n)
 
     def integrate(self, g: ScalarPotential) -> Scalar:
         return g.birkhoff_sum(_symbols((self.preamble, self.cycle), self.n + g.memory - 1)) / self.n
+
+
+@lru_cache(maxsize=256)
+def _window_counts(preamble: Word, cycle: Cycle, n: int, length: int) -> Counter:
+    """How many of the first n shifts of preamble * cycle^infinity start
+    with each word of `length` letters, counted once for all the cylinders
+    of that length; row by row, so the memory grows with the distinct words."""
+    letters = _symbols((preamble, cycle), n + length - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(letters, length)
+    return Counter(tuple(row.tolist()) for row in windows)
 
 
 @dataclass(frozen=True)

@@ -102,15 +102,16 @@ def bracket_num(lo: float, hi: float) -> dict:
 
 _ABSENT = object()
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "an array",
-          dict: "an object"}
+          dict: "an object", bool: "true or false"}
 
 
 def _typed(value, kind: type, what: str):
     """value, which must be of `kind` (int: an integer; float: a finite
-    number, returned as a float; a bool is neither), else a ParseError."""
+    number, returned as a float; bool: true or false, which is neither of
+    the other two), else a ParseError."""
     if kind is float and type(value) is int:
         value = float(value) if abs(value) < 1e308 else math.inf
-    if (isinstance(value, bool) or not isinstance(value, kind)
+    if ((isinstance(value, bool) and kind is not bool) or not isinstance(value, kind)
             or (kind is float and not math.isfinite(value))):
         raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
     return value
@@ -145,11 +146,8 @@ def parse_system(spec: dict) -> ShiftSpace:
         return new_shift(k)
     if not (isinstance(trans, list) and all(isinstance(row, list) for row in trans)):
         raise ParseError("transitions must be 'full' or an array of arrays")
-    for a, row in enumerate(trans):
-        for b, x in enumerate(row):
-            if not isinstance(x, bool):
-                raise ParseError(f"transition entry [{a}][{b}] must be true or false, got {x!r:.40}")
-    return new_shift(k, trans)
+    return new_shift(k, [[_typed(x, bool, f"transition entry [{a}][{b}]") for b, x in enumerate(row)]
+                         for a, row in enumerate(trans)])
 
 
 def parse_potential(space: ShiftSpace, spec: dict) -> ScalarPotential:

@@ -173,6 +173,15 @@ class TestOrbitMeasuresAgainstWindows:
                         want = window_average(pre, c.word, n, g)
                         assert type(got) is type(want) and got == want, (pre, c, n)
 
+    def test_windows_of_one_length_are_counted_once(self, full2):
+        """A weak* distance asks for every cylinder of both measures; each
+        measure's windows are counted once per cylinder length."""
+        mus = [eo.periodic_measure(full2, eo.make_cycle(full2, w)) for w in [(0,), (0, 0, 1)]]
+        lengths = {len(w) for w in eo.TestBasis(full2).cylinders(1074)}
+        measures._window_counts.cache_clear()
+        eo.weakstar_distance(*mus, 1074)
+        assert measures._window_counts.cache_info().misses == 2 * len(lengths)
+
 
 class TestExponentOfMeasure:
     def test_periodic_exact(self, full2, fib_pair):
