@@ -66,29 +66,32 @@ class PeriodicMeasure(_OrbitMeasure):
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Stationary Markov measure compatible with the transition relation."""
+    """Stationary Markov measure compatible with the transition relation.
+    The stochastic matrix is checked before the stationary vector, which is
+    solved for when None; both are stored as tuples of floats."""
 
     space: ShiftSpace
     stochastic: tuple[tuple[float, ...], ...]
-    stationary: tuple[float, ...]
+    stationary: tuple[float, ...] | None = None
 
     def __post_init__(self):
         k = self.space.k
-        P = np.array(self.stochastic)
-        pi = np.array(self.stationary)
-        if P.shape != (k, k) or pi.shape != (k,):
-            raise ShapeMismatchError("Markov data must match the alphabet size")
-        _check_masses(P, "stochastic")
-        _check_masses(pi, "stationary")
-        if not abs(pi.sum() - 1.0) <= _ROW_TOL:
-            raise ValidationError("stationary masses must sum to 1")
+        P = np.array(self.stochastic, dtype=float)
+        _check_masses(P, (k, k), "stochastic")
         if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _ROW_TOL:
             raise ValidationError("stochastic rows must sum to 1")
-        if not np.max(np.abs(pi @ P - pi)) <= _FIX_TOL:
-            raise ValidationError("stationary vector is not a left fixed point")
         bad = np.argwhere((P > 0) & ~self.space._relation)
         if len(bad):
             raise ValidationError(f"transition {bad[0][0]}->{bad[0][1]} is not admissible")
+        pi = np.array(_stationary_vector(P) if self.stationary is None else self.stationary,
+                      dtype=float)
+        _check_masses(pi, (k,), "stationary")
+        if not abs(pi.sum() - 1.0) <= _ROW_TOL:
+            raise ValidationError("stationary masses must sum to 1")
+        if not np.max(np.abs(pi @ P - pi)) <= _FIX_TOL:
+            raise ValidationError("stationary vector is not a left fixed point")
+        object.__setattr__(self, "stochastic", tuple(map(tuple, P.tolist())))
+        object.__setattr__(self, "stationary", tuple(pi.tolist()))
 
     def cylinder_mass(self, w: Sequence[int]) -> float:
         if not self.space.is_admissible(w):
@@ -105,9 +108,12 @@ class MarkovMeasure:
         ))
 
 
-def _check_masses(x: np.ndarray, what: str) -> None:
-    """Refuse entries that are not finite or lie below -_ROW_TOL; none is
-    clipped, so rounding inside the tolerance stays as it is."""
+def _check_masses(x: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    """Refuse another shape than the alphabet's, and entries that are not
+    finite or lie below -_ROW_TOL; none is clipped, so rounding inside the
+    tolerance stays as it is."""
+    if x.shape != shape:
+        raise ShapeMismatchError("Markov data must match the alphabet size")
     if not np.isfinite(x).all():
         raise ValidationError(f"{what} entries must be finite")
     if (x < -_ROW_TOL).any():
@@ -144,17 +150,7 @@ def markov_measure(
     stochastic: Sequence[Sequence[float]],
     stationary: Sequence[float] | None = None,
 ) -> MarkovMeasure:
-    P = np.array(stochastic, dtype=float)
-    if P.shape != (space.k, space.k):
-        raise ShapeMismatchError("Markov data must match the alphabet size")
-    _check_masses(P, "stochastic")
-    if stationary is None:
-        stationary = _stationary_vector(P)
-    return MarkovMeasure(
-        space,
-        tuple(tuple(float(x) for x in row) for row in P),
-        tuple(float(x) for x in stationary),
-    )
+    return MarkovMeasure(space, stochastic, stationary)
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:

@@ -543,6 +543,7 @@ class OptReport:
 
     bracket: BetaBracket
     candidates: tuple[Cycle, ...]
+    exponents: tuple[float, ...]  # the candidates', in order
     unique_at_resolution: bool
     slack: float
 
@@ -566,6 +567,8 @@ def matrix_candidates(
     cycles, values = _cycle_exponents(space, A, p_max)
     bracket = (_additive_bracket(space, A) if A.is_additive
                else _matrix_bracket(space, A, cycles, values, n_max, p_max, gap_tol, budget))
-    cands = tuple(cycles[i] for i in np.flatnonzero(values >= bracket.lower - slack).tolist())
+    keep = np.flatnonzero(values >= bracket.lower - slack)
+    cands = tuple(cycles[i] for i in keep.tolist())
     unique = len(cands) == 1 and bracket.gap <= slack
-    return OptReport(bracket=bracket, candidates=cands, unique_at_resolution=unique, slack=slack)
+    return OptReport(bracket=bracket, candidates=cands, exponents=tuple(values[keep].tolist()),
+                     unique_at_resolution=unique, slack=slack)

@@ -229,18 +229,17 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
 
     A sample's lower end L_s = max_c of its cycle exponents lies within
     h = max |eta| of A's, so only the cycles within slack + 2h of A's lower
-    end can reach L_s - slack: A's own candidates at that slack.  The upper
-    ends come from the depth loop of A's own bracket (`_upper_ends`), one
-    shared search per depth, each sample's the least U_n it ran.  For
-    d = 1 both ends are the Karp maximum of the shifted potential, as in
-    `matrix_candidates`."""
+    end can reach L_s - slack: A's own candidates at that slack, whose
+    exponents its report holds.  The upper ends come from the depth loop of
+    A's own bracket (`_upper_ends`), one shared search per depth, each
+    sample's the least U_n it ran.  For d = 1 both ends are the Karp
+    maximum of the shifted potential, as in `matrix_candidates`."""
     index = _word_index(space, A.memory)
     # the margin covers the rounding of the eta-means
     wide = slack + 2.0 * float(np.abs(eta).max()) + 1e-9
     # A's upper end plays no part here, so its bracket stops at depth 1
-    cycles = matrix_candidates(space, A, n_max=1, p_max=p_max, slack=wide).candidates
-    exponents = np.array(cycle_exponent(A, cycles), dtype=float)
-    exponents = exponents + _means(eta, None, _cycle_rows(index, cycles))
+    report = matrix_candidates(space, A, n_max=1, p_max=p_max, slack=wide)
+    exponents = np.array(report.exponents) + _means(eta, None, _cycle_rows(index, report.candidates))
     if A.is_additive:
         w = A.additive_potential().row[index.rows]
         lowers = uppers = np.array([

@@ -66,7 +66,9 @@ EXPERIMENTS = ("beta", "birkhoff", "perturb", "probe", "lambda", "irregular",
 # value (de)serialization
 
 
-def _parse_scalar(x):
+def _parse_scalar(x, what: str):
+    """An exact "p/q" or decimal literal, or a JSON integer, as a Fraction;
+    any other value through `_typed` as a finite float."""
     if isinstance(x, str):
         try:
             if "/" in x:
@@ -74,22 +76,20 @@ def _parse_scalar(x):
                 return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {x!r}") from exc
-    if isinstance(x, bool):
-        raise ParseError("boolean is not a scalar")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and math.isfinite(x):
-        return x
-    raise ParseError(f"cannot parse scalar {x!r}")
+            raise ParseError(f"{what}: bad rational literal {x!r:.40}") from exc
+    return Fraction(x) if type(x) is int else _typed(x, float, what)
 
 
-def num(v, provenance: str | None = None) -> dict:
+def num(v) -> dict:
     """Wrap a numeric result with its provenance tag."""
     if isinstance(v, Rational) and not isinstance(v, float):
         f = Fraction(v)
-        return {"value": f"{f.numerator}/{f.denominator}", "provenance": "exact-rational"}
-    return {"value": float(v), "provenance": provenance or "float"}
+        try:
+            return {"value": f"{f.numerator}/{f.denominator}", "provenance": "exact-rational"}
+        except ValueError:  # past Python's limit on int-to-str digits
+            raise ValidationError("an exact result has more digits than Python "
+                                  "converts to a string") from None
+    return {"value": float(v), "provenance": "float"}
 
 
 def bracket_num(lo: float, hi: float) -> dict:
@@ -153,7 +153,8 @@ def parse_system(spec: dict) -> ShiftSpace:
 def parse_potential(space: ShiftSpace, spec: dict) -> ScalarPotential:
     memory = _require(spec, "memory", int)
     values = _require(spec, "values", dict)
-    table = {str_to_word(w): _parse_scalar(v) for w, v in values.items()}
+    table = {str_to_word(w): _parse_scalar(v, f"potential value {w!r}")
+             for w, v in values.items()}
     return ScalarPotential(space, memory, table)
 
 
@@ -244,7 +245,7 @@ def _exp_perturb(space, cfg, params):
     f = parse_potential(space, _require(cfg, "potential", dict))
     gamma = parse_potential(space, _require(params, "gamma", dict))
     if "eps" in params:
-        grid = [_parse_scalar(e) for e in _require(params, "eps", list)]
+        grid = [_parse_scalar(e, "eps entry") for e in _require(params, "eps", list)]
     else:
         pmax = _require(params, "eps_min_pow", int, 12)
         grid = [Fraction(1, 2**j) for j in range(1, pmax + 1)]
@@ -325,7 +326,7 @@ def _series_rows(series):
 
 
 def _exp_flatten(space, cfg, params):
-    values = [_parse_scalar(v) for v in _require(params, "values", list)]
+    values = [_parse_scalar(v, "flatten value") for v in _require(params, "values", list)]
     sys = identity_system(values)
     n = _require(params, "n", int)
     res = flatten_top(sys, n)

@@ -56,6 +56,34 @@ class TestMarkovMeasure:
             # positive mass on the forbidden word 11
             eo.markov_measure(golden, [[0.5, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("k, relation, P", [
+        (2, None, [[0.3, 0.7], [0.6, 0.4]]),
+        (3, None, [[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]),
+        (2, [[True, True], [True, False]], [[0.6, 0.4], [1.0, 0.0]]),
+    ], ids=["full2", "full3", "golden"])
+    def test_stationary_is_solved_when_absent(self, k, relation, P):
+        """Without a stationary vector `MarkovMeasure` is `markov_measure`,
+        and the vector it solves for is, bit for bit, the least-squares
+        solve of the float stochastic matrix, stored as Python floats."""
+        space = eo.new_shift(k, relation)
+        mu = eo.MarkovMeasure(space, P)
+        assert mu == eo.markov_measure(space, P)
+        assert mu.stochastic == tuple(map(tuple, P))
+        solved = measures._stationary_vector(np.array(P, dtype=float))
+        assert mu.stationary == tuple(float(x) for x in solved)
+        assert all(type(x) is float for x in mu.stationary)
+
+    def test_stochastic_is_checked_before_stationary(self, full2):
+        """Faults in both, each refused on its own: the stochastic matrix's
+        is named."""
+        bad_rows, bad_masses = ((0.5, 0.6), (0.5, 0.5)), (1.5, -0.5)
+        with pytest.raises(ValidationError, match="stationary entries must be nonnegative"):
+            eo.MarkovMeasure(full2, ((1.0, 0.0), (0.0, 1.0)), bad_masses)
+        with pytest.raises(ValidationError, match="stochastic rows must sum to 1"):
+            eo.MarkovMeasure(full2, bad_rows, (0.5, 0.5))
+        with pytest.raises(ValidationError, match="stochastic rows must sum to 1"):
+            eo.MarkovMeasure(full2, bad_rows, bad_masses)
+
     def test_empty_word_has_mass_one(self, golden):
         mu = eo.markov_measure(golden, [[0.6, 0.4], [1.0, 0.0]])
         assert mu.cylinder_mass(()) == 1.0

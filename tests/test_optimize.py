@@ -727,6 +727,21 @@ class TestCandidates:
         assert [c.word for c in rep.candidates] == [(0, 1)]
         assert rep.unique_at_resolution
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_report_holds_the_candidates_exponents(self, memory, d):
+        """A report's exponents are its candidates', in order, bit for bit
+        as `cycle_exponent` gives them, on random cocycles over random
+        3-letter SFTs."""
+        rng = np.random.default_rng(10 * memory + d)
+        for _ in range(4):
+            space = random_sft(rng, 3)
+            words = eo.admissible_words(space, memory)
+            A = eo.MatrixCocycle(space, d, memory, {w: rng.standard_normal((d, d)) for w in words})
+            rep = eo.matrix_candidates(space, A, n_max=2, p_max=5, slack=0.5)
+            assert len(rep.exponents) == len(rep.candidates) > 0
+            assert rep.exponents == tuple(eo.cycle_exponent(A, rep.candidates))
+
     def test_matches_exact_route_for_potentials(self, full2, step_potential):
         rep = eo.matrix_candidates(full2, eo.from_potential(step_potential),
                                    p_max=3)

@@ -193,6 +193,12 @@ CASES = {
             "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]],
                                       "stationary": [0, 0]}]}, PAIR_JSON)),
         ValidationError, "sum to 1"),
+    # used to exit 1 with numpy's TypeError, from a float() of each entry
+    "measure_config_nested_stationary": (
+        lambda: report.run_config(matrix_config(
+            "measure", {"measures": [{"stochastic": [[0.5, 0.5], [0.5, 0.5]],
+                                      "stationary": [[0.5, 0.5]]}]}, PAIR_JSON)),
+        ShapeMismatchError, "alphabet size"),
     "orbit_average_n_0": (lambda: eo.cesaro_push(FULL2, (), FIXED, 0), ValidationError),
     "orbit_average_preamble": (
         lambda: eo.cesaro_push(RING3, (0,), eo.make_cycle(RING3, (0, 1, 2)), 4), ValidationError),
@@ -253,7 +259,7 @@ CASES = {
             "system": {"alphabet": 2, "transitions": [[True, True], [True, "false"]]},
             "experiment": "birkhoff", "potential": {"memory": 1, "values": {"0": 0, "1": 1}}}),
         ParseError, "got 'false'"),
-    "parse_scalar_list": (lambda: report._parse_scalar([1]), ParseError),
+    "parse_scalar_list": (lambda: report._parse_scalar([1], "x"), ParseError),
     "require_missing": (lambda: report._require({"alphabet": 2}, "transitions"), ValidationError),
     "parse_measure_neither": (lambda: report.parse_measure(FULL2, {}), ValidationError),
     "parse_measure_not_object": (lambda: report.parse_measure(FULL2, "0"), ParseError),
@@ -314,6 +320,17 @@ CASES = {
     "birkhoff_mixed_table_past_float64": (
         lambda: report.run_config(potential_config("birkhoff", {}, {"0": HUGE, "1": 0.5})),
         ValidationError, "past the range of float64"),
+    # exact results whose denominator 2^15000 has more digits than Python
+    # converts to a string (4300 by default); they used to exit 1
+    "flatten_exact_past_str_digits": (
+        lambda: report.run_config({"system": {"alphabet": 2}, "experiment": "flatten",
+                                   "params": {"values": ["1", "1/2", 0], "n": 15000}}),
+        ValidationError, "more digits than Python converts"),
+    "perturb_exact_past_str_digits": (
+        lambda: report.run_config(potential_config(
+            "perturb", {"gamma": {"memory": 1, "values": {"0": 0, "1": 4}}, "eps_min_pow": 15000},
+            {"0": 1, "1": 0})),
+        ValidationError, "more digits than Python converts"),
     # refused on a count of the memory-words, before the word index is built
     "potential_two_words_at_memory_64": (
         lambda: eo.ScalarPotential(FULL2, 64, LONG), ValidationError, "cover exactly"),

@@ -30,18 +30,36 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 class TestParsing:
     def test_scalar_literals(self):
-        assert report._parse_scalar("3/4") == Fraction(3, 4)
-        assert report._parse_scalar(2) == Fraction(2)
-        assert report._parse_scalar(0.25) == 0.25
+        assert report._parse_scalar("3/4", "x") == Fraction(3, 4)
+        assert report._parse_scalar(2, "x") == Fraction(2)
+        assert report._parse_scalar(0.25, "x") == 0.25
         with pytest.raises(ParseError):
-            report._parse_scalar("1/0")
+            report._parse_scalar("1/0", "x")
         with pytest.raises(ParseError):
-            report._parse_scalar("abc")
+            report._parse_scalar("abc", "x")
 
     @pytest.mark.parametrize("x", [[1], None, True, math.inf, math.nan])
     def test_non_scalars_are_parse_errors(self, x):
         with pytest.raises(ParseError):
-            report._parse_scalar(x)
+            report._parse_scalar(x, "x")
+
+    @pytest.mark.parametrize("x, shown", [(True, "True"), (None, "None"), (math.nan, "nan")])
+    def test_config_scalars_go_through_the_typed_check(self, x, shown):
+        """A scalar that is neither a literal string nor an integer is read
+        as a finite number by `_typed`, whose message names the value: in a
+        potential, an eps grid and a flatten list alike."""
+        eps = {"gamma": STEP_POTENTIAL, "eps": [x]}
+        configs = [
+            ("birkhoff", {"memory": 1, "values": {"0": x, "1": "0"}}, {}, "potential value '0'"),
+            ("perturb", STEP_POTENTIAL, eps, "eps entry"),
+            ("flatten", STEP_POTENTIAL, {"values": ["1", x], "n": 2}, "flatten value"),
+        ]
+        for experiment, potential, params, what in configs:
+            # through JSON, where the NaN is the literal NaN
+            cfg = json.loads(json.dumps({"system": {"alphabet": 2}, "experiment": experiment,
+                                         "potential": potential, "params": params}))
+            with pytest.raises(ParseError, match=f"^{what} must be a finite number, got {shown}$"):
+                report.run_config(cfg)
 
     def test_typed_config_values(self):
         with pytest.raises(ValidationError):
