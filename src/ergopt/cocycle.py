@@ -286,6 +286,10 @@ class _StepTable:
     steps: np.ndarray  # (E, d, d): the effective step at each memory-word
     inverses: np.ndarray  # (E, d, d): their inverses
     norms: np.ndarray  # (E,): op norms of the steps
+    # depth k -> N_k, the largest log norm of an admissible k-step product, as
+    # the last `upper_bound` through depth k found it: NaN when its words
+    # passed the budget first
+    maxima: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for value in (self.steps, self.inverses, self.norms):
@@ -370,31 +374,37 @@ class _WordTree:
             self.levels[k - 1].extend(level, _TREE_ROWS - self.size)
         self.size += len(level.states)
 
-    def children(self, k: int, level: _Level, pos: np.ndarray) -> list[tuple[_Level, np.ndarray]]:
+    def children(self, k: int, level: _Level,
+                 pos: np.ndarray) -> list[tuple[_Level, np.ndarray, np.ndarray]]:
         """The children of the depth-k words of `level` at the ascending
-        positions `pos`, as (level, ascending positions in it) pairs.  A
-        level the tree holds gives the children it holds, after growing
-        into it those of the words no search expanded, while the tree has
-        room; the words left are grown into a level of their own, whose
-        parents are positions in `level` too.  That level comes last, so
-        a depth-first search pops it first and frees it soonest."""
+        positions `pos`, as (level, ascending positions in it, the index in
+        `pos` of each one's parent) triples.  A level the tree holds gives
+        the children it holds, after growing into it those of the words no
+        search expanded, while the tree has room; the words left are grown
+        into a level of their own, whose parents are positions in `level`
+        too.  That level comes last, so a depth-first search pops it first
+        and frees it soonest."""
         held = k <= len(self.levels) and self.levels[k - 1] is level
-        rest = pos[~level.expanded[pos]] if held else pos
+        rest = np.flatnonzero(~level.expanded[pos]) if held else np.arange(len(pos))
         out = []
         if len(rest):
-            rest = rest[np.argsort(level.states[rest], kind="stable")]
-            grown = _grow(self.table, level.states[rest], level.logscale[rest],
-                          level.P.take(rest, axis=0))
-            grown.parent = rest[grown.parent]
+            rest = rest[np.argsort(level.states[pos[rest]], kind="stable")]
+            words = pos[rest]
+            grown = _grow(self.table, level.states[words], level.logscale[words],
+                          level.P.take(words, axis=0))
+            parent = rest[grown.parent]
+            grown.parent = pos[parent]
             if held and self.size + len(grown.states) <= _TREE_ROWS:
                 self._hold(k + 1, grown)
-                level.expanded[rest] = True
+                level.expanded[words] = True
             else:
-                out.append((grown, np.arange(len(grown.states))))
+                out.append((grown, np.arange(len(grown.states)), parent))
         if held and len(self.levels) > k:
-            mark = np.zeros(len(level.states), dtype=bool)
-            mark[pos] = True
-            out.insert(0, (self.levels[k], mark[self.levels[k].parent].nonzero()[0]))
+            slot = np.full(len(level.states), -1)
+            slot[pos] = np.arange(len(pos))
+            parent = slot[self.levels[k].parent]
+            at = np.flatnonzero(parent >= 0)
+            out.insert(0, (self.levels[k], at, parent[at]))
         return out
 
 

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -76,16 +77,14 @@ class MarkovMeasure:
 
     def __post_init__(self):
         k = self.space.k
-        P = np.array(self.stochastic, dtype=float)
-        _check_masses(P, (k, k), "stochastic")
+        P = _masses(self.stochastic, (k, k), "stochastic")
         if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _ROW_TOL:
             raise ValidationError("stochastic rows must sum to 1")
         bad = np.argwhere((P > 0) & ~self.space._relation)
         if len(bad):
             raise ValidationError(f"transition {bad[0][0]}->{bad[0][1]} is not admissible")
-        pi = np.array(_stationary_vector(P) if self.stationary is None else self.stationary,
-                      dtype=float)
-        _check_masses(pi, (k,), "stationary")
+        pi = _masses(_stationary_vector(P) if self.stationary is None else self.stationary,
+                     (k,), "stationary")
         if not abs(pi.sum() - 1.0) <= _ROW_TOL:
             raise ValidationError("stationary masses must sum to 1")
         if not np.max(np.abs(pi @ P - pi)) <= _FIX_TOL:
@@ -108,16 +107,26 @@ class MarkovMeasure:
         ))
 
 
-def _check_masses(x: np.ndarray, shape: tuple[int, ...], what: str) -> None:
-    """Refuse another shape than the alphabet's, and entries that are not
-    finite or lie below -_ROW_TOL; none is clipped, so rounding inside the
-    tolerance stays as it is."""
-    if x.shape != shape:
+def _masses(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """x as a float array of the alphabet's shape.  Ragged nesting or
+    another shape is refused, and so are entries that are not real numbers
+    (a string, a boolean), not finite, or below -_ROW_TOL; none is clipped,
+    so rounding inside the tolerance stays as it is."""
+    try:
+        x = np.array(x, dtype=object)
+    except ValueError:  # nesting too ragged for even an object array
+        raise ShapeMismatchError("Markov data must match the alphabet size") from None
+    # a ragged array that numpy does stack holds sequences as entries
+    if x.shape != shape or any(np.ndim(v) for v in x.flat):
         raise ShapeMismatchError("Markov data must match the alphabet size")
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in x.flat):
+        raise ValidationError(f"{what} entries must be real numbers")
+    x = x.astype(float)
     if not np.isfinite(x).all():
         raise ValidationError(f"{what} entries must be finite")
     if (x < -_ROW_TOL).any():
         raise ValidationError(f"{what} entries must be nonnegative")
+    return x
 
 
 @dataclass(frozen=True)

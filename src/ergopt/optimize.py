@@ -293,26 +293,32 @@ def upper_bound(
 ) -> float:
     """U_n: exact max over admissible depth-n products of (1/n) log norm.
 
-    Depth-first branch-and-bound over the word tree of A's step table, in
-    blocks of at most _BLOCK_ROWS words.  The tree keeps the products that
-    earlier searches on A grew, up to a fixed number of words, so a run of
-    depths or hints on one cocycle forms each product once.  Each search
-    prunes with its own floor and counts its own words, and its value is
-    bit for bit that of a search on a new cocycle.  Pruning only discards
-    words whose submultiplicative upper bound lies below n * lower_hint
-    (less a rounding margin), a certified lower bound on the depth-n
-    maximum, so the returned maximum is exact and schedule-independent;
-    the default hint -inf prunes nothing.  A depth-k prefix is dropped
-    when its log Frobenius norm plus the look-ahead min((n - k) * max_step,
-    N_{n-k}) lies below that floor: ||A_w|| <= ||A_tail|| * ||A_prefix||_F,
-    and the tail is itself an admissible (n - k)-step path, whose log norm
-    is at most (n - k) times the largest one-step log norm max_step, and at
-    most N_{n-k}.
-    `maxima[j - 1]`, when given, must bound N_j, the largest log norm of an
-    admissible j-step product (j * U_j).  A NaN or +inf hint is refused,
-    and so is a search whose maximum ends below the floor: the hint or
-    `maxima` were no bounds.  `budget` caps the number of words (tree
-    nodes) visited over all depths.
+    One depth-first branch-and-bound (`_search`) serves the run of depths
+    a + 1, ..., n, a = min(len(maxima), n - 1), over the word tree of A's
+    step table, in blocks of at most _BLOCK_ROWS words.  The tree keeps
+    the products that earlier searches on A grew, up to a fixed number of
+    words, so the runs or hints on one cocycle form each product once.
+    Each search prunes with its own floors and counts its own words, and
+    its value is bit for bit that of a search on a new cocycle.  It leaves
+    the largest log norm N_m of each depth m of the run on the step table
+    (`_StepTable.maxima`, NaN for a depth over the budget), exact and
+    independent of the hint; this function never reads them.
+
+    Pruning only discards words whose submultiplicative upper bound lies
+    below m * lower_hint (less a rounding margin), a certified lower bound
+    on the depth-m maximum, so every maximum is exact and
+    schedule-independent; the default hint -inf prunes nothing.  A depth-k
+    prefix is dropped for depth m when its log Frobenius norm plus the
+    look-ahead T(m - k) lies below that floor: ||A_w|| <= ||A_tail|| *
+    ||A_prefix||_F, and the tail is itself an admissible (m - k)-step
+    path, whose log norm T bounds (`_floors`) from the largest one-step
+    log norm and the given maxima.  `maxima[j - 1]`, when given, must
+    bound N_j, the largest log norm of an admissible j-step product
+    (j * U_j).  A NaN or +inf hint is refused, and so is a search with a
+    depth whose maximum ends below its floor: the hint or `maxima` were no
+    bounds.  `budget` caps the number of words (tree nodes) the search of
+    each depth visits over all its depths; BudgetExceededError is raised
+    when depth n passes it.
     """
     _check_space(space, A)
     if n < 1:
@@ -320,94 +326,137 @@ def upper_bound(
     if math.isnan(lower_hint) or lower_hint == math.inf:
         raise ValidationError(f"lower_hint must be a lower bound, got {lower_hint}")
     table = A._step_table
-    floors = _floors(n, lower_hint, float(np.log(table.norms).max()), maxima[:n - 1]).tolist()
-    return _search(table, n, budget, floors) / n
+    lo = min(len(maxima), n - 1)
+    floors = _floors(lo, n, lower_hint, float(np.log(table.norms).max()), maxima[:lo])
+    tops = _search(table, lo, n, budget, floors).tolist()
+    table.maxima.update(zip(range(lo + 1, n + 1), tops))
+    if math.isnan(tops[-1]):
+        raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
+    return tops[-1] / n
 
 
-def _floors(n: int, lower, max_step, maxima) -> np.ndarray:
-    """floors[j], j < n: the depth-n floor n * lower, less a rounding margin
-    and less the largest log norm a j-step tail can add, min(j * max_step,
-    maxima[j - 1]).  Scalars give shape (n,); lower and max_step of shape
-    (S,) with maxima of shape (n - 1, S) give one column per sample."""
+def _floors(lo: int, n: int, lower, max_step, maxima) -> np.ndarray:
+    """floors[i, j], j < n: the floor of depth m = lo + 1 + i, m * lower
+    less a rounding margin, less T(j), the largest log norm a j-step tail
+    can add.  From maxima[j - 1] >= N_j, j <= lo,
+
+        T(j) = min(j * max_step, N_j for j <= lo,
+                   min_{i <= lo} (floor(j / i) * N_i + N_{j mod i}) for j > lo),
+
+    as a (j + i)-step path is a j-step path then an i-step one, and norms
+    are submultiplicative.  Scalars give shape (n - lo, n); lower and
+    max_step of shape (S,) with maxima of shape (lo, S) give one column
+    per sample, (n - lo, n, S)."""
     reach = np.multiply.outer(np.arange(n), max_step)
-    reach[1:len(maxima) + 1] = np.minimum(reach[1:len(maxima) + 1], maxima)
-    return n * lower - 1e-9 * n - reach
+    if lo:
+        reach[1:lo + 1] = np.minimum(reach[1:lo + 1], maxima)
+        N = np.concatenate([np.zeros_like(reach[:1]), maxima])  # N[j], N_0 = 0
+        j, i = np.arange(lo + 1, n)[:, None], np.arange(1, lo + 1)
+        q = (j // i).reshape((n - lo - 1, lo) + (1,) * (N.ndim - 1))
+        reach[lo + 1:] = np.minimum(reach[lo + 1:], (q * N[i] + N[j % i]).min(axis=1))
+    m = np.arange(lo + 1, n + 1).reshape((-1,) + (1,) * reach.ndim)
+    return m * lower - 1e-9 * m - reach
 
 
-def _search(table: _StepTable, n: int, budget: int, floors,
-            eta: np.ndarray | None = None) -> float | np.ndarray:
-    """The U_n search: the largest log norm of an admissible n-step product
-    of the step table, depth-first over blocks of at most _BLOCK_ROWS words
-    of its word tree.  A depth-k word is dropped when its log Frobenius
-    norm lies below floors[n - k] (`upper_bound` says when that is sound),
-    and a maximum below floors[0] is refused: the floors were no bounds.
-    `budget` caps the words visited over the whole search, whether they
-    were grown in it or read from the tree.
+def _search(table: _StepTable, lo: int, n: int, budget: int, floors: np.ndarray,
+            eta: np.ndarray | None = None) -> np.ndarray:
+    """The U_m searches of the depths m = lo + 1 ... n in one: the largest
+    log norm of an admissible m-step product of the step table for each,
+    NaN for a depth whose words passed the budget, depth-first over blocks
+    of at most _BLOCK_ROWS words of its word tree.
+
+    Each word carries a live mask, one column per depth, that says whose
+    search it lies in.  A depth-k word leaves the search of depth m > k
+    when its log Frobenius norm lies below floors[m - lo - 1, m - k]
+    (`upper_bound` says when that is sound), and a word no search keeps is
+    dropped.  The depth-m words live for m are scored with one `_op_norms`
+    call per block.  A maximum below floors[m - lo - 1, 0] is refused: the
+    floors were no bounds.  `budget` caps the words of each depth's own
+    search, whether they were grown in this pass or read from the tree: a
+    depth over it leaves the pass, and the others go on.  A run of one
+    depth is the search of that depth alone.
 
     Every block is ascending positions in one level, and every level
-    carries its words' bounds, so a block is pruned against this search's
+    carries its words' bounds, so a block is pruned against this pass's
     own floors whoever grew it.  The tree decides where the children of
     the kept words come from (`_WordTree.children`): those earlier searches
     grew, those grown into the tree, and past its cap those grown for this
-    search alone.  Every product comes from the same operations in the
-    same order, so the maximum does not depend on which searches ran
-    before.
+    pass alone.  Every product comes from the same operations in the same
+    order, so no maximum depends on which searches ran before.
 
-    `eta` (S, E) makes it one search for the cocycles e^{eta_s} A of its
-    rows s, returning their (S,) maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w,
-    so each word of a block carries the S eta-sums of its word, its
-    parent's sums plus the eta of its last step.  Sample s drops a word
-    below floors[n - k, s], and an eta-sum of -inf marks the words it
-    dropped, so that their extensions stay dropped for it.  A word stays
-    while any sample keeps it.  `budget` caps the words of each sample, as
-    in its own search.  A block holds at most _BLOCK_ROWS * d^2 // S words
-    (at least one), so that its S eta-sums per word take no more room than
-    a single search's block of d x d products.
+    `eta` (S, E) makes it one pass for the cocycles e^{eta_s} A of its
+    rows s, with one mask column per (depth, sample) and (n - lo, S)
+    maxima.  e^{eta_s} A_w = e^{eta_s . w} A_w, so each word of a block
+    carries the S eta-sums of its word, its parent's sums plus the eta of
+    its last step, and sample s drops a word for depth m below
+    floors[m - lo - 1, m - k, s].  A block holds at most
+    _BLOCK_ROWS * d^2 // S words (at least one), so that its S eta-sums per
+    word take no more room than a single search's block of d x d products.
     """
     tree = table.tree
     first = tree.levels[0]
+    depths = np.arange(lo + 1, n + 1)
+    # cut[k]: each depth's floor for a depth-k word, whose tail has m - k steps
+    cut = floors[np.arange(len(depths)), np.clip(depths - np.arange(n)[:, None], 0, n - 1)]
+    columns = floors.shape[:1] + floors.shape[2:]
+    best, count = np.full(columns, -math.inf), np.zeros(columns, int)
+    spent = np.zeros(columns + (1,), dtype=bool)
+    cut = cut[..., None]
     if eta is None:
-        sums, best, count = None, -math.inf, 0
+        sums, rows = None, _BLOCK_ROWS
     else:
-        sums = eta[:, first.step]
-        best, count = np.full(len(eta), -math.inf), np.zeros(len(eta), int)
-    rows = _BLOCK_ROWS if eta is None else max(1, _BLOCK_ROWS * table.steps[0].size // len(eta))
-    # blocks (depth, level, the block's ascending positions in it, eta-sums)
-    stack = [(1, first, np.arange(len(first.states)), sums)]
+        sums, rows = eta[:, first.step], max(1, _BLOCK_ROWS * table.steps[0].size // len(eta))
+    # blocks (depth, level, the block's ascending positions in it, live
+    # masks, eta-sums), the last axis of a mask or of the sums one per word
+    stack = [(1, first, np.arange(len(first.states)),
+              np.ones(columns + (len(first.states),), dtype=bool), sums)]
+    words = 0  # the words of every block, a bound on each depth's count
     while stack:
-        k, level, pos, sums = stack.pop()
-        count += len(pos) if sums is None else np.isfinite(sums).sum(axis=1)
-        if (count if sums is None else count.max()) > budget:
-            raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
-        if k == n:
-            top = level.logscale[pos] + np.log(_op_norms(level.P.take(pos, axis=0)))
-            if sums is None:
-                best = max(best, float(np.max(top)))
-            else:
-                best = np.maximum(best, (top + sums).max(axis=1))
-            continue
-        if sums is None:
-            keep = level.bound[pos] >= floors[n - k]
-        else:
-            kept = level.bound[pos] + sums >= floors[n - k][:, None]
-            sums = np.where(kept, sums, -math.inf)
-            keep = kept.any(axis=0)
+        k, level, pos, live, sums = stack.pop()
+        if words > budget:
+            live &= ~spent
+        count += live.sum(axis=-1)
+        words += len(pos)
+        if words > budget and count.max() > budget:
+            spent[count > budget] = True
+            live &= ~spent
+        if k > lo:
+            i = k - lo - 1
+            at = live[i] if eta is None else live[i].any(axis=0)
+            scored = pos[at]
+            if len(scored):
+                top = level.logscale[scored] + np.log(_op_norms(level.P.take(scored, axis=0)))
+                if eta is None:
+                    best[i] = max(best[i], top.max())
+                else:
+                    best[i] = np.maximum(best[i], np.where(live[i][:, at], top + sums[:, at],
+                                                           -math.inf).max(axis=1))
+            if k == n:
+                continue
+            live[i] = False
+        live &= (level.bound[pos] if eta is None else level.bound[pos] + sums) >= cut[k]
+        keep = live.reshape(-1, len(pos)).any(axis=0)
         if not keep.all():
-            pos = pos[keep]
-            if sums is not None:
+            pos, live = pos[keep], live[..., keep]
+            if eta is not None:
                 sums = sums[:, keep]
             if not len(pos):
                 continue
-        for child, at in tree.children(k, level, pos):
-            if sums is not None:
-                # pos ascends, so each child's parent is found in it
-                child_sums = sums[:, pos.searchsorted(child.parent[at])] + eta[:, child.step[at]]
-            for lo in range(0, len(at), rows):
-                stack.append((k + 1, child, at[lo:lo + rows],
-                              None if sums is None else child_sums[:, lo:lo + rows]))
-    if np.any(best < floors[0]):
-        raise ValidationError(f"a depth-{n} maximum lies below n * lower_hint: "
+        for child, at, parent in tree.children(k, level, pos):
+            child_live = live.take(parent, axis=-1)
+            if eta is not None:
+                child_sums = sums[:, parent] + eta[:, child.step[at]]
+            for start in range(0, len(at), rows):
+                stack.append((k + 1, child, at[start:start + rows],
+                              child_live[..., start:start + rows],
+                              None if eta is None else child_sums[:, start:start + rows]))
+    spent = spent[..., 0]
+    low = ~spent & (best < floors[:, 0])
+    if low.any():
+        m = lo + 1 + int(np.argwhere(low)[0, 0])
+        raise ValidationError(f"a depth-{m} maximum lies below {m} * lower_hint: "
                               f"the lower hint or maxima are not bounds")
+    best[spent] = math.nan
     return best
 
 
@@ -507,33 +556,50 @@ def _upper_ends(A: MatrixCocycle, lowers: np.ndarray, n_max: int,
                 gap_tol: float = DEFAULT_GAP_TOL, budget: int = DEFAULT_WORD_BUDGET,
                 eta: np.ndarray | None = None) -> np.ndarray:
     """U_n of A, or of each cocycle e^{eta_s} A over the rows s of eta
-    (S, E), for n = 1, 2, ...: one row per depth run, one column per
-    cocycle, whose lower end is lowers[s].  Each search prunes with its own
-    floor n * lowers[s] and its own tails N_j = j * U_j, padded by
-    1e-12 * max(1, |N_j|) for rounding.  A column stops at its first depth
-    whose gap min U - lowers[s] is at most gap_tol and reads NaN after it;
-    the rows end when every column has stopped.  Without eta, lowers has
-    one entry, A's own, and `upper_bound` runs each depth; with eta one
-    `_search` per depth serves every column still open."""
+    (S, E), for n = 1, 2, ...: one row per depth, one column per cocycle,
+    whose lower end is lowers[s].  The depths come in runs (a, b] that end
+    at 1, 2, 4, 8, ..., n_max, one search each: without eta, lowers has
+    one entry, A's own, and `upper_bound` searches the run and leaves its
+    maxima on the step table; with eta one `_search` of the run serves
+    every column still open when it starts.  Each prunes with its own
+    floor n * lowers[s] and its own tails from the depth maxima N_j before
+    the run, padded by 1e-12 * max(1, |N_j|) for rounding (`_floors`).
+    Then the run is read depth by depth: a column stops at its first depth
+    whose gap min U - lowers[s] is at most gap_tol and reads NaN after it,
+    what the run found past that is dropped, and the rows end when every
+    column has stopped.  A depth over the word budget in a column still
+    open is refused."""
+    table = A._step_table
     # each sample's largest one-step log norm, as its own bracket keeps it
-    max_step = None if eta is None else (np.log(A._step_table.norms) + eta).max(axis=1)
+    max_step = None if eta is None else (np.log(table.norms) + eta).max(axis=1)
     uppers = np.full((n_max, len(lowers)), math.nan)
     maxima = np.empty_like(uppers)  # maxima[j - 1] = N_j, padded
     open_ = np.arange(len(lowers))
-    for n in range(1, n_max + 1):
+    a = 0
+    while a < n_max:
+        b = min(2 * a or 1, n_max)
+        tops = np.full((b - a, len(lowers)), math.nan)
         if eta is None:
-            u_n = upper_bound(A.space, A, n, budget, lowers[0], maxima[:n - 1, 0])
+            try:
+                upper_bound(A.space, A, b, budget, lowers[0], maxima[:a, 0])
+            except BudgetExceededError:
+                pass  # the run's depths within the budget are on the table
+            tops[:, 0] = [table.maxima[n] for n in range(a + 1, b + 1)]
         else:
-            floors = _floors(n, lowers[open_], max_step[open_], maxima[:n - 1, open_])
-            u_n = _search(A._step_table, n, budget, floors, eta[open_]) / n
-        top = n * u_n
-        uppers[n - 1, open_] = u_n
-        maxima[n - 1, open_] = top + 1e-12 * np.maximum(1.0, np.abs(top))
-        # an open column has a U at every depth so far
-        open_ = open_[uppers[:n, open_].min(axis=0) - lowers[open_] > gap_tol]
-        if not len(open_):
-            break
-    return uppers[:n]
+            floors = _floors(a, b, lowers[open_], max_step[open_], maxima[:a, open_])
+            tops[:, open_] = _search(table, a, b, budget, floors, eta[open_])
+        for n in range(a + 1, b + 1):
+            top = tops[n - a - 1, open_]
+            if np.isnan(top).any():
+                raise BudgetExceededError(f"word budget {budget} exhausted at depth {n}")
+            uppers[n - 1, open_] = top / n
+            maxima[n - 1, open_] = top + 1e-12 * np.maximum(1.0, np.abs(top))
+            # an open column has a U at every depth so far
+            open_ = open_[uppers[:n, open_].min(axis=0) - lowers[open_] > gap_tol]
+            if not len(open_):
+                return uppers[:n]
+        a = b
+    return uppers
 
 
 @dataclass(frozen=True)

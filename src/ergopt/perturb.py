@@ -231,8 +231,8 @@ def _matrix_verdicts(space: ShiftSpace, A: MatrixCocycle, eta: np.ndarray, n_max
     h = max |eta| of A's, so only the cycles within slack + 2h of A's lower
     end can reach L_s - slack: A's own candidates at that slack, whose
     exponents its report holds.  The upper ends come from the depth loop of
-    A's own bracket (`_upper_ends`), one shared search per depth, each
-    sample's the least U_n it ran.  For d = 1 both ends are the Karp
+    A's own bracket (`_upper_ends`), one shared search per run of depths,
+    each sample's the least U_n it ran.  For d = 1 both ends are the Karp
     maximum of the shifted potential, as in `matrix_candidates`."""
     index = _word_index(space, A.memory)
     # the margin covers the rounding of the eta-means

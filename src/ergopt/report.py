@@ -249,10 +249,13 @@ def _exp_perturb(space, cfg, params):
     else:
         pmax = _require(params, "eps_min_pow", int, 12)
         grid = [Fraction(1, 2**j) for j in range(1, pmax + 1)]
+    # formatted before the sweep and finest first, which on the default grid
+    # is the longest denominator: a grid the report cannot print is refused at once
+    epsilons = [num(e) for e in reversed(grid)][::-1]
     sweep = perturbation_sweep(space, f, gamma, grid)
     results = {
         "limit": num(sweep.limit),
-        "epsilons": [num(e) for e in sweep.epsilons],
+        "epsilons": epsilons,
         "diameters": [num(d) for d in sweep.diameters],
         "hausdorff": [num(h) for h in sweep.hausdorff],
         "all_converged": all(h == 0 for h in sweep.hausdorff),

@@ -84,6 +84,28 @@ class TestMarkovMeasure:
         with pytest.raises(ValidationError, match="stochastic rows must sum to 1"):
             eo.MarkovMeasure(full2, bad_rows, bad_masses)
 
+    @pytest.mark.parametrize("stochastic, stationary", [
+        ([[0.5], [0.5, 0.5]], None),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0.5], 0.5]),
+        ([[[0.5], 0.5], [0.5]], None),
+    ], ids=["ragged_stochastic", "ragged_stationary", "ragged_deeper"])
+    def test_ragged_input_is_a_shape_mismatch(self, full2, stochastic, stationary):
+        """Library input that numpy cannot stack is refused by the one
+        conversion of Markov data, not by numpy's ValueError."""
+        with pytest.raises(ShapeMismatchError):
+            eo.MarkovMeasure(full2, stochastic, stationary)
+
+    @pytest.mark.parametrize("field, stochastic, stationary", [
+        ("stochastic", [["0.5", 0.5], [0.5, 0.5]], None),
+        ("stochastic", [[True, False], [0.5, 0.5]], None),
+        ("stationary", [[0.5, 0.5], [0.5, 0.5]], ["0.5", 0.5]),
+        ("stationary", [[0.5, 0.5], [0.5, 0.5]], [None, 0.5]),
+    ], ids=["string_stochastic", "boolean_stochastic", "string_stationary", "null_stationary"])
+    def test_non_numbers_are_refused_by_name(self, full2, field, stochastic, stationary):
+        """A string entry such as '0.5' is no mass, and is not read as one."""
+        with pytest.raises(ValidationError, match=f"{field} entries must be real numbers"):
+            eo.MarkovMeasure(full2, stochastic, stationary)
+
     def test_empty_word_has_mass_one(self, golden):
         mu = eo.markov_measure(golden, [[0.6, 0.4], [1.0, 0.0]])
         assert mu.cylinder_mass(()) == 1.0

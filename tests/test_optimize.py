@@ -575,6 +575,153 @@ class TestWordTree:
                 gc.enable()
 
 
+def padded(top):
+    """N_j as the bracket passes it on: j * U_j, padded against rounding."""
+    return top + 1e-12 * max(1.0, abs(top))
+
+
+def per_depth(space, A, lower, n_max, gap_tol):
+    """Oracle for the bracket's depth loop: one `upper_bound` per depth on
+    a new copy of A, each with the padded maxima of the depths before it,
+    until the gap min U - lower is at most gap_tol."""
+    uppers, maxima = [], []
+    for n in range(1, n_max + 1):
+        fresh = eo.MatrixCocycle(space, A.d, A.memory, A.table, A.weight)
+        uppers.append(eo.upper_bound(space, fresh, n, lower_hint=lower, maxima=maxima))
+        maxima.append(padded(n * uppers[-1]))
+        if min(uppers) - lower <= gap_tol:
+            break
+    return uppers
+
+
+class TestRunSearch:
+    """The bracket searches its depths in runs (a, b] that end at 1, 2, 4,
+    8, ..., one search per run, with tails from the depth maxima before
+    the run."""
+
+    @pytest.mark.parametrize("shift, d, memory", [
+        ("full2", 2, 3), ("full2", 3, 2), ("sft3", 2, 2), ("sft3", 3, 1), ("golden", 3, 2),
+    ])
+    def test_series_is_the_per_depth_search(self, request, shift, d, memory):
+        """On random cocycles each U_n to depth 8 is the unpruned maximum,
+        and bit for bit the one search of depth n on a new cocycle, given
+        the padded maxima of the depths before it."""
+        rng = np.random.default_rng(100 * d + memory)
+        space = random_sft(rng, 3) if shift == "sft3" else request.getfixturevalue(shift)
+        A = eo.MatrixCocycle(space, d, memory, {w: rng.standard_normal((d, d))
+                                                for w in eo.admissible_words(space, memory)})
+        br = bracket_against_brute_upper(space, A)
+        maxima = []
+        for n, u_n in br.upper_series:
+            fresh = eo.MatrixCocycle(space, d, memory, A.table)
+            assert eo.upper_bound(space, fresh, n, lower_hint=br.lower, maxima=maxima) == u_n
+            maxima.append(padded(n * u_n))
+
+    def test_gap_that_closes_inside_a_run(self, golden):
+        """The gaps of the golden 3x3 cocycle fall 0.222 -> 0.126 from depth
+        2 to 3: at gap_tol 0.17 the bracket stops at depth 3, inside the run
+        (2, 4], with the per-depth series."""
+        A = golden_3x3(golden)
+        br = eo.beta_bracket(golden, A, n_max=8, p_max=8, gap_tol=0.17)
+        want = per_depth(golden, A, br.lower, 8, 0.17)
+        assert len(want) == 3
+        assert [u for _, u in br.upper_series] == want
+        assert br.n_used == 3
+
+    def test_budget_past_the_closing_depth_is_not_spent(self, golden):
+        """Depth 4 shares the run (2, 4] with depth 3, where the gap
+        closes: a budget of 10 words serves depths 1 to 3 but not depth 4,
+        and only a bracket that needs depth 4 is refused."""
+        A = golden_3x3(golden)
+        want = eo.beta_bracket(golden, A, n_max=8, p_max=8, gap_tol=0.17)
+        assert eo.beta_bracket(golden, golden_3x3(golden), n_max=8, p_max=8, gap_tol=0.17,
+                               budget=10) == want
+        eo.beta_bracket(golden, golden_3x3(golden), n_max=3, p_max=8, gap_tol=1e-300, budget=10)
+        with pytest.raises(eo.errors.BudgetExceededError, match="at depth 4"):
+            eo.beta_bracket(golden, golden_3x3(golden), n_max=4, p_max=8, gap_tol=1e-300,
+                            budget=10)
+
+    def test_eta_columns_close_inside_runs(self, golden):
+        """Three zero eta rows are A, whose lower ends are set so that the
+        gaps close at depths 3, 5 and 6 under gap_tol 0.2: each column is
+        A's own per-depth series at its lower end, bit for bit, with NaN
+        after it.  A fourth row is e^eta A for a random eta, whose lower end
+        closes it at depth 7: to rounding, the per-depth series of that
+        cocycle.  The rows end there, inside the run (4, 8]."""
+        A = golden_3x3(golden)
+        L, _ = eo.lower_bound_cycles(golden, A, 8)
+        gaps = np.minimum.accumulate(per_depth(golden, A, L, 8, 0.0)) - L
+        tol = 0.2
+        lowers = [L - (tol - (gaps[n - 1] + gaps[n - 2]) / 2) for n in (3, 5, 6)]
+        eta = np.zeros((4, len(A.table)))
+        eta[3] = np.random.default_rng(4).uniform(-0.05, 0.05, len(A.table))
+        index = A._step_table.index
+        B = eo.gamma_apply(eo.ScalarPotential(golden, 1, dict(zip(index.words, eta[3]))), A)
+        L_B, _ = eo.lower_bound_cycles(golden, B, 8)
+        gaps_B = np.minimum.accumulate(per_depth(golden, B, L_B, 8, 0.0)) - L_B
+        lowers.append(L_B - (tol - (gaps_B[6] + gaps_B[5]) / 2))
+        # every gap stays well clear of gap_tol, so rounding decides no stop
+        for s, lower in enumerate(lowers):
+            own, L_s = (gaps, L) if s < 3 else (gaps_B, L_B)
+            assert np.abs(own + L_s - lower - tol).min() > 1e-6
+        got = optimize._upper_ends(A, np.array(lowers), 8, tol, eta=eta)
+        assert got.shape == (7, 4)
+        for s, lower in enumerate(lowers[:3]):
+            want = per_depth(golden, A, lower, 8, tol)
+            assert got[:len(want), s].tolist() == want
+            assert np.isnan(got[len(want):, s]).all()
+        assert got[:, 3] == pytest.approx(per_depth(golden, B, lowers[3], 8, tol), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["golden_3x3", "sft3_memory2"])
+    def test_short_maxima_give_the_full_maxima_value(self, golden, case):
+        """upper_bound(n, maxima=N[:j]) searches the run of depths j+1...n:
+        for every j < n it returns the value of the one search at depth n,
+        bit for bit, whether the cocycle is new or its tree is warm."""
+        if case == "golden_3x3":
+            space, A = golden, golden_3x3(golden)
+        else:
+            rng = np.random.default_rng(8)
+            space = random_sft(rng, 3)
+            A = eo.MatrixCocycle(space, 2, 2, {w: rng.standard_normal((2, 2))
+                                               for w in eo.admissible_words(space, 2)})
+        L, _ = eo.lower_bound_cycles(space, A, 6)
+        N = [padded(n * eo.upper_bound(space, A, n)) for n in range(1, 9)]
+        for n in range(1, 9):
+            want = eo.upper_bound(space, eo.MatrixCocycle(space, A.d, A.memory, A.table), n,
+                                  lower_hint=L, maxima=N[:n - 1])
+            for j in range(n):
+                fresh = eo.MatrixCocycle(space, A.d, A.memory, A.table)
+                assert eo.upper_bound(space, fresh, n, lower_hint=L, maxima=N[:j]) == want
+                assert eo.upper_bound(space, A, n, lower_hint=L, maxima=N[:j]) == want
+
+    def test_step_table_records_each_depth_maximum(self, golden):
+        """One search to depth 8 leaves N_1 ... N_8 on the step table: N_k / k
+        is U_k, whatever the hint; a depth over the budget reads NaN."""
+        A = golden_3x3(golden)
+        L, _ = eo.lower_bound_cycles(golden, A, 8)
+        eo.upper_bound(golden, A, 8, lower_hint=L)
+        for k in range(1, 9):
+            assert A._step_table.maxima[k] / k == eo.upper_bound(golden, golden_3x3(golden), k)
+        B = golden_3x3(golden)
+        with pytest.raises(eo.errors.BudgetExceededError, match="at depth 8"):
+            eo.upper_bound(golden, B, 8, budget=60)
+        spent = [k for k, top in sorted(B._step_table.maxima.items()) if math.isnan(top)]
+        assert spent and spent[-1] == 8 and spent == list(range(spent[0], 9))
+
+    def test_run_depth_below_its_floor_is_refused(self):
+        """A = [[0, 4], [1, 0]] on the one-letter shift has A^2 = 4 I, so
+        U_1, U_2, U_3 = log 4, log 2, (4/3) log 2.  The hint 0.8 bounds U_3
+        but not U_2: the search of depth 3 alone returns U_3, and the run
+        of depths 1 to 3 refuses depth 2."""
+        one = eo.new_shift(1)
+        A = eo.MatrixCocycle(one, 2, 1, {(0,): np.array([[0.0, 4.0], [1.0, 0.0]])})
+        maxima = [padded(n * eo.upper_bound(one, A, n)) for n in (1, 2)]
+        assert eo.upper_bound(one, A, 3, lower_hint=0.8, maxima=maxima) == \
+            pytest.approx(4 / 3 * math.log(2), rel=1e-15)
+        with pytest.raises(ValidationError, match="depth-2 maximum"):
+            eo.upper_bound(one, A, 3, lower_hint=0.8)
+
+
 class TestBracket:
     def test_identity_bracket_is_zero(self, full2):
         br = eo.beta_bracket(full2, eo.identity_cocycle(full2, 2), n_max=1, p_max=1)

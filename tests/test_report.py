@@ -444,6 +444,21 @@ class TestCli:
         assert cli.main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         assert read_report(out)["body"]["results"]["beta_exact"]["value"] == "800/1"
 
+    def test_unprintable_eps_grid_is_refused_before_the_sweep(self, tmp_path, monkeypatch):
+        """The grid's last eps, 2^-15000, has a denominator past Python's
+        int-to-str digit limit: the config exits 2 without running the
+        sweep, which used to run in full before `num` refused its result."""
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(report, "perturbation_sweep", sweep)
+        cfg = {"system": {"alphabet": 2}, "experiment": "perturb", "potential": STEP_POTENTIAL,
+               "params": {"gamma": {"memory": 1, "values": {"0": 0, "1": 4}},
+                          "eps_min_pow": 15000}}
+        out = tmp_path / "err.json"
+        assert cli.main(["--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert read_report(out)["error"]["code"] == "ValidationError"
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         cfg = {
             "system": {"alphabet": 2},
